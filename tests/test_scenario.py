@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -119,20 +120,87 @@ def test_genparams_validation():
 
 
 def test_segment_rect_intersection():
-    from birdcast.scenario import _segments_hit_rect
+    from birdcast.scenario import _segments_blocked
 
-    p0 = np.array([0.0, 0.0])
+    p0 = np.array([[0.0, 0.0]])
     cells = np.array([[10.0, 0.0],   # passes straight through the rect
                       [10.0, 10.0],  # passes above it
                       [3.0, 0.0],    # stops before it
                       [5.0, 0.5]])   # ends inside it
     rect = (4.0, 6.0, -1.0, 1.0)
-    hits = _segments_hit_rect(p0, cells, rect)
-    assert hits.tolist() == [True, False, False, True]
+    hits = _segments_blocked(p0, cells, [rect])
+    assert hits.tolist() == [[True, False, False, True]]
     # start point inside the rectangle always blocks
-    inside = _segments_hit_rect(np.array([5.0, 0.0]),
-                                np.array([[20.0, 20.0]]), rect)
-    assert inside.tolist() == [True]
+    inside = _segments_blocked(np.array([[5.0, 0.0]]),
+                               np.array([[20.0, 20.0]]), [rect])
+    assert inside.tolist() == [[True]]
+    # users x cells at once; vertical segments (no x extent) block only
+    # when they run inside the rect's x slab
+    starts = np.array([[5.0, -10.0],   # below the rect, inside its x slab
+                       [8.0, -10.0]])  # below and right of it
+    ends = np.array([[5.0, 10.0], [8.0, 10.0]])
+    blocked = _segments_blocked(starts, ends, [rect])
+    assert blocked.tolist() == [[True, False], [False, False]]
+    # no occluders, nothing blocked
+    assert not _segments_blocked(starts, ends, []).any()
+
+
+# sha256 of (inst.moi.tobytes(), repr(inst.snr_db), sorted scene JSON); a
+# change to any scene or instance generate produces must update these.
+# Taken with numpy 2.4 on x86-64: another libm may round exp/tanh/log
+# differently and move them without any change to birdcast.
+GOLDEN_PARAMS = {
+    "paper_default": GenParams(seed=0),
+    "n32_5ms": GenParams(n_users=32, budget_s=0.005, seed=0),
+    "n96_40x25": GenParams(n_users=96, grid_h=40, grid_w=25, seed=0),
+    "no_occluders": GenParams(n_occluders=0, seed=0),
+    "no_objects_15_occluders": GenParams(n_objects=0, n_occluders=15, seed=0),
+    "one_user_one_cell": GenParams(n_users=1, grid_h=1, grid_w=1, seed=0),
+}
+GOLDEN_DIGESTS = {
+    "paper_default": (
+        "02bc4b6da726f4cf2fd0f7bb8ad2da09bd9c40397baf3f4c13c7424e833ae41d",
+        "6e8cc34ba90ae2bb9e2fc5d6f82c5c581aa28c690a62c8478f9a2c951c082cbc",
+        "f94453ad70b18fca08b083f213af329994269febdc23a6724fa9ac597136275a",
+    ),
+    "n32_5ms": (
+        "0d6f66e4ef246b218a8eeb9bf69330f886dc2d75e4e3bd2187c8e22420fd6c85",
+        "a780d0e236076f8059e2a81ddd7d9226e7c2daf62267d1fb4c10f763747599fe",
+        "52f811aeda9bf9fc3a90597e7868ff5539bc6ff204f9567777fda940266c427a",
+    ),
+    "n96_40x25": (
+        "818eb8a7fd6c8aa8674c7eb86d63cf431497e49f8f4c59fc71f184fc6d3adf5d",
+        "db8a56307a78cbd97abd19d84cc81336d6e4f7756a5cd60bf4f26d9d42634313",
+        "93fe2a3a3b052e4eec5753b2c2eaf20145a09087ccd30c78136bb7c00920e37e",
+    ),
+    "no_occluders": (
+        "bb918147fe10391b43adeba4bd21b9ef32e5bd6c5076c3517733a05ed6dd0569",
+        "6e8cc34ba90ae2bb9e2fc5d6f82c5c581aa28c690a62c8478f9a2c951c082cbc",
+        "1147f308f157290cc100cbc371072a0aa5e5bcb72f6c27b1271376d86b5c74cf",
+    ),
+    "no_objects_15_occluders": (
+        "bb918147fe10391b43adeba4bd21b9ef32e5bd6c5076c3517733a05ed6dd0569",
+        "6e8cc34ba90ae2bb9e2fc5d6f82c5c581aa28c690a62c8478f9a2c951c082cbc",
+        "de31ada2775c4c487e704942ec102001079aa6767df43aa64ea6ab3e63001fd4",
+    ),
+    "one_user_one_cell": (
+        "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+        "6e6ebfc4f670c39059ae44ee950ae6ccab1a66b17caa64b868e4b7002d1e0067",
+        "dc2f01df9903b7b05453afdde62e15267edacc8bb85e7db111839496a09a3650",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PARAMS))
+def test_generate_is_bit_stable(name):
+    scene, inst = generate(GOLDEN_PARAMS[name])
+    sha = lambda data: hashlib.sha256(data).hexdigest()
+    digests = (
+        sha(inst.moi.tobytes()),
+        sha(repr(inst.snr_db).encode()),
+        sha(json.dumps(scene.to_json(), sort_keys=True).encode()),
+    )
+    assert digests == GOLDEN_DIGESTS[name]
 
 
 def test_fig1_triple():
