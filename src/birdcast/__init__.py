@@ -19,11 +19,7 @@ from .baselines import (
 from .channel import (
     DEFAULT_MCS_TABLE,
     McsTable,
-    UserChannel,
-    decodable_set,
     item_cost,
-    max_data_rate,
-    max_rate_index,
 )
 from .instance import (
     CoverageState,
@@ -82,14 +78,12 @@ __all__ = [
     "Scene",
     "Selection",
     "SolveResult",
-    "UserChannel",
     "accelerated_greedy",
     "best_single_item",
     "broadcast_solve",
     "brute_force_assignments",
     "build_moi",
     "confidence_map",
-    "decodable_set",
     "dp_solve",
     "entropy_map",
     "evaluate_plan",
@@ -102,8 +96,6 @@ __all__ = [
     "local_correlation",
     "marginal_gain",
     "marginal_util_solve",
-    "max_data_rate",
-    "max_rate_index",
     "plan_from_selection",
     "refined_greedy",
     "remove_redundant",

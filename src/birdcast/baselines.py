@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import (
-    CoverageState,
     MulticastPlan,
     ProblemInstance,
     Selection,
@@ -27,7 +26,7 @@ from .instance import (
     selection_cost,
     selection_from_plan,
 )
-from .solvers import SolveResult, _ratio_greedy_pass
+from .solvers import SolveResult, _argmax_pass
 
 BASELINE_IDS = ("broadcast", "unicast", "marginal_util", "kmeanspp", "dp", "dp_fair")
 
@@ -178,14 +177,11 @@ def marginal_util_solve(inst: ProblemInstance) -> SolveResult:
     been committed — no matter how much budget remains.
     """
     t0 = time.perf_counter()
-    dec_f = inst.decodable.astype(np.float64)
-    state = CoverageState(inst)
     selected = np.zeros((inst.n_grids, inst.n_rates), dtype=bool)
-    candidates = np.ones((inst.n_grids, inst.n_rates), dtype=bool)
-    _, evals, _ = _ratio_greedy_pass(inst, state, selected, candidates,
-                                     inst.budget_s, dec_f, grid_exclusive=True)
-    items = frozenset((int(l), int(m)) for l, m in zip(*np.nonzero(selected)))
-    sel = Selection(items)
+    _, evals = _argmax_pass(inst.rate_class_table(), inst.item_cost_s,
+                            [inst.n_rates] * inst.n_grids, selected,
+                            inst.budget_s, grid_exclusive=True)
+    sel = Selection.from_pairs(np.argwhere(selected))
     plan = plan_from_selection(inst, sel)
     evaluation = evaluate_plan(inst, plan)
     return SolveResult(

@@ -1,14 +1,15 @@
 """Adaptive MCS downlink model.
 
-Maps received SNR to the set of decodable rate options, the maximum
-achievable data rate, and the transmission cost of sending one grid at a
-given rate. The threshold model is deterministic: a rate is decodable
-exactly when the received SNR meets its lower bound, so the decodable set
-is always a prefix of the (ascending) rate indices.
+Holds the rate options with their SNR decoding thresholds and the
+transmission cost of sending one grid at a given rate. The threshold model
+is deterministic: a rate is decodable exactly when the received SNR meets
+its lower bound, so the decodable set is always a prefix of the
+(ascending) rate indices (ProblemInstance.decodable holds it per user).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -31,6 +32,8 @@ class McsTable:
         object.__setattr__(self, "thresholds_db", thresholds)
         if len(rates) < 1 or len(rates) != len(thresholds):
             raise ValueError("rates and thresholds_db must have equal length >= 1")
+        if not all(math.isfinite(v) for v in rates + thresholds):
+            raise ValueError("rates and thresholds_db must be finite")
         if any(b <= a for a, b in zip(rates, rates[1:])):
             raise ValueError("rates must be strictly increasing")
         if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
@@ -69,36 +72,6 @@ DEFAULT_MCS_TABLE = McsTable(
 BITS_PER_BYTE = 8
 
 
-def decodable_set(snr_db: float, table: McsTable) -> set[int]:
-    """Indices of every rate option whose threshold the SNR meets (inclusive).
-
-    The result is always a prefix of {0, ..., M-1}; an empty set means the
-    user is out of range for even the most robust option.
-    """
-    return {m for m, t in enumerate(table.thresholds_db) if snr_db >= t}
-
-
-def max_rate_index(snr_db: float, table: McsTable) -> int | None:
-    """Index of the fastest decodable rate, or None when nothing decodes."""
-    best = None
-    for m, t in enumerate(table.thresholds_db):
-        if snr_db >= t:
-            best = m
-        else:
-            break
-    return best
-
-
-def max_data_rate(snr_db: float, table: McsTable, bandwidth_hz: float) -> float | None:
-    """Maximum achievable data rate (bits/s), or None when out of range."""
-    if bandwidth_hz <= 0:
-        raise ValueError("bandwidth_hz must be positive")
-    m = max_rate_index(snr_db, table)
-    if m is None:
-        return None
-    return bandwidth_hz * table.rates[m]
-
-
 def item_cost(rate_index: int, table: McsTable, bandwidth_hz: float,
               grid_bytes: float) -> float:
     """Time (seconds) to transmit one grid of `grid_bytes` at a rate option.
@@ -113,22 +86,3 @@ def item_cost(rate_index: int, table: McsTable, bandwidth_hz: float,
     if bandwidth_hz <= 0:
         raise ValueError("bandwidth_hz must be positive")
     return BITS_PER_BYTE * grid_bytes / (bandwidth_hz * table.rates[rate_index])
-
-
-@dataclass(frozen=True)
-class UserChannel:
-    """Per-user decodability snapshot derived from received SNR.
-
-    alpha[m] is 1 iff the user decodes rate option m; by threshold
-    monotonicity it is a prefix-of-ones pattern.
-    """
-
-    snr_db: float
-    alpha: tuple[int, ...]
-    max_rate_index: int | None
-
-    @classmethod
-    def from_snr(cls, snr_db: float, table: McsTable) -> "UserChannel":
-        alpha = tuple(1 if snr_db >= t else 0 for t in table.thresholds_db)
-        return cls(snr_db=float(snr_db), alpha=alpha,
-                   max_rate_index=max_rate_index(snr_db, table))

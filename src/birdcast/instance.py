@@ -10,6 +10,7 @@ back; both directions preserve the objective and never increase cost.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -53,6 +54,11 @@ class ProblemInstance:
         snr = tuple(float(s) for s in self.snr_db)
         if len(snr) != moi.shape[0]:
             raise ValueError("snr_db length must match the number of users")
+        if not all(math.isfinite(s) for s in snr):
+            raise ValueError("snr_db values must be finite")
+        scalars = (self.grid_bytes, self.bandwidth_hz, self.budget_s)
+        if not all(math.isfinite(v) for v in scalars):
+            raise ValueError("grid_bytes, bandwidth_hz and budget_s must be finite")
         if self.grid_bytes <= 0 or self.bandwidth_hz <= 0:
             raise ValueError("grid_bytes and bandwidth_hz must be positive")
         if self.budget_s <= 0:
@@ -105,9 +111,25 @@ class ProblemInstance:
         out[ok] = self.bandwidth_hz * rates[idx[ok]]
         return out
 
-    def standalone_gains(self) -> np.ndarray:
-        """L x M matrix of single-item utilities F({(l, m)})."""
-        return self.moi.T @ self.decodable.astype(np.float64)
+    def rate_class_table(self) -> np.ndarray:
+        """L x (M+1) table S: S[l, m] is grid l's interest over the users
+        that decode rate m, and S[:, M] = 0.
+
+        Decodability is nested, so a grid's coverage depends only on the
+        slowest rate selected for it: S[:, :M] holds the single-item
+        utilities F({(l, m)}), and the gain of (l, m) once rate r is the
+        slowest selected for grid l is S[l, m] - S[l, r]. Built from
+        per-top-rate class sums by a reverse cumulative sum, which adds
+        non-negative terms only, so every row is non-increasing in float
+        arithmetic too.
+        """
+        n_rates = self.n_rates
+        top = self.user_max_rate_index()
+        one_hot = (top[:, None] == np.arange(n_rates)[None, :]).astype(np.float64)
+        class_sums = self.moi.T @ one_hot
+        table = np.zeros((self.n_grids, n_rates + 1), dtype=np.float64)
+        table[:, :n_rates] = np.cumsum(class_sums[:, ::-1], axis=1)[:, ::-1]
+        return table
 
     def validate_item(self, item: Item) -> None:
         l, m = item
@@ -245,20 +267,19 @@ class MulticastPlan:
 
 
 class CoverageState:
-    """Mutable received-grid bookkeeping for one solver run.
+    """Per-user received-grid bookkeeping: the N x L reference model.
 
-    covered[n, l] says user n has received grid l at a decodable rate;
-    min_rate[l] caches the lowest selected rate index per grid (sentinel M
-    when the grid is unselected), which makes dominated items detectable in
-    O(1) and marginal gains O(N).
+    covered[n, l] says user n has received grid l at a decodable rate. The
+    solvers track only the slowest selected rate per grid (see
+    ProblemInstance.rate_class_table); this state and marginal_gain are the
+    direct definition the tests check them against.
     """
 
-    __slots__ = ("inst", "covered", "min_rate")
+    __slots__ = ("inst", "covered")
 
     def __init__(self, inst: ProblemInstance) -> None:
         self.inst = inst
         self.covered = np.zeros((inst.n_users, inst.n_grids), dtype=bool)
-        self.min_rate = np.full(inst.n_grids, inst.n_rates, dtype=np.int64)
 
     @classmethod
     def from_selection(cls, inst: ProblemInstance, sel: Selection) -> "CoverageState":
@@ -271,14 +292,11 @@ class CoverageState:
         """Fold one item into the coverage; re-applying is a no-op."""
         l, m = item
         self.inst.validate_item(item)
-        if m < self.min_rate[l]:
-            self.min_rate[l] = m
         self.covered[:, l] |= self.inst.decodable[:, m]
 
     def copy(self) -> "CoverageState":
         dup = CoverageState(self.inst)
         dup.covered[:] = self.covered
-        dup.min_rate[:] = self.min_rate
         return dup
 
     def utility(self) -> float:

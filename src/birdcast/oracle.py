@@ -49,8 +49,7 @@ class OracleResult:
 
 def _assignment_tables(inst: ProblemInstance):
     """Per-grid payoff of assigning each rate: contrib[l][m] and costs."""
-    contrib = inst.moi.T @ inst.decodable.astype(np.float64)  # (L, M)
-    return contrib, inst.item_cost_s
+    return inst.rate_class_table()[:, :inst.n_rates], inst.item_cost_s
 
 
 def _check_cap(inst: ProblemInstance, cap: int) -> None:

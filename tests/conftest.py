@@ -14,6 +14,13 @@ def random_mcs_table(rng: np.random.Generator, max_rates: int = 3) -> McsTable:
     return McsTable(tuple(rates), tuple(thresholds))
 
 
+def users_instance(snr_db, table: McsTable) -> ProblemInstance:
+    """One-grid, 100 MHz instance holding only the channels of users at snr_db."""
+    snr = tuple(float(s) for s in snr_db)
+    return ProblemInstance(moi=np.zeros((len(snr), 1)), snr_db=snr, mcs=table,
+                           grid_bytes=1600.0, bandwidth_hz=100e6, budget_s=1.0)
+
+
 def random_instance(rng: np.random.Generator, max_users: int = 6,
                     max_grids: int = 8, max_rates: int = 3,
                     density: float = 0.7,

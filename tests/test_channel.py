@@ -1,21 +1,21 @@
-"""Channel model: decodability sets, max rates, item costs."""
+"""Channel model: decodability sets, max rates, item costs.
+
+Decodability and max rates are read from ProblemInstance, the one place
+that derives them from SNR.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from birdcast import (
-    DEFAULT_MCS_TABLE,
-    McsTable,
-    UserChannel,
-    decodable_set,
-    item_cost,
-    max_data_rate,
-    max_rate_index,
-)
+from birdcast import DEFAULT_MCS_TABLE, McsTable, item_cost
 
-from conftest import random_mcs_table
+from conftest import random_mcs_table, users_instance
+
+
+def decodable_row(snr_db: float, table: McsTable = DEFAULT_MCS_TABLE) -> list[bool]:
+    return users_instance([snr_db], table).decodable[0].tolist()
 
 
 def test_default_table_shape():
@@ -32,6 +32,10 @@ def test_default_table_shape():
     ((0.5, 1.0), (1.0, 0.0)),       # thresholds not increasing
     ((0.5,), (1.0, 2.0)),           # length mismatch
     ((-1.0, 1.0), (0.0, 1.0)),      # non-positive rate
+    ((float("nan"),), (0.0,)),      # non-finite rate
+    ((1.0, float("inf")), (0.0, 1.0)),
+    ((1.0,), (float("nan"),)),      # non-finite threshold
+    ((1.0, 2.0), (float("-inf"), 1.0)),
 ])
 def test_invalid_tables_rejected(rates, thresholds):
     with pytest.raises(ValueError):
@@ -39,21 +43,23 @@ def test_invalid_tables_rejected(rates, thresholds):
 
 
 def test_decodable_set_lowest_threshold_inclusive():
-    assert decodable_set(-4.0, DEFAULT_MCS_TABLE) == {0}
+    assert decodable_row(-4.0) == [True] + [False] * 13
 
 
 def test_decodable_set_below_everything():
-    assert decodable_set(-10.0, DEFAULT_MCS_TABLE) == set()
+    assert decodable_row(-10.0) == [False] * 14
+    assert users_instance([-10.0], DEFAULT_MCS_TABLE).user_max_rate_index()[0] == -1
 
 
 def test_decodable_set_every_index():
-    assert decodable_set(33.0, DEFAULT_MCS_TABLE) == set(range(14))
+    assert decodable_row(33.0) == [True] * 14
 
 
 def test_max_data_rate_examples():
-    assert max_data_rate(10.5, DEFAULT_MCS_TABLE, 100e6) == pytest.approx(148e6)
-    assert max_data_rate(-10.0, DEFAULT_MCS_TABLE, 100e6) is None
-    assert max_data_rate(5.5, DEFAULT_MCS_TABLE, 100e6) == pytest.approx(103e6)
+    rates = users_instance([10.5, -10.0, 5.5], DEFAULT_MCS_TABLE).user_max_rate_bps()
+    assert rates[0] == pytest.approx(148e6)
+    assert rates[1] == 0.0  # out of range
+    assert rates[2] == pytest.approx(103e6)
 
 
 def test_item_cost_values():
@@ -80,13 +86,12 @@ def test_decodable_set_is_prefix_random():
     for _ in range(200):
         table = random_mcs_table(rng, max_rates=6)
         snr = float(rng.uniform(-20.0, 50.0))
-        dec = decodable_set(snr, table)
-        if dec:
-            assert dec == set(range(max(dec) + 1))
-        idx = max_rate_index(snr, table)
-        assert (idx is None) == (not dec)
-        if dec:
-            assert idx == max(dec)
+        inst = users_instance([snr], table)
+        dec = inst.decodable[0]
+        assert dec.tolist() == [snr >= t for t in table.thresholds_db]
+        ones = int(dec.sum())
+        assert dec.tolist() == [True] * ones + [False] * (table.n_rates - ones)
+        assert inst.user_max_rate_index()[0] == ones - 1
 
 
 def test_item_cost_strictly_decreasing_in_rate():
@@ -97,15 +102,16 @@ def test_item_cost_strictly_decreasing_in_rate():
 def test_max_data_rate_monotone_in_snr():
     rng = np.random.default_rng(11)
     snrs = np.sort(rng.uniform(-10.0, 40.0, size=50))
-    rates = [max_data_rate(s, DEFAULT_MCS_TABLE, 100e6) or 0.0 for s in snrs]
+    rates = users_instance(snrs, DEFAULT_MCS_TABLE).user_max_rate_bps()
     assert all(a <= b for a, b in zip(rates, rates[1:]))
 
 
 def test_user_channel_prefix_of_ones():
-    user = UserChannel.from_snr(17.0, DEFAULT_MCS_TABLE)
-    ones = sum(user.alpha)
-    assert user.alpha == tuple([1] * ones + [0] * (14 - ones))
-    assert user.max_rate_index == ones - 1
+    inst = users_instance([17.0], DEFAULT_MCS_TABLE)
+    alpha = inst.decodable[0].tolist()
+    ones = sum(alpha)
+    assert alpha == [True] * ones + [False] * (14 - ones)
+    assert inst.user_max_rate_index()[0] == ones - 1
 
 
 def test_table_json_round_trip():

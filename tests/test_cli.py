@@ -65,6 +65,16 @@ def test_solve_unknown_solver(tmp_path, capsys):
     assert "available" in err and "birdcast" in err
 
 
+def test_solve_rejects_infinite_bandwidth(tmp_path, capsys):
+    doc = fig1_instance().to_json()
+    doc["bandwidth_hz"] = float("inf")
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(doc))
+    assert "Infinity" in path.read_text()
+    assert run(["solve", str(path), "--solver", "birdcast_accel"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_solve_oracle_over_cap(tmp_path, capsys):
     assert run(["gen", "--seed", "1", "--out", str(tmp_path / "big")]) == 0
     capsys.readouterr()

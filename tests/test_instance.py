@@ -307,6 +307,29 @@ def test_monotonicity_and_submodularity_random():
         assert marginal_gain(inst, state_a, e) >= marginal_gain(inst, state_b, e)
 
 
+def test_rate_class_table_matches_coverage_reference():
+    rng = np.random.default_rng(28)
+    for _ in range(200):
+        inst = random_instance(rng, max_rates=5)
+        table = inst.rate_class_table()
+        assert table.shape == (inst.n_grids, inst.n_rates + 1)
+        assert np.all(table[:, -1] == 0.0)
+        assert np.all(np.diff(table, axis=1) <= 0.0)
+        items = [(l, m) for l in range(inst.n_grids)
+                 for m in range(inst.n_rates)]
+        rng.shuffle(items)
+        chosen = items[: int(rng.integers(0, len(items) + 1))]
+        state = CoverageState(inst)
+        rate = [inst.n_rates] * inst.n_grids
+        for l, m in chosen:
+            state.apply((l, m))
+            rate[l] = min(rate[l], m)
+        for l, m in items:
+            gain = max(table[l, m] - table[l, rate[l]], 0.0)
+            assert gain == pytest.approx(marginal_gain(inst, state, (l, m)),
+                                         rel=1e-12, abs=0.0)
+
+
 def test_redundant_higher_rate_has_zero_gain():
     inst = two_rate_instance()
     state = CoverageState(inst)
@@ -359,3 +382,12 @@ def test_instance_rejects_bad_inputs():
     with pytest.raises(ValueError):
         ProblemInstance(moi=np.array([[1.0]]), snr_db=(0.0,), mcs=table,
                         grid_bytes=1.0, bandwidth_hz=1.0, budget_s=0.0)
+    good = dict(moi=np.array([[1.0]]), snr_db=(0.0,), mcs=table,
+                grid_bytes=1.0, bandwidth_hz=1.0, budget_s=1.0)
+    for key in ("budget_s", "grid_bytes", "bandwidth_hz"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                ProblemInstance(**{**good, key: bad})
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            ProblemInstance(**{**good, "snr_db": (bad,)})

@@ -18,12 +18,13 @@ from birdcast import (
     exact_solve,
     fig1_instance,
     generate,
-    max_data_rate,
     refined_greedy,
     snr_for_user,
     unicast_solve,
 )
 from birdcast.scenario import UserGeometry
+
+from conftest import users_instance
 
 
 def scene_with_user_at(distance_3d: tuple[float, float, float]) -> Scene:
@@ -51,7 +52,7 @@ def test_snr_at_ten_meters_maps_to_rate():
     scene = scene_with_user_at((10.0, 0.0, 0.0))
     snr = snr_for_user(scene, 0)
     assert snr == pytest.approx(67.15 - 38.0)
-    rate = max_data_rate(snr, DEFAULT_MCS_TABLE, 100e6)
+    rate = users_instance([snr], DEFAULT_MCS_TABLE).user_max_rate_bps()[0]
     assert rate == pytest.approx(4.21 * 100e6)
 
 
@@ -100,7 +101,7 @@ def test_default_scale_instance_has_feasible_items():
     _, inst = generate(GenParams(seed=0))
     assert (inst.n_users, inst.n_grids, inst.n_rates) == (24, 250, 14)
     assert inst.item_cost_s.min() <= inst.budget_s
-    assert inst.standalone_gains().max() > 0.0
+    assert inst.rate_class_table()[:, :inst.n_rates].max() > 0.0
 
 
 def test_moi_zero_outside_roi():

@@ -7,6 +7,7 @@ import pytest
 
 from birdcast import (
     CoverageState,
+    GenParams,
     McsTable,
     ProblemInstance,
     Selection,
@@ -14,6 +15,7 @@ from birdcast import (
     best_single_item,
     evaluate_plan,
     exact_solve,
+    generate,
     marginal_gain,
     refined_greedy,
     remove_redundant,
@@ -151,6 +153,19 @@ def test_lazy_equals_standard_small_random():
         r2 = accelerated_greedy(inst)
         assert r1.selection == r2.selection
         assert r1.utility == r2.utility
+
+
+@pytest.mark.parametrize("seed", [10500349, 30500962, 100403028])
+def test_lazy_equals_standard_on_exact_ratio_ties(seed):
+    # each scene reaches a step where rates 2 and 5 of one grid tie exactly
+    # (rate 2 costs twice rate 5 and reaches twice the interest); both
+    # solvers must break the tie the same way
+    _, inst = generate(GenParams(seed=seed, n_users=32, grid_h=10, grid_w=25,
+                                 budget_s=0.005))
+    r1 = refined_greedy(inst)
+    r2 = accelerated_greedy(inst)
+    assert r1.selection == r2.selection
+    assert r1.utility == r2.utility
 
 
 def test_solver_outputs_feasible_and_single_rate_per_grid():
