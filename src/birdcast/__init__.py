@@ -7,6 +7,8 @@ lazy-evaluation variant, alongside six baseline schedulers and an exact
 oracle for small instances.
 """
 
+import logging
+
 from .baselines import (
     BASELINE_IDS,
     BaselineConfig,
@@ -107,3 +109,7 @@ __all__ = [
     "utility",
     "verify_equivalence",
 ]
+
+# Library convention: notices reach no output unless the application
+# configures logging (the CLI does).
+logging.getLogger(__name__).addHandler(logging.NullHandler())

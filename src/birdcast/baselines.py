@@ -11,8 +11,8 @@ it no credit.
 
 from __future__ import annotations
 
+import logging
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +27,8 @@ from .instance import (
     selection_from_plan,
 )
 from .solvers import SolveResult, _argmax_pass
+
+logger = logging.getLogger(__name__)
 
 BASELINE_IDS = ("broadcast", "unicast", "marginal_util", "kmeanspp", "dp", "dp_fair")
 
@@ -70,9 +72,8 @@ def _empty_result(inst: ProblemInstance, t0: float, meta: dict) -> SolveResult:
     )
 
 
-def _result_from_groups(inst: ProblemInstance, groups: list[np.ndarray],
-                        masks: np.ndarray, rate_idx: list[int], evals: int,
-                        t0: float, meta: dict) -> SolveResult:
+def _plan(inst: ProblemInstance, groups: list[np.ndarray], masks: np.ndarray,
+          rate_idx: list[int]) -> MulticastPlan:
     rates = inst.user_max_rate_bps()
     rates_bps = []
     for k, members in enumerate(groups):
@@ -80,11 +81,17 @@ def _result_from_groups(inst: ProblemInstance, groups: list[np.ndarray],
             rates_bps.append(float(rates[members].min()))
         else:
             rates_bps.append(float(inst.bandwidth_hz * inst.mcs.rates[rate_idx[k]]))
-    plan = MulticastPlan(
+    return MulticastPlan(
         groups=tuple(tuple(int(n) for n in g) for g in groups),
         masks=masks,
         rates_bps=tuple(rates_bps),
     )
+
+
+def _result_from_groups(inst: ProblemInstance, groups: list[np.ndarray],
+                        masks: np.ndarray, rate_idx: list[int], evals: int,
+                        t0: float, meta: dict) -> SolveResult:
+    plan = _plan(inst, groups, masks, rate_idx)
     evaluation = evaluate_plan(inst, plan)
     return SolveResult(
         selection=selection_from_plan(inst, plan),
@@ -105,8 +112,8 @@ def broadcast_solve(inst: ProblemInstance) -> SolveResult:
     if users.size < inst.n_users:
         dropped = sorted(set(range(inst.n_users)) - set(users.tolist()))
         meta["dropped_users"] = dropped
-        warnings.warn(f"broadcast: dropping {len(dropped)} user(s) with no "
-                      "decodable rate", stacklevel=2)
+        logger.warning("broadcast: dropping %d user(s) with no decodable rate",
+                       len(dropped))
     if users.size == 0:
         return _empty_result(inst, t0, meta)
     rate_idx = int(inst.user_max_rate_index()[users].min())
@@ -195,34 +202,49 @@ def marginal_util_solve(inst: ProblemInstance) -> SolveResult:
 
 
 def _joint_greedy(inst: ProblemInstance, groups: list[np.ndarray],
-                  rate_idx: list[int], budget_s: float):
+                  rate_idx: list[int], budget_s: float
+                  ) -> tuple[np.ndarray, int]:
     """Greedy (grid, group) allocation for disjoint groups.
 
-    Gain of sending grid l to group k is the members' weight not yet
-    delivered; groups are disjoint, so a delivery only zeroes its own
-    group's entry and the uncovered-weight table stays exact in O(1).
+    Each step sends the affordable item of highest uncovered member weight
+    per second (ties to the lower grid, then the lower group). Groups are
+    disjoint, so an item's ratio stays fixed until it is sent, and the
+    budget only shrinks, so an item the budget cannot pay for never
+    becomes affordable again: one scan in descending ratio order makes
+    the step-by-step argmax's choices. That holds while every positive
+    weight gives a positive ratio, which fails only for a subnormal weight
+    over a cost above one second. Each step counts the affordable groups
+    times L gain evaluations, and so does the closing step that finds
+    nothing left to send.
     """
     n_groups = len(groups)
-    uncovered = np.stack([inst.moi[g].sum(axis=0) for g in groups], axis=1) \
-        if n_groups else np.zeros((inst.n_grids, 0))
-    costs = np.array([inst.item_cost_s[m] for m in rate_idx], dtype=np.float64)
     masks = np.zeros((n_groups, inst.n_grids), dtype=bool)
+    if not n_groups:
+        return masks, 0
+    uncovered = np.stack([inst.moi[g].sum(axis=0) for g in groups], axis=1)
+    costs = inst.item_cost_s[rate_idx]
+    ratios = (uncovered / costs[None, :]).ravel()
+    order = np.argsort(-ratios, kind="stable")
+    order = order[:int((ratios > 0.0).sum())]
     budget_left = budget_s
-    evals = 0
-    while n_groups:
-        affordable = costs <= budget_left
-        if not affordable.any():
-            break
-        ratios = np.where(affordable[None, :], uncovered / costs[None, :], -np.inf)
-        evals += int(affordable.sum()) * inst.n_grids
-        flat = int(np.argmax(ratios))
-        l, k = divmod(flat, n_groups)
-        if uncovered[l, k] <= 0.0:
-            break
-        masks[k, l] = True
-        uncovered[l, k] = 0.0
-        budget_left -= costs[k]
-    return masks, evals, budget_s - budget_left
+    sent = [order[:0]]
+    budgets_before = []
+    while order.size:
+        item_costs = costs[order % n_groups]
+        # the budget before each item, were every item from here on sent
+        before = np.subtract.accumulate(np.concatenate(([budget_left], item_costs)))
+        short = np.flatnonzero(item_costs > before[:-1])
+        stop = int(short[0]) if short.size else order.size
+        sent.append(order[:stop])
+        budgets_before.append(before[:stop])
+        budget_left = before[stop]
+        order = order[stop + 1:]
+        order = order[costs[order % n_groups] <= budget_left]
+    sent_items = np.concatenate(sent)
+    masks[sent_items % n_groups, sent_items // n_groups] = True
+    steps = np.concatenate([*budgets_before, [budget_left]])
+    affordable = (costs[None, :] <= steps[:, None]).sum(axis=1)
+    return masks, int(affordable.sum()) * inst.n_grids
 
 
 def _kmeanspp_1d(values: np.ndarray, k: int, rng: np.random.Generator,
@@ -279,65 +301,148 @@ def kmeanspp_solve(inst: ProblemInstance,
             members = users[labels == c]
             groups.append(members)
             rate_idx.append(int(max_idx[members].min()))
-        masks, pass_evals, _ = _joint_greedy(inst, groups, rate_idx, inst.budget_s)
+        masks, pass_evals = _joint_greedy(inst, groups, rate_idx, inst.budget_s)
         evals += pass_evals
-        cand = _result_from_groups(inst, groups, masks, rate_idx, 0, t0, {"k": k})
-        if best is None or cand.utility > best[0].utility:
-            best = (cand, groups, masks, rate_idx, k)
+        value = evaluate_plan(inst, _plan(inst, groups, masks, rate_idx)).utility
+        if best is None or value > best[0]:
+            best = (value, groups, masks, rate_idx, k)
     assert best is not None
     _, groups, masks, rate_idx, k = best
     return _result_from_groups(inst, groups, masks, rate_idx, evals, t0, {"k": k})
 
 
-class _SegmentTable:
-    """Per-contiguous-segment greedy precompute shared across group counts.
+def _below_floor(members: np.ndarray, chosen: np.ndarray, floor: float) -> bool:
+    """Whether sending `chosen` serves some member (a row of `members`)
+    less than `floor` of their total interest."""
+    totals = members.sum(axis=1)
+    served = members[:, chosen].sum(axis=1)
+    fraction = np.where(totals > 0.0, served / np.maximum(totals, 1e-300), 1.0)
+    return bool(np.any(fraction < floor))
 
-    For sorted users i..j-1 the grid ordering by member weight never
-    changes; only how many grids fit the per-group budget slice does.
+
+def _segment_values(inst: ProblemInstance, ordered: np.ndarray,
+                    max_idx: np.ndarray, budgets: list[float],
+                    floor: float) -> tuple[np.ndarray, np.ndarray | None,
+                                           np.ndarray]:
+    """Stand-alone greedy value of every contiguous run of sorted users.
+
+    For sorted users i..j the grid order by summed member weight is the
+    same under every budget; only how many grids fit the group's budget
+    slice changes. values[k, i, j] is the sum of the run's top
+    min(fit, positive) grid weights, where fit counts the grids budgets[k]
+    pays for at the run's rate (its slowest member's) and positive the
+    grids of positive weight; entries with j < i are -inf. The runs that
+    start at user i are valued in one pass over an (n - i) x L array, so
+    memory stays O(n L + K n^2).
+
+    With floor > 0 the second table repeats values but is -inf wherever
+    the run's chosen grids serve some member less than `floor` of their
+    total interest; it is None otherwise. The third result is each run's
+    rate index.
     """
+    n = ordered.size
+    n_grids = inst.n_grids
+    fit = np.array([[min(n_grids, int(b // c)) if c > 0 else n_grids
+                     for c in inst.item_cost_s.tolist()] for b in budgets],
+                   dtype=np.int64)
+    weights = inst.moi[ordered]
+    prefix = np.zeros((n + 1, n_grids))
+    np.cumsum(weights, axis=0, out=prefix[1:])
+    totals = weights.sum(axis=1)
+    denom = np.maximum(totals, 1e-300)
+    slack = 4 * n_grids * np.finfo(float).eps * floor + np.finfo(float).tiny
+    values = np.full((len(budgets), n, n), -np.inf)
+    fair = values.copy() if floor > 0.0 else None
+    seg_rate = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        w = prefix[i + 1:] - prefix[i]  # row r: the run i..i+r
+        cum = np.cumsum(np.sort(w, axis=1)[:, ::-1], axis=1)
+        rate = np.minimum.accumulate(max_idx[ordered[i:]])
+        seg_rate[i, i:] = rate
+        n_top = np.minimum(fit[:, rate], (w > 0.0).sum(axis=1))
+        top = cum[np.arange(n - i), np.maximum(n_top - 1, 0)]
+        values[:, i, i:] = np.where(n_top > 0, top, 0.0)
+        if fair is None:
+            continue
+        order = np.argsort(-w, axis=1, kind="stable")
+        # share[u, r, k]: the part of user i+u's interest that run i..i+r
+        # serves under budgets[k], for every run at once by one product.
+        # Two summation orders of the same p <= L non-negative terms agree
+        # to within about L ulp, so only shares that close to the floor
+        # need the exact per-run sum.
+        rank = np.empty_like(order)
+        np.put_along_axis(rank, order, np.arange(n_grids), axis=1)
+        picked = rank[:, None, :] < n_top.T[:, :, None]
+        served = weights[i:] @ picked.reshape(-1, n_grids).T
+        share = served.reshape(n - i, n - i, -1) / denom[i:, None, None]
+        counted = (np.triu(np.ones((n - i, n - i), dtype=bool))
+                   & (totals[i:] > 0.0)[:, None])[:, :, None]
+        reject = ((share < floor) & counted).any(axis=0)
+        near = ((np.abs(share - floor) <= slack) & counted).any(axis=0)
+        for r, k in zip(*np.nonzero(near)):
+            reject[r, k] = _below_floor(weights[i:i + r + 1],
+                                        order[r, :n_top[k, r]], floor)
+        fair[:, i, i:] = np.where(reject.T, -np.inf, values[:, i, i:])
+    return values, fair, seg_rate
 
-    def __init__(self, inst: ProblemInstance, ordered: np.ndarray,
-                 max_idx: np.ndarray) -> None:
-        self.inst = inst
-        self.ordered = ordered
-        n = ordered.size
-        prefix = np.zeros((n + 1, inst.n_grids))
-        np.cumsum(inst.moi[ordered], axis=0, out=prefix[1:])
-        self.rate = np.zeros((n, n), dtype=np.int64)
-        self.order: dict[tuple[int, int], np.ndarray] = {}
-        self.cum: dict[tuple[int, int], np.ndarray] = {}
-        self.weights: dict[tuple[int, int], np.ndarray] = {}
-        for i in range(n):
-            for j in range(i, n):
-                self.rate[i, j] = int(max_idx[ordered[i:j + 1]].min())
-                w = prefix[j + 1] - prefix[i]
-                order = np.argsort(-w, kind="stable")
-                self.order[(i, j)] = order
-                self.weights[(i, j)] = w
-                self.cum[(i, j)] = np.cumsum(w[order])
 
-    def chosen_grids(self, i: int, j: int, budget_s: float) -> np.ndarray:
-        cost = float(self.inst.item_cost_s[self.rate[i, j]])
-        order = self.order[(i, j)]
-        n_fit = min(len(order), int(budget_s // cost)) if cost > 0 else len(order)
-        w = self.weights[(i, j)]
-        positive = int((w[order[:n_fit]] > 0.0).sum())
-        return order[:positive]
+def _best_split(seg_value: np.ndarray,
+                n_groups: int) -> list[tuple[int, int]] | None:
+    """Bounds (i, j) of the best split of the sorted users into n_groups
+    runs, or None when every split holds a -inf run.
 
-    def value(self, i: int, j: int, budget_s: float,
-              fairness_floor: float) -> float:
-        chosen = self.chosen_grids(i, j, budget_s)
-        value = float(self.cum[(i, j)][len(chosen) - 1]) if len(chosen) else 0.0
-        if fairness_floor > 0.0:
-            members = self.ordered[i:j + 1]
-            totals = self.inst.moi[members].sum(axis=1)
-            served = (self.inst.moi[members][:, chosen].sum(axis=1)
-                      if len(chosen) else np.zeros(members.size))
-            fraction = np.where(totals > 0.0,
-                                served / np.maximum(totals, 1e-300), 1.0)
-            if np.any(fraction < fairness_floor):
-                return -np.inf
-        return value
+    Classic boundary recurrence: table[g, j] is the best value of the
+    first j users in g runs, and each cell keeps the first i that reaches
+    its maximum.
+    """
+    n = seg_value.shape[0]
+    table = np.full((n_groups + 1, n + 1), -np.inf)
+    table[0, 0] = 0.0
+    choice = np.zeros((n_groups + 1, n + 1), dtype=np.int64)
+    for g in range(1, n_groups + 1):
+        cand = table[g - 1, :n, None] + seg_value  # [i, j - 1]
+        start = np.argmax(cand, axis=0)
+        best = cand[start, np.arange(n)]
+        reached = best > -np.inf
+        table[g, 1:][reached] = best[reached]
+        choice[g, 1:][reached] = start[reached]
+    if not np.isfinite(table[n_groups, n]):
+        return None
+    bounds = []
+    j = n
+    for g in range(n_groups, 0, -1):
+        i = int(choice[g, j])
+        bounds.append((i, j))
+        j = i
+    bounds.reverse()
+    return bounds
+
+
+def _best_partition(inst: ProblemInstance, ordered: np.ndarray,
+                    values: np.ndarray, seg_rate: np.ndarray, t0: float,
+                    fair: bool) -> SolveResult | None:
+    """Best split for each group count, shared out by the joint greedy;
+    the highest-utility one wins. None when no group count has a split."""
+    n = ordered.size
+    best = None
+    evals = 0
+    for k_groups, seg_value in enumerate(values, start=1):
+        evals += n * (n + 1) // 2
+        bounds = _best_split(seg_value, k_groups)
+        if bounds is None:
+            continue
+        groups = [ordered[i:j] for i, j in bounds]
+        rate_idx = [int(seg_rate[i, j - 1]) for i, j in bounds]
+        masks, pass_evals = _joint_greedy(inst, groups, rate_idx, inst.budget_s)
+        evals += pass_evals
+        value = evaluate_plan(inst, _plan(inst, groups, masks, rate_idx)).utility
+        if best is None or value > best[0]:
+            best = (value, groups, masks, rate_idx, k_groups)
+    if best is None:
+        return None
+    _, groups, masks, rate_idx, k_groups = best
+    return _result_from_groups(inst, groups, masks, rate_idx, evals, t0,
+                               {"k": k_groups, "fair": fair})
 
 
 def dp_solve(inst: ProblemInstance, cfg: BaselineConfig = DEFAULT_CONFIG,
@@ -359,60 +464,16 @@ def dp_solve(inst: ProblemInstance, cfg: BaselineConfig = DEFAULT_CONFIG,
         return _empty_result(inst, t0, {})
     max_idx = inst.user_max_rate_index()
     rates = inst.user_max_rate_bps()
-    order = sorted(users.tolist(), key=lambda n: (-rates[n], n))
-    ordered = np.asarray(order)
-    n = ordered.size
+    ordered = np.asarray(sorted(users.tolist(), key=lambda n: (-rates[n], n)))
+    n_groups = min(cfg.dp_max_groups, ordered.size)
+    budgets = [inst.budget_s / k for k in range(1, n_groups + 1)]
     floor = cfg.fairness_floor if fair else 0.0
-    segments = _SegmentTable(inst, ordered, max_idx)
-    best = None
-    evals = 0
-    for k_groups in range(1, min(cfg.dp_max_groups, n) + 1):
-        slice_budget = inst.budget_s / k_groups
-        # seg_value[i][j] for group of sorted users i..j (rate set by user j)
-        seg_value = np.full((n, n), -np.inf)
-        for i in range(n):
-            for j in range(i, n):
-                seg_value[i, j] = segments.value(i, j, slice_budget, floor)
-                evals += 1
-        table = np.full((k_groups + 1, n + 1), -np.inf)
-        table[0, 0] = 0.0
-        choice = np.zeros((k_groups + 1, n + 1), dtype=np.int64)
-        for g in range(1, k_groups + 1):
-            for j in range(1, n + 1):
-                for i in range(g - 1, j):
-                    v = table[g - 1, i] + seg_value[i, j - 1]
-                    if v > table[g, j]:
-                        table[g, j] = v
-                        choice[g, j] = i
-        if not np.isfinite(table[k_groups, n]):
-            continue  # no admissible partition with this many groups
-        bounds = []
-        j = n
-        for g in range(k_groups, 0, -1):
-            i = int(choice[g, j])
-            bounds.append((i, j))
-            j = i
-        bounds.reverse()
-        groups = [ordered[i:j] for i, j in bounds]
-        rate_idx = [int(segments.rate[i, j - 1]) for i, j in bounds]
-        masks, pass_evals, _ = _joint_greedy(inst, groups, rate_idx, inst.budget_s)
-        evals += pass_evals
-        cand = _result_from_groups(inst, groups, masks, rate_idx, 0, t0,
-                                   {"k": k_groups, "fair": fair})
-        if best is None or cand.utility > best[0].utility:
-            best = (cand, groups, masks, rate_idx, k_groups)
-    if best is None:
-        if fair:
-            relaxed = dp_solve(inst, cfg, fair=False)
-            meta = dict(relaxed.meta)
-            meta["fair_infeasible"] = True
-            return SolveResult(
-                selection=relaxed.selection, plan=relaxed.plan,
-                utility=relaxed.utility, latency_s=relaxed.latency_s,
-                gain_evaluations=relaxed.gain_evaluations,
-                wall_time_s=time.perf_counter() - t0, meta=meta,
-            )
-        return _empty_result(inst, t0, {})
-    _, groups, masks, rate_idx, k_groups = best
-    return _result_from_groups(inst, groups, masks, rate_idx, evals, t0,
-                               {"k": k_groups, "fair": fair})
+    values, fair_values, seg_rate = _segment_values(inst, ordered, max_idx,
+                                                    budgets, floor)
+    if fair_values is None:
+        return _best_partition(inst, ordered, values, seg_rate, t0, fair)
+    result = _best_partition(inst, ordered, fair_values, seg_rate, t0, fair)
+    if result is None:
+        result = _best_partition(inst, ordered, values, seg_rate, t0, False)
+        result.meta["fair_infeasible"] = True
+    return result

@@ -16,6 +16,7 @@ import concurrent.futures
 import csv
 import hashlib
 import json
+import logging
 import statistics
 import sys
 from dataclasses import asdict
@@ -432,6 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    logging.basicConfig()  # library notices, such as broadcast's, to stderr
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -185,8 +185,11 @@ class Selection:
         return item in self.items
 
     def validate(self, inst: ProblemInstance) -> None:
+        n_grids, n_rates = inst.n_grids, inst.n_rates
         for item in self.items:
-            inst.validate_item(item)
+            l, m = item
+            if not (0 <= l < n_grids and 0 <= m < n_rates):
+                inst.validate_item(item)  # raises with the item and the ranges
 
     def dense(self, inst: ProblemInstance) -> np.ndarray:
         """L x M 0/1 decision matrix."""
@@ -358,8 +361,7 @@ def plan_from_selection(inst: ProblemInstance, sel: Selection) -> MulticastPlan:
     there, which solver outputs always do). Empty groups keep the nominal
     rate of their option.
     """
-    sel.validate(inst)
-    cost = selection_cost(inst, sel)
+    cost = selection_cost(inst, sel)  # validates the items first
     if not is_budget_feasible(inst, cost):
         raise ValueError(f"selection cost {cost:.6g}s exceeds budget "
                          f"{inst.budget_s:.6g}s")

@@ -167,10 +167,16 @@ def best_single_item(inst: ProblemInstance) -> tuple[Item | None, float]:
     Returns (None, 0.0) when no item fits; the value reported goes through
     the canonical coverage evaluator.
     """
+    return _best_single_item(inst, inst.rate_class_table())
+
+
+def _best_single_item(inst: ProblemInstance,
+                      table: np.ndarray) -> tuple[Item | None, float]:
+    """best_single_item on the instance's rate-class table `table`."""
     fits = inst.item_cost_s <= inst.budget_s
     if not fits.any():
         return None, 0.0
-    standalone = inst.rate_class_table()[:, :inst.n_rates]
+    standalone = table[:, :inst.n_rates]
     flat = int(np.argmax(np.where(fits[None, :], standalone, -np.inf)))
     item = divmod(flat, inst.n_rates)
     return item, utility(inst, Selection(frozenset({item})))
@@ -219,7 +225,7 @@ def _two_pass_greedy(inst: ProblemInstance,
     greedy = Selection(frozenset((l, m) for l, m in enumerate(rate)
                                  if m < n_rates))
     final, value = greedy, utility(inst, greedy)
-    single, single_value = best_single_item(inst)
+    single, single_value = _best_single_item(inst, table)
     if single is not None and single_value > value:
         final, value = Selection(frozenset({single})), single_value
     return SolveResult(

@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import hashlib
+import logging
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from birdcast import (
+    DEFAULT_MCS_TABLE,
     BaselineConfig,
+    GenParams,
     McsTable,
     ProblemInstance,
     broadcast_solve,
     dp_solve,
     evaluate_plan,
+    generate,
     kmeanspp_solve,
     marginal_util_solve,
     refined_greedy,
@@ -19,7 +26,7 @@ from birdcast import (
 )
 from birdcast.scenario import fig1_instance
 
-from conftest import random_instance
+from conftest import random_full_scale_instance, random_instance
 
 ALL_BASELINES = (broadcast_solve, unicast_solve, marginal_util_solve,
                  kmeanspp_solve, lambda i: dp_solve(i),
@@ -59,12 +66,15 @@ def test_broadcast_takes_highest_total_weight_grids():
     assert np.array_equal(np.flatnonzero(res.plan.masks[0]), [0, 1])
 
 
-def test_broadcast_empty_when_nobody_decodes():
+def test_broadcast_empty_when_nobody_decodes(caplog):
     table = McsTable(rates=(1.0,), thresholds_db=(50.0,))
     inst = ProblemInstance(moi=np.array([[1.0]]), snr_db=(0.0,), mcs=table,
                            grid_bytes=1000.0, bandwidth_hz=1e6, budget_s=1.0)
-    with pytest.warns(UserWarning):
+    with caplog.at_level(logging.WARNING, logger="birdcast.baselines"):
         res = broadcast_solve(inst)
+    assert [r.getMessage() for r in caplog.records] == [
+        "broadcast: dropping 1 user(s) with no decodable rate"]
+    assert res.meta["dropped_users"] == [0]
     assert res.utility == 0.0 and res.plan.n_groups == 0
 
 
@@ -190,6 +200,25 @@ def test_dp_fair_never_above_unconstrained():
         assert dp_solve(inst, fair=True).utility <= dp_solve(inst).utility + 1e-12
 
 
+def test_dp_fair_admits_a_member_served_exactly_the_floor():
+    # the floor is the weakest member's share exactly as the fairness rule
+    # computes it; a sum over the same grids in another order reads this
+    # share 1 ulp lower, which must not reject the group
+    moi = np.random.default_rng(0).uniform(0.0, 1.0, (2, 40))
+    inst = ProblemInstance(moi=moi, snr_db=(0.0, 0.0),
+                           mcs=McsTable(rates=(1.0,), thresholds_db=(0.0,)),
+                           grid_bytes=1000.0, bandwidth_hz=1e6,
+                           budget_s=0.161)  # 8 ms per grid: 20 fit
+    chosen = np.argsort(-moi.sum(axis=0), kind="stable")[:20]
+    floor = float((moi[:, chosen].sum(axis=1) / moi.sum(axis=1)).min())
+    exact = dp_solve(inst, BaselineConfig(dp_max_groups=1, fairness_floor=floor),
+                     fair=True)
+    assert exact.meta == {"k": 1, "fair": True}
+    above = BaselineConfig(dp_max_groups=1,
+                           fairness_floor=float(np.nextafter(floor, 1.0)))
+    assert dp_solve(inst, above, fair=True).meta["fair_infeasible"]
+
+
 def test_dp_groups_contiguous_in_sorted_rate_order():
     rng = np.random.default_rng(65)
     for _ in range(20):
@@ -230,3 +259,92 @@ def test_baseline_config_validation():
         BaselineConfig(fairness_floor=1.5)
     with pytest.raises(ValueError):
         BaselineConfig(dp_max_groups=0)
+
+
+def identical_users_instance() -> ProblemInstance:
+    row = np.random.default_rng(70).uniform(0.0, 1.0, 40)
+    return ProblemInstance(moi=np.tile(row, (5, 1)), snr_db=(20.0,) * 5,
+                           mcs=DEFAULT_MCS_TABLE, grid_bytes=1600.0,
+                           bandwidth_hz=100e6, budget_s=0.002)
+
+
+def fair_infeasible_instance() -> ProblemInstance:
+    # interest spread over 20 grids, budget for about one grid per user: no
+    # partition serves anyone a tenth of their mass
+    moi = np.random.default_rng(71).uniform(0.5, 1.0, (3, 20))
+    return ProblemInstance(moi=moi, snr_db=(30.0, 15.0, 5.0),
+                           mcs=DEFAULT_MCS_TABLE, grid_bytes=1600.0,
+                           bandwidth_hz=100e6, budget_s=0.0003)
+
+
+GOLDEN_BASELINE_INSTANCES = {
+    "paper_default": lambda: generate(GenParams(seed=0))[1],
+    "n32_5ms": lambda: generate(GenParams(n_users=32, budget_s=0.005, seed=0))[1],
+    "n96_40x25": lambda: generate(GenParams(n_users=96, grid_h=40, grid_w=25,
+                                            seed=0))[1],
+    "one_user": lambda: generate(GenParams(n_users=1, seed=0))[1],
+    "identical_users": identical_users_instance,
+    "fair_infeasible": fair_infeasible_instance,
+}
+# sha256 of the sorted selection, repr(utility), gain_evaluations and the
+# sorted meta of each partition baseline; any change to their schedules or
+# counters must update these.
+GOLDEN_BASELINE_DIGESTS = {
+    'fair_infeasible': (
+        'fa5e7085e64ef59f32013d9c6db9223fc8636a2e8b9ef1b3ac6f6ecf8415c48d',
+        'd613b4f210cf3acd4e8e93c96479e115be47678e54ed538cdda71bc002338613',
+        'f6b9d17368f771e54d6bd02963c2fad750a52880812a1e2f926d31669a22e25f',
+    ),
+    'identical_users': (
+        '199a62e7f28e7f37a6d1984ab9009335ec774cd8cdabf9990d7a824255300e60',
+        '77960d026eab9dda90e9011f1aa991e8f8cbca639fd1b4766b1dcdef55925cab',
+        '10fce9300e1c25512f6498459fd7f6caeb391eb2b0f77c1ac0712834187f274a',
+    ),
+    'n32_5ms': (
+        '48d121b6f29c2cb84610421b48f76f80af933987e94e8e29c635f04fbaf667d8',
+        '85cff33e01d91e82408d68a9faa06d3fc8961ab179df7a03cdcbb6a412a52ef1',
+        '820e1f8c7294bb0e07917954a2142f99807a83b1255c55a7d365d8e0377e2712',
+    ),
+    'n96_40x25': (
+        'f2334671408b4ef6363ce7fdc91fe395cd7119cf99f94d6a1148c49366a27b71',
+        'a339d200b54d817a7aa81d702b2356fa9d603cd6e18ceb58c5239d4d44b88ab9',
+        '36a1f9076f31aa68fb8868f1cf001a8fd4f3e0dc55bb700219cf01e1899364b7',
+    ),
+    'one_user': (
+        '6839fff67876c5e4bc65db4dd4632ab227a164c5406ff94f1c2e14d7a246535c',
+        '6643ba98cd001069dcdfc96b2e9e8abacea9a7376c3848022cc3f79cd7c96d9f',
+        '778855f9806d6c75ef457568a456da3cabc1eaa53c0f11fcc585d6d0424f89d6',
+    ),
+    'paper_default': (
+        '0d7b4aa7f6086ee0a74d8355f748aba49c098c9e3295fa0d0c427c3f6db6391c',
+        'bec1d1ed4af2128db38cf26ea05772e4fc762e0268a705b66790c9a94afdf4f5',
+        '38e2916e05d0a5e73cfbca8b51325048bf01d11ba776a9f88aa92f0184e89c84',
+    ),
+}
+
+
+def baseline_digests(inst: ProblemInstance) -> tuple[str, str, str]:
+    out = []
+    for res in (kmeanspp_solve(inst), dp_solve(inst), dp_solve(inst, fair=True)):
+        doc = repr((sorted(res.selection.items), repr(res.utility),
+                    res.gain_evaluations, sorted(res.meta.items())))
+        out.append(hashlib.sha256(doc.encode()).hexdigest())
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BASELINE_INSTANCES))
+def test_partition_baselines_are_bit_stable(name):
+    inst = GOLDEN_BASELINE_INSTANCES[name]()
+    assert baseline_digests(inst) == GOLDEN_BASELINE_DIGESTS[name]
+
+
+def test_dp_memory_stays_linear_in_users():
+    # one (n - i) x L pass per start user, never an array per segment
+    inst = random_full_scale_instance(np.random.default_rng(0), 64, 2000)
+    tracemalloc.start()
+    try:
+        dp_solve(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6

@@ -183,6 +183,15 @@ def test_plan_from_selection_rejects_infeasible():
         plan_from_selection(inst, Selection.from_pairs([(0, 0)]))
 
 
+@pytest.mark.parametrize("item", [(2, 0), (-1, 0), (0, 2), (0, -1)])
+def test_out_of_range_items_rejected(item):
+    inst = two_rate_instance()  # L = 2, M = 2
+    sel = Selection.from_pairs([(0, 0), item])
+    for check in (utility, selection_cost, plan_from_selection):
+        with pytest.raises(ValueError, match=r"out of range \(L=2, M=2\)"):
+            check(inst, sel)
+
+
 def test_plan_objective_matches_selection_exactly_random():
     rng = np.random.default_rng(24)
     checked = 0
