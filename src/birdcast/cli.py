@@ -6,7 +6,10 @@ out), bench (solver timing statistics, CSV out), oracle (exact optimum
 with a JSON cache), fig1 (the built-in four-user toy instance and the
 schemes' utilities on it).
 
-Exit codes: 0 success, 1 usage error, 2 runtime failure.
+Exit codes: 0 success; 1 usage error or invalid input, such as an
+instance file that is not valid JSON, lacks a key or holds an invalid
+value; 2 runtime failure, such as an unreadable file or an instance too
+large for the oracle's enumeration cap.
 """
 
 from __future__ import annotations
@@ -447,7 +450,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except KeyError as exc:
+        print(f"error: missing key {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
         print(f"error: {exc!r}", file=sys.stderr)
         return 2
 

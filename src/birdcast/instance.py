@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -191,22 +191,12 @@ class Selection:
             if not (0 <= l < n_grids and 0 <= m < n_rates):
                 inst.validate_item(item)  # raises with the item and the ranges
 
-    def dense(self, inst: ProblemInstance) -> np.ndarray:
-        """L x M 0/1 decision matrix."""
-        x = np.zeros((inst.n_grids, inst.n_rates), dtype=np.int8)
-        for l, m in self.items:
-            x[l, m] = 1
-        return x
-
     def to_json(self) -> list[list[int]]:
         return [[l, m] for l, m in self.sorted_items()]
 
     @classmethod
     def from_json(cls, data: list[list[int]]) -> "Selection":
         return cls.from_pairs(data)
-
-
-EMPTY_SELECTION = Selection(frozenset())
 
 
 @dataclass(frozen=True)
@@ -284,13 +274,6 @@ class CoverageState:
         self.inst = inst
         self.covered = np.zeros((inst.n_users, inst.n_grids), dtype=bool)
 
-    @classmethod
-    def from_selection(cls, inst: ProblemInstance, sel: Selection) -> "CoverageState":
-        state = cls(inst)
-        for item in sel.sorted_items():
-            state.apply(item)
-        return state
-
     def apply(self, item: Item) -> None:
         """Fold one item into the coverage; re-applying is a no-op."""
         l, m = item
@@ -315,21 +298,31 @@ def coverage_utility(inst: ProblemInstance, covered: np.ndarray) -> float:
     return float((inst.moi * covered).sum())
 
 
-def _coverage_from_selection(inst: ProblemInstance, sel: Selection) -> np.ndarray:
-    covered = np.zeros((inst.n_users, inst.n_grids), dtype=bool)
-    min_rate: dict[int, int] = {}
-    for l, m in sel.items:
-        if l not in min_rate or m < min_rate[l]:
-            min_rate[l] = m
-    for l, m in min_rate.items():
-        covered[:, l] = inst.decodable[:, m]
-    return covered
+def _slowest_rates(inst: ProblemInstance, sel: Selection) -> np.ndarray:
+    """Slowest selected rate index of every grid (M for an unsent grid).
+
+    Decodability is nested, so this vector alone decides the coverage.
+    """
+    rate = np.full(inst.n_grids, inst.n_rates)
+    items = np.array(list(sel.items), dtype=np.int64).reshape(-1, 2)
+    np.minimum.at(rate, items[:, 0], items[:, 1])
+    return rate
+
+
+def _rates_utility(inst: ProblemInstance,
+                   rate: np.ndarray | list[int]) -> float:
+    """Objective of sending each grid l at rate index rate[l] (M: unsent)."""
+    unsent = np.zeros((inst.n_users, 1), dtype=bool)
+    decodable = np.concatenate((inst.decodable, unsent), axis=1)
+    # take keeps the gather C-ordered, so the sum runs in the same order
+    # as over any other N x L coverage matrix
+    return coverage_utility(inst, np.take(decodable, rate, axis=1))
 
 
 def utility(inst: ProblemInstance, sel: Selection) -> float:
     """Objective value of a selection (0 for the empty selection)."""
     sel.validate(inst)
-    return coverage_utility(inst, _coverage_from_selection(inst, sel))
+    return _rates_utility(inst, _slowest_rates(inst, sel))
 
 
 def marginal_gain(inst: ProblemInstance, state: CoverageState, item: Item) -> float:
@@ -343,8 +336,6 @@ def marginal_gain(inst: ProblemInstance, state: CoverageState, item: Item) -> fl
 def selection_cost(inst: ProblemInstance, sel: Selection) -> float:
     """Total transmission time (seconds) of a selection."""
     sel.validate(inst)
-    if not sel.items:
-        return 0.0
     return float(sum(inst.item_cost_s[m] for _, m in sel.sorted_items()))
 
 
@@ -362,23 +353,32 @@ def plan_from_selection(inst: ProblemInstance, sel: Selection) -> MulticastPlan:
     rate of their option.
     """
     cost = selection_cost(inst, sel)  # validates the items first
-    if not is_budget_feasible(inst, cost):
-        raise ValueError(f"selection cost {cost:.6g}s exceeds budget "
-                         f"{inst.budget_s:.6g}s")
-    n_rates = inst.n_rates
-    masks = np.zeros((n_rates, inst.n_grids), dtype=bool)
+    masks = np.zeros((inst.n_rates, inst.n_grids), dtype=bool)
     for l, m in sel.items:
         masks[m, l] = True
+    return _canonical_plan(inst, masks, cost)
+
+
+def _canonical_plan(inst: ProblemInstance, masks: np.ndarray,
+                    cost_s: float) -> MulticastPlan:
+    """One group per rate option k, holding every user that decodes k and
+    sending the grids of masks[k]; raises ValueError when cost_s, the
+    schedule's latency, exceeds the budget."""
+    if not is_budget_feasible(inst, cost_s):
+        raise ValueError(f"selection cost {cost_s:.6g}s exceeds budget "
+                         f"{inst.budget_s:.6g}s")
+    groups = [np.flatnonzero(inst.decodable[:, k]) for k in range(inst.n_rates)]
+    return _group_plan(inst, groups, masks, range(inst.n_rates))
+
+
+def _group_plan(inst: ProblemInstance, groups: Sequence[np.ndarray],
+                masks: np.ndarray, rate_idx: Sequence[int]) -> MulticastPlan:
+    """Plan in which group k sends masks[k] at its slowest member's maximum
+    rate, or at the nominal rate of option rate_idx[k] when it is empty."""
     user_rate = inst.user_max_rate_bps()
-    groups = []
-    rates = []
-    for k in range(n_rates):
-        members = np.flatnonzero(inst.decodable[:, k])
-        groups.append(tuple(int(n) for n in members))
-        if members.size:
-            rates.append(float(user_rate[members].min()))
-        else:
-            rates.append(float(inst.bandwidth_hz * inst.mcs.rates[k]))
+    rates = [float(user_rate[members].min()) if len(members)
+             else float(inst.bandwidth_hz * inst.mcs.rates[k])
+             for members, k in zip(groups, rate_idx)]
     return MulticastPlan(groups=tuple(groups), masks=masks,
                          rates_bps=tuple(rates))
 

@@ -47,16 +47,12 @@ class OracleResult:
         }
 
 
-def _assignment_tables(inst: ProblemInstance):
-    """Per-grid payoff of assigning each rate: contrib[l][m] and costs."""
-    return inst.rate_class_table()[:, :inst.n_rates], inst.item_cost_s
-
-
 def _check_cap(inst: ProblemInstance, cap: int) -> None:
-    size = (inst.n_rates + 1) ** inst.n_grids
-    if size > cap:
+    # (M+1)^L can run to thousands of digits, more than Python will format
+    if (inst.n_rates + 1) ** inst.n_grids > cap:
         raise EnumerationCapExceeded(
-            f"assignment space (M+1)^L = {size} exceeds the cap {cap}; "
+            f"assignment space (M+1)^L with M={inst.n_rates}, "
+            f"L={inst.n_grids} exceeds the cap {cap}; "
             "the oracle only handles small instances")
 
 
@@ -72,7 +68,7 @@ def exact_solve(inst: ProblemInstance,
     lexicographic check at leaves).
     """
     _check_cap(inst, cap)
-    contrib, costs = _assignment_tables(inst)
+    contrib, costs = inst.rate_class_table()[:, :inst.n_rates], inst.item_cost_s
     n_grids, n_rates = inst.n_grids, inst.n_rates
     best_per_grid = contrib.max(axis=1)
     order = sorted(range(n_grids), key=lambda l: (-best_per_grid[l], l))
@@ -125,7 +121,7 @@ def brute_force_assignments(inst: ProblemInstance,
                             cap: int = 2 ** 12) -> OracleResult:
     """Unpruned sweep of every one-rate-per-grid assignment (tiny instances)."""
     _check_cap(inst, cap)
-    contrib, costs = _assignment_tables(inst)
+    contrib, costs = inst.rate_class_table()[:, :inst.n_rates], inst.item_cost_s
     n_grids, n_rates = inst.n_grids, inst.n_rates
     best_value = 0.0
     best_items: list[tuple[int, int]] = []
@@ -158,7 +154,7 @@ def unrestricted_opt(inst: ProblemInstance, cap_items: int = 16) -> float:
     if inst.n_grids * inst.n_rates > cap_items:
         raise EnumerationCapExceeded(
             f"L*M = {inst.n_grids * inst.n_rates} exceeds the cap {cap_items}")
-    contrib, costs = _assignment_tables(inst)
+    contrib, costs = inst.rate_class_table()[:, :inst.n_rates], inst.item_cost_s
     n_rates = inst.n_rates
     # per grid: (cost, value, slowest rate) of every local rate subset;
     # coverage only depends on the slowest selected rate

@@ -42,9 +42,9 @@ from .instance import (
     MulticastPlan,
     ProblemInstance,
     Selection,
-    plan_from_selection,
-    selection_cost,
-    utility,
+    _canonical_plan,
+    _rates_utility,
+    _slowest_rates,
 )
 
 
@@ -80,18 +80,20 @@ def _gains(table: np.ndarray, rate: list[int]) -> np.ndarray:
 
 
 def _argmax_pass(table: np.ndarray, costs: np.ndarray, rate: list[int],
-                 selected: np.ndarray, budget_left: float,
-                 grid_exclusive: bool = False) -> tuple[float, int]:
+                 budget_left: float, grid_exclusive: bool = False
+                 ) -> tuple[float, int, list[Item]]:
     """One greedy pass; every iteration evaluates all remaining candidates.
 
-    Candidates are the items not yet selected. A selection rewrites only
-    its grid's row of the ratio matrix. grid_exclusive drops a grid's other
-    rates permanently once any rate is selected for it (the behaviour of
-    the marginal-utility baseline).
+    Candidates are every item but each grid's current (l, rate[l]). A
+    selection rewrites only its grid's row of the ratio matrix.
+    grid_exclusive drops a grid's other rates permanently once any rate is
+    selected for it (the behaviour of the marginal-utility baseline).
+    Returns the budget left, the gain evaluations and the items picked.
     """
     n_rates = costs.size
     ratios = _gains(table, rate) / costs
-    candidates = ~selected
+    candidates = np.arange(n_rates)[None, :] != np.asarray(rate)[:, None]
+    picks: list[Item] = []
     evals = 0
     while candidates.any() and budget_left > 0:
         evals += int(candidates.sum())
@@ -100,36 +102,38 @@ def _argmax_pass(table: np.ndarray, costs: np.ndarray, rate: list[int],
         if ratios[l, m] <= 0.0:
             break
         if costs[m] <= budget_left:
-            selected[l, m] = True
+            picks.append((l, m))
             rate[l] = m
             ratios[l] = np.maximum(table[l, :n_rates] - table[l, m], 0.0) / costs
             budget_left -= costs[m]
             if grid_exclusive:
                 candidates[l, :] = False
         candidates[l, m] = False
-    return budget_left, evals
+    return budget_left, evals, picks
 
 
 def _lazy_pass(table: np.ndarray, costs: np.ndarray, rate: list[int],
-               selected: np.ndarray, budget_left: float) -> tuple[float, int]:
+               budget_left: float) -> tuple[float, int, list[Item]]:
     """One lazy-evaluation pass over a heap of cached ratios.
 
-    The heap starts from fresh gains of the unselected, positive,
-    affordable items (each counts as one evaluation). A popped candidate is
-    re-evaluated once and accepted immediately when its fresh ratio still
-    beats the best cached bound left in the queue; otherwise it is
-    re-inserted with the fresh value. Candidates whose grid already
+    The heap starts from fresh gains of the positive, affordable items;
+    every item but each grid's current (l, rate[l]) counts as one
+    evaluation. A popped candidate is re-evaluated once and accepted
+    immediately when its fresh ratio still beats the best cached bound
+    left in the queue; otherwise it is re-inserted with the fresh value. Candidates whose grid already
     carries an equal-or-slower rate are dropped on sight. The stdlib
     min-heap holds (neg ratio, grid, rate), so it pops the largest ratio
     first and, among equal ratios, the lower grid, then the lower rate.
+    Returns the budget left, the gain evaluations and the items picked.
     """
     gains = _gains(table, rate)
-    valid = (gains > 0.0) & (costs <= budget_left)[None, :] & ~selected
+    valid = (gains > 0.0) & (costs <= budget_left)[None, :]
     ls, ms = np.nonzero(valid)
     neg = -(gains[ls, ms] / costs[ms])
     heap = list(zip(neg.tolist(), ls.tolist(), ms.tolist()))
     heapq.heapify(heap)
-    evals = selected.size - int(selected.sum())
+    evals = gains.size - sum(r < costs.size for r in rate)
+    picks: list[Item] = []
     grids = np.unique(ls)
     rows = dict(zip(grids.tolist(), table[grids].tolist()))  # only rows a pop reads
     cost_list = costs.tolist()
@@ -152,12 +156,12 @@ def _lazy_pass(table: np.ndarray, costs: np.ndarray, rate: list[int],
         if accept:
             if ratio <= 0.0:
                 break
-            selected[l, m] = True
+            picks.append((l, m))
             rate[l] = m
             budget_left -= cost_list[m]
         else:
             heapq.heappush(heap, (-ratio, l, m))
-    return budget_left, evals
+    return budget_left, evals, picks
 
 
 def best_single_item(inst: ProblemInstance) -> tuple[Item | None, float]:
@@ -179,7 +183,14 @@ def _best_single_item(inst: ProblemInstance,
     standalone = table[:, :inst.n_rates]
     flat = int(np.argmax(np.where(fits[None, :], standalone, -np.inf)))
     item = divmod(flat, inst.n_rates)
-    return item, utility(inst, Selection(frozenset({item})))
+    return item, _rates_utility(inst, _single_item_rates(inst, item))
+
+
+def _single_item_rates(inst: ProblemInstance, item: Item) -> list[int]:
+    """Rate vector of the schedule that sends only `item`."""
+    rate = [inst.n_rates] * inst.n_grids
+    rate[item[0]] = item[1]
+    return rate
 
 
 def remove_redundant(inst: ProblemInstance, sel: Selection) -> tuple[Selection, float]:
@@ -189,53 +200,60 @@ def remove_redundant(inst: ProblemInstance, sel: Selection) -> tuple[Selection, 
     reach a subset of the users the slowest one reaches.
     """
     sel.validate(inst)
-    keep: dict[int, int] = {}
-    for l, m in sel.items:
-        if l not in keep or m < keep[l]:
-            keep[l] = m
-    kept = frozenset((l, m) for l, m in keep.items())
+    rate = _slowest_rates(inst, sel).tolist()
+    kept = frozenset((l, m) for l, m in sel.items if rate[l] == m)
     reclaimed = float(sum(inst.item_cost_s[m] for l, m in sel.sorted_items()
-                          if (l, m) not in kept))
+                          if rate[l] != m))
     return Selection(kept), reclaimed
 
 
+def _result_from_rates(inst: ProblemInstance, rate: list[int], evals: int,
+                       t0: float) -> SolveResult:
+    """The result of sending each grid l at rate index rate[l] (M: unsent).
+
+    Latency adds the item costs one by one in grid order, the order of
+    Selection.sorted_items; raises ValueError when it exceeds the budget.
+    """
+    rate = np.asarray(rate)
+    sent = np.flatnonzero(rate < inst.n_rates)
+    sent_rate = rate[sent]
+    latency = (float(np.cumsum(inst.item_cost_s[sent_rate])[-1]) if sent.size
+               else 0.0)
+    masks = np.zeros((inst.n_rates, inst.n_grids), dtype=bool)
+    masks[sent_rate, sent] = True
+    return SolveResult(
+        selection=Selection(frozenset(zip(sent.tolist(), sent_rate.tolist()))),
+        plan=_canonical_plan(inst, masks, latency),
+        utility=_rates_utility(inst, rate),
+        latency_s=latency,
+        gain_evaluations=evals,
+        wall_time_s=time.perf_counter() - t0,
+    )
+
+
 def _two_pass_greedy(inst: ProblemInstance,
-                     run_pass: Callable[..., tuple[float, int]]) -> SolveResult:
+                     run_pass: Callable[..., tuple[float, int, list[Item]]]
+                     ) -> SolveResult:
     """Pass 1, duplicate removal, reinvestment pass, single-item check.
 
-    run_pass(S, costs, rate, selected, budget_left) adds items to the L x M
-    mask `selected`, lowers `rate` in place, and returns the budget left
-    and its gain evaluations.
+    run_pass(S, costs, rate, budget_left) lowers `rate` in place and
+    returns the budget left, its gain evaluations and the items it picked.
+    Pass 1's picks that no longer set their grid's rate are the faster
+    duplicates; their cost funds pass 2.
     """
     t0 = time.perf_counter()
     table = inst.rate_class_table()
     costs = inst.item_cost_s
-    n_rates = inst.n_rates
-    rate = [n_rates] * inst.n_grids
-    selected = np.zeros((inst.n_grids, n_rates), dtype=bool)
-    budget_left, evals = run_pass(table, costs, rate, selected, inst.budget_s)
-    ls, ms = np.nonzero(selected)
-    kept, reclaimed = remove_redundant(
-        inst, Selection(frozenset(zip(ls.tolist(), ms.tolist()))))
+    rate = [inst.n_rates] * inst.n_grids
+    budget_left, evals, picks = run_pass(table, costs, rate, inst.budget_s)
+    reclaimed = float(sum(costs[m] for l, m in sorted(picks) if rate[l] != m))
     if reclaimed > 0.0:
-        _, pass_evals = run_pass(table, costs, rate,
-                                 kept.dense(inst).astype(bool),
-                                 budget_left + reclaimed)
+        _, pass_evals, _ = run_pass(table, costs, rate, budget_left + reclaimed)
         evals += pass_evals
-    greedy = Selection(frozenset((l, m) for l, m in enumerate(rate)
-                                 if m < n_rates))
-    final, value = greedy, utility(inst, greedy)
     single, single_value = _best_single_item(inst, table)
-    if single is not None and single_value > value:
-        final, value = Selection(frozenset({single})), single_value
-    return SolveResult(
-        selection=final,
-        plan=plan_from_selection(inst, final),
-        utility=value,
-        latency_s=selection_cost(inst, final),
-        gain_evaluations=evals,
-        wall_time_s=time.perf_counter() - t0,
-    )
+    if single is not None and single_value > _rates_utility(inst, rate):
+        rate = _single_item_rates(inst, single)
+    return _result_from_rates(inst, rate, evals, t0)
 
 
 def refined_greedy(inst: ProblemInstance) -> SolveResult:

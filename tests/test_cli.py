@@ -5,10 +5,13 @@ from __future__ import annotations
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from birdcast import fig1_instance
 from birdcast.cli import CSV_COLUMNS, main
+
+from conftest import random_full_scale_instance
 
 
 def run(args: list[str]) -> int:
@@ -181,6 +184,33 @@ def test_bench_csv(tmp_path, capsys):
 def test_missing_instance_file(capsys):
     assert run(["solve", "/nonexistent/instance.json",
                 "--solver", "birdcast"]) == 2
+
+
+def test_truncated_instance_file_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "cut.json"
+    path.write_text(json.dumps(fig1_instance().to_json())[:40])
+    assert run(["solve", str(path), "--solver", "birdcast"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_instance_file_missing_a_key_is_invalid_input(tmp_path, capsys):
+    doc = fig1_instance().to_json()
+    del doc["snr_db"]
+    path = tmp_path / "no_snr.json"
+    path.write_text(json.dumps(doc))
+    assert run(["solve", str(path), "--solver", "birdcast"]) == 1
+    assert "snr_db" in capsys.readouterr().err
+
+
+def test_oracle_cap_far_beyond_int_formatting_limit(tmp_path, capsys):
+    # (M+1)^L has about 4,700 digits here, past Python's 4,300-digit limit
+    # for converting an int to a string
+    inst = random_full_scale_instance(np.random.default_rng(0), 2, 4000)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(inst.to_json()))
+    assert run(["oracle", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "M=14, L=4000" in err and "cap" in err
 
 
 def test_usage_error_exit_code(capsys):

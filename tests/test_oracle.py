@@ -24,7 +24,7 @@ from birdcast import (
     verify_equivalence,
 )
 
-from conftest import random_instance
+from conftest import random_full_scale_instance, random_instance
 
 
 def test_trivial_single_item():
@@ -50,6 +50,12 @@ def test_cap_rejection():
     inst = random_instance(rng, max_users=3, max_grids=8, max_rates=3)
     with pytest.raises(EnumerationCapExceeded):
         exact_solve(inst, cap=1)
+
+
+def test_cap_message_names_sizes_not_the_product():
+    inst = random_full_scale_instance(np.random.default_rng(0), 2, 4000)
+    with pytest.raises(EnumerationCapExceeded, match="M=14, L=4000"):
+        exact_solve(inst)
 
 
 def test_pruned_equals_unpruned():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from birdcast import (
     exact_solve,
     generate,
     marginal_gain,
+    marginal_util_solve,
     refined_greedy,
     remove_redundant,
     selection_cost,
@@ -232,3 +235,72 @@ def test_result_json_round_trippable():
     doc = json.loads(json.dumps(res.to_json()))
     assert doc["utility"] == res.utility
     assert Selection.from_json(doc["selection"]) == res.selection
+
+
+GOLDEN_RATE_VECTOR_INSTANCES = {
+    "paper_default": lambda: generate(GenParams(seed=0))[1],
+    "n24_5ms": lambda: generate(GenParams(budget_s=0.005, seed=0))[1],
+    # an exact ratio tie between two rates of one grid
+    "n32_5ms_tie": lambda: generate(GenParams(n_users=32, budget_s=0.005,
+                                              seed=100403028))[1],
+    "n96_40x25": lambda: generate(GenParams(n_users=96, grid_h=40, grid_w=25,
+                                            seed=0))[1],
+    "one_user_one_grid": lambda: generate(GenParams(n_users=1, grid_h=1,
+                                                    grid_w=1, seed=2))[1],
+    "budget_below_every_item": lambda: generate(GenParams(budget_s=1e-6,
+                                                          seed=0))[1],
+}
+# sha256 of the sorted selection, the plan (groups, mask bytes, repr of the
+# rates), repr(utility), repr(latency_s) and gain_evaluations of
+# refined_greedy, accelerated_greedy and marginal_util_solve; any change to
+# their schedules, plans or counters must update these.
+GOLDEN_RATE_VECTOR_DIGESTS = {
+    'budget_below_every_item': (
+        '346030641edd6453a605aa8527aefec02c9cbcf72e3c9775d369c2694a420e0f',
+        '7e0c11b1f634452f63c94a3580baef10221ece8537dda0b3fe92a39f2e72bd9c',
+        '346030641edd6453a605aa8527aefec02c9cbcf72e3c9775d369c2694a420e0f',
+    ),
+    'n24_5ms': (
+        'b96fc2d1624635c66f1a1db433e007c80a5314e20c792d711af98bd92ff6d7a6',
+        '205bd29ed103bd8d9e4a07442c1cf93c8af4154b3779d0739e6046dd4fb665d4',
+        'e059e7fb35dc9691b4ed59b9002277a87999d52f1484e4e75bfd9a3365f508f3',
+    ),
+    'n32_5ms_tie': (
+        '26033a81366775d525bb486cadfcb4b6c546ece3a07486bb240bbb87d53aac9b',
+        'd82f7d12bda3ed5bf545bd6e147428d99875d4a3d19544dbd3829cb51c3aaace',
+        'c7e7ad9f28d85a54927a0e52ac09d74e9413f316f8aa049e2d276e59d2fc8dbe',
+    ),
+    'n96_40x25': (
+        '0f9c0e37999480d0a6e232d8f04c974bcdc860bfb3bcbccc2e717d566de99756',
+        '5bd9d09fff838f4ec3a5e2be74b8e6f93eb56fdb0373ac7e008688b203e6550d',
+        'da3ed6e452e175643f6a6bed763374a5d38232ac9c285cd276897f1150345399',
+    ),
+    'one_user_one_grid': (
+        'a858ae9e75f052179bfad3509d78b14c3dd0654390602d852eeff854e3b8b33e',
+        'b9d79c21a0ae365744172cac075b04dbb8a941a5ee7761946476297572886f73',
+        'b58b88e26abc960491af1d1b0c83e72422322c5a708734534e67ee7af86d4810',
+    ),
+    'paper_default': (
+        'c728d8cfa1b58493ed53458e700f9f5ab813bfb99e5135da4c5292beab626fe3',
+        '9c3097e95d234d520be9a3286e270ab6b23e0bb499a4d01584abcea73e8d51a9',
+        '453ea1683b7242063ba1f7e112fe6b86ebb4afa62cc839a4f74fc4aed077f5f0',
+    ),
+}
+
+
+def rate_vector_digests(inst: ProblemInstance) -> tuple[str, str, str]:
+    out = []
+    for solver in (refined_greedy, accelerated_greedy, marginal_util_solve):
+        res = solver(inst)
+        doc = repr((sorted(res.selection.items), res.plan.groups,
+                    res.plan.masks.tobytes(), repr(res.plan.rates_bps),
+                    repr(res.utility), repr(res.latency_s),
+                    res.gain_evaluations))
+        out.append(hashlib.sha256(doc.encode()).hexdigest())
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RATE_VECTOR_INSTANCES))
+def test_rate_vector_solvers_are_bit_stable(name):
+    inst = GOLDEN_RATE_VECTOR_INSTANCES[name]()
+    assert rate_vector_digests(inst) == GOLDEN_RATE_VECTOR_DIGESTS[name]
