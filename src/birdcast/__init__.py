@@ -7,6 +7,10 @@ lazy-evaluation variant, alongside six baseline schedulers and an exact
 oracle for small instances.
 """
 
+# The single source of the package version: pyproject.toml reads it, and
+# `birdcast gen` writes it into each file's provenance.
+__version__ = "0.1.0"
+
 import logging
 
 from .baselines import (
@@ -60,8 +64,6 @@ from .solvers import (
     refined_greedy,
     remove_redundant,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "BASELINE_IDS",

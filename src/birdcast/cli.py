@@ -15,19 +15,15 @@ large for the oracle's enumeration cap.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import csv
-import hashlib
 import json
 import logging
-import statistics
 import sys
 from dataclasses import asdict
-from importlib import metadata
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .baselines import (
     broadcast_solve,
     dp_solve,
@@ -58,13 +54,6 @@ CSV_COLUMNS = ("solver", "variable", "value", "seed", "utility",
                "latency_s", "wall_time_s", "gain_evaluations", "feasible")
 
 
-def _version() -> str:
-    try:
-        return metadata.version("birdcast")
-    except metadata.PackageNotFoundError:
-        return "unknown"
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse defaults to exit code 2 on usage errors; we promise 1."""
 
@@ -75,7 +64,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _dump(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _genparams_from_dict(d: dict) -> GenParams:
@@ -148,11 +137,10 @@ def cmd_gen(args) -> int:
     provenance = {
         "params": _genparams_to_dict(params),
         "seed": params.seed,
-        "version": _version(),
+        "version": __version__,
     }
     scene_doc = {"scene": scene.to_json(), "provenance": provenance}
-    inst_doc = dict(inst.to_json())
-    inst_doc["provenance"] = provenance
+    inst_doc = {**inst.to_json(), "provenance": provenance}
     (out / "scene.json").write_text(_dump(scene_doc))
     (out / "instance.json").write_text(_dump(inst_doc))
     print(f"wrote {out / 'scene.json'} and {out / 'instance.json'}")
@@ -181,6 +169,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    import hashlib
+
     inst = _load_instance(args.instance)
     key = hashlib.sha256(
         json.dumps(inst.to_json(), sort_keys=True).encode()).hexdigest()
@@ -249,6 +239,9 @@ def _run_sweep_cell(payload: tuple) -> list[dict]:
 
 
 def cmd_sweep(args) -> int:
+    import concurrent.futures
+    import csv
+
     spec = json.loads(Path(args.spec).read_text())
     variable = spec["variable"]
     if variable not in SWEEP_VARIABLES:
@@ -317,6 +310,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    import csv
+    import statistics
+
     n_users_list = [int(v) for v in args.n_users.split(",")]
     n_grids_list = [int(v) for v in args.n_grids.split(",")]
     base: dict = {}

@@ -22,6 +22,10 @@ from .channel import McsTable, item_cost
 # equivalences are compared exactly.
 FEASIBILITY_RTOL = 1e-9
 
+# Version of the instance document ProblemInstance.to_json writes. Documents
+# without a "format" key are the older dense layout, which is still read.
+INSTANCE_FORMAT = 2
+
 Item = tuple[int, int]
 
 
@@ -138,12 +142,18 @@ class ProblemInstance:
                              f"(L={self.n_grids}, M={self.n_rates})")
 
     def to_json(self) -> dict:
+        """Format-2 document: moi as sparse (user, grid, value) triplets in
+        row-major order. Entries are chosen by bit pattern, so a -0.0
+        weight survives the round trip."""
+        user, grid = np.nonzero(self.moi.view(np.uint64))
         return {
+            "format": INSTANCE_FORMAT,
             "n_users": self.n_users,
             "n_grids": self.n_grids,
             "mcs_table": self.mcs.to_json(),
-            "snr_db": [float(s) for s in self.snr_db],
-            "moi": [[float(v) for v in row] for row in self.moi],
+            "snr_db": list(self.snr_db),
+            "moi": {"user": user.tolist(), "grid": grid.tolist(),
+                    "value": self.moi[user, grid].tolist()},
             "grid_bytes": self.grid_bytes,
             "bandwidth_hz": self.bandwidth_hz,
             "budget_s": self.budget_s,
@@ -151,8 +161,17 @@ class ProblemInstance:
 
     @classmethod
     def from_json(cls, d: dict) -> "ProblemInstance":
+        """Read a format-2 document, or a dense one (no "format" key) whose
+        moi is a list of N rows."""
+        fmt = d.get("format")
+        if fmt is None:
+            moi = np.asarray(d["moi"], dtype=np.float64)
+        elif fmt == INSTANCE_FORMAT:
+            moi = _moi_from_triplets(d["moi"], d["n_users"], d["n_grids"])
+        else:
+            raise ValueError(f"unknown instance format {fmt!r}")
         inst = cls(
-            moi=np.asarray(d["moi"], dtype=np.float64),
+            moi=moi,
             snr_db=tuple(d["snr_db"]),
             mcs=McsTable.from_json(d["mcs_table"]),
             grid_bytes=d["grid_bytes"],
@@ -162,6 +181,39 @@ class ProblemInstance:
         if inst.n_users != d["n_users"] or inst.n_grids != d["n_grids"]:
             raise ValueError("instance JSON dimensions are inconsistent")
         return inst
+
+
+def _moi_from_triplets(triplets: dict, n_users: int,
+                       n_grids: int) -> np.ndarray:
+    """Dense N x L matrix from {"user": [...], "grid": [...], "value": [...]};
+    raises ValueError on an index outside [0, N) x [0, L), a repeated
+    (user, grid) pair or lists of unequal lengths."""
+    for name, n in (("n_users", n_users), ("n_grids", n_grids)):
+        if type(n) is not int or n < 0:
+            raise ValueError(f"{name} must be a non-negative integer")
+    moi = np.zeros((n_users, n_grids), dtype=np.float64)
+    user = _index_array(triplets["user"], n_users, "user")
+    grid = _index_array(triplets["grid"], n_grids, "grid")
+    value = np.asarray(triplets["value"], dtype=np.float64)
+    if value.ndim != 1 or not user.size == grid.size == value.size:
+        raise ValueError("moi triplets must be three lists of equal length")
+    flat = user * n_grids + grid  # below moi.size, so it cannot overflow
+    flat.sort()
+    if np.any(flat[1:] == flat[:-1]):
+        raise ValueError("moi triplets repeat a (user, grid) pair")
+    moi[user, grid] = value
+    return moi
+
+
+def _index_array(indices: list, size: int, name: str) -> np.ndarray:
+    """Integer index list checked against [0, size), before numpy could
+    wrap a negative index."""
+    arr = np.asarray(indices)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+        raise ValueError(f"moi {name} indices must be a list of integers")
+    if arr.size and (arr.min() < 0 or arr.max() >= size):
+        raise ValueError(f"moi {name} index out of range [0, {size})")
+    return arr.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -246,8 +298,8 @@ class MulticastPlan:
     def to_json(self) -> dict:
         return {
             "groups": [list(g) for g in self.groups],
-            "masks": [[int(v) for v in row] for row in self.masks],
-            "rate_bps": [float(r) for r in self.rates_bps],
+            "masks": self.masks.astype(np.uint8).tolist(),
+            "rate_bps": list(self.rates_bps),
         }
 
     @classmethod

@@ -55,7 +55,7 @@ class GridMap:
         return {
             "h": self.height,
             "w": self.width,
-            "data": [float(v) for v in self.values.ravel()],
+            "data": self.values.ravel().tolist(),
         }
 
     @classmethod

@@ -134,7 +134,7 @@ def _lazy_pass(table: np.ndarray, costs: np.ndarray, rate: list[int],
     heapq.heapify(heap)
     evals = gains.size - sum(r < costs.size for r in rate)
     picks: list[Item] = []
-    grids = np.unique(ls)
+    grids = np.flatnonzero(valid.any(axis=1))
     rows = dict(zip(grids.tolist(), table[grids].tolist()))  # only rows a pop reads
     cost_list = costs.tolist()
     while heap and budget_left > 0:

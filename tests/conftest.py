@@ -76,3 +76,49 @@ def random_full_scale_instance(rng: np.random.Generator,
         bandwidth_hz=bandwidth,
         budget_s=budget,
     )
+
+
+def legacy_dense_doc(inst: ProblemInstance) -> dict:
+    """The instance as the dense document older versions wrote: no "format"
+    key and moi as a list of N rows."""
+    doc = inst.to_json()
+    del doc["format"]
+    doc["moi"] = inst.moi.tolist()
+    return doc
+
+
+def _user_past_range(doc: dict) -> None:
+    doc["moi"]["user"][0] = doc["n_users"]
+
+
+def _negative_grid(doc: dict) -> None:
+    doc["moi"]["grid"][0] = -1  # numpy would wrap it to the last grid
+
+
+def _fractional_grid(doc: dict) -> None:
+    doc["moi"]["grid"][0] = 0.5
+
+
+def _repeated_pair(doc: dict) -> None:
+    for key in ("user", "grid", "value"):
+        doc["moi"][key].append(doc["moi"][key][0])
+
+
+def _short_values(doc: dict) -> None:
+    doc["moi"]["value"].pop()
+
+
+def _unknown_format(doc: dict) -> None:
+    doc["format"] = 3
+
+
+# edits that each turn a valid format-2 instance document (with at least
+# one nonzero weight) into one from_json must reject
+MALFORMED_INSTANCE_EDITS = {
+    "user_out_of_range": _user_past_range,
+    "negative_grid": _negative_grid,
+    "fractional_grid": _fractional_grid,
+    "repeated_pair": _repeated_pair,
+    "unequal_lengths": _short_values,
+    "unknown_format": _unknown_format,
+}

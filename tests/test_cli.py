@@ -4,14 +4,22 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from birdcast import fig1_instance
-from birdcast.cli import CSV_COLUMNS, main
+from birdcast import ProblemInstance, __version__, fig1_instance
+from birdcast.cli import CSV_COLUMNS, SOLVERS, main
 
-from conftest import random_full_scale_instance
+from conftest import (
+    MALFORMED_INSTANCE_EDITS,
+    legacy_dense_doc,
+    random_full_scale_instance,
+)
 
 
 def run(args: list[str]) -> int:
@@ -179,6 +187,75 @@ def test_bench_csv(tmp_path, capsys):
     for r in rows:
         assert float(r["median_wall_s"]) > 0.0
         assert int(r["median_evals"]) > 0
+
+
+def test_gen_writes_compact_sparse_instance_with_version(tmp_path, capsys):
+    assert run(["gen", "--seed", "2", "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "instance.json").read_text()
+    assert "\n" not in text and ", " not in text
+    doc = json.loads(text)
+    assert doc["format"] == 2 and set(doc["moi"]) == {"user", "grid", "value"}
+    assert doc["provenance"]["version"] == __version__ == "0.1.0"
+
+
+def test_solve_prints_the_same_schedule_from_dense_and_sparse_files(
+        tmp_path, capsys):
+    assert run(["gen", "--seed", "4", "--n-users", "12", "--grid-h", "4",
+                "--budget-ms", "5", "--out", str(tmp_path)]) == 0
+    sparse = tmp_path / "instance.json"
+    dense = tmp_path / "dense.json"
+    inst = ProblemInstance.from_json(json.loads(sparse.read_text()))
+    dense.write_text(json.dumps(legacy_dense_doc(inst)))
+    capsys.readouterr()
+    for solver_id in sorted(SOLVERS):
+        printed = []
+        for path in (sparse, dense):
+            assert run(["solve", str(path), "--solver", solver_id]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            printed.append((doc["utility"], doc["selection"], doc["plan"]))
+        assert printed[0] == printed[1], solver_id
+
+
+@pytest.mark.parametrize("edit", sorted(MALFORMED_INSTANCE_EDITS))
+def test_malformed_instance_file_is_invalid_input(tmp_path, capsys, edit):
+    doc = fig1_instance().to_json()
+    MALFORMED_INSTANCE_EDITS[edit](doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run(["solve", str(path), "--solver", "birdcast_accel"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+# modules a gen or solve child has no use for; pytest itself loads some of
+# them, so the check runs in fresh interpreters
+UNUSED_BY_GEN_AND_SOLVE = ("numpy.ma", "importlib.metadata", "csv", "hashlib",
+                           "statistics", "concurrent.futures")
+
+
+def loaded_after_cli(args: list[str], cwd) -> set[str]:
+    """Which of UNUSED_BY_GEN_AND_SOLVE a fresh interpreter holds after
+    running `birdcast <args>` in cwd."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    script = ("import json, sys\n"
+              "from birdcast.cli import main\n"
+              f"assert main({args!r}) == 0\n"
+              f"print(json.dumps([m for m in {UNUSED_BY_GEN_AND_SOLVE!r} "
+              "if m in sys.modules]))\n")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                          check=True, capture_output=True, text=True)
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_gen_and_solve_children_import_only_what_they_run(tmp_path):
+    gen = loaded_after_cli(["gen", "--seed", "1", "--out", "o"], tmp_path)
+    # numpy.random, which scene generation needs, loads hashlib through
+    # the standard library's secrets and hmac modules
+    assert gen <= {"hashlib"}
+    solve = loaded_after_cli(["solve", "o/instance.json", "--solver",
+                              "birdcast_accel"], tmp_path)
+    assert solve == set()
 
 
 def test_missing_instance_file(capsys):

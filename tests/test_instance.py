@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from birdcast import (
     utility,
 )
 
-from conftest import random_instance
+from conftest import MALFORMED_INSTANCE_EDITS, legacy_dense_doc, random_instance
 
 
 def brute_utility(inst: ProblemInstance, items) -> float:
@@ -355,6 +357,57 @@ def test_instance_json_round_trip():
     assert again.mcs == inst.mcs
     assert np.array_equal(again.decodable, inst.decodable)
     assert again.budget_s == inst.budget_s
+
+
+def instance_with_moi(moi) -> ProblemInstance:
+    return ProblemInstance(moi=np.asarray(moi, dtype=np.float64),
+                           snr_db=(10.0,) * len(moi),
+                           mcs=McsTable(rates=(1.0, 2.0),
+                                        thresholds_db=(0.0, 10.0)),
+                           grid_bytes=1600.0, bandwidth_hz=1e6, budget_s=1.0)
+
+
+FORMAT_CASES = {
+    "negative_zero": [[0.5, -0.0, 0.0], [0.0, 0.25, 1.0]],
+    "zero_user_row": [[0.0, 0.0, 0.0], [0.0, 0.25, 1.0]],
+    "all_zero": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORMAT_CASES))
+def test_instance_file_round_trip_is_bit_exact(name):
+    inst = instance_with_moi(FORMAT_CASES[name])
+    text = json.dumps(inst.to_json())
+    again = ProblemInstance.from_json(json.loads(text))
+    assert again.moi.tobytes() == inst.moi.tobytes()
+    assert again.to_json() == inst.to_json()
+
+
+def test_instance_file_stores_row_major_triplets():
+    inst = instance_with_moi(FORMAT_CASES["negative_zero"])
+    doc = inst.to_json()
+    assert doc["format"] == 2
+    assert doc["moi"] == {"user": [0, 0, 1, 1], "grid": [0, 1, 1, 2],
+                          "value": [0.5, -0.0, 0.25, 1.0]}
+    assert np.signbit(doc["moi"]["value"][1])
+
+
+def test_legacy_dense_instance_file_loads_the_same_instance():
+    rng = np.random.default_rng(28)
+    for _ in range(5):
+        inst = random_instance(rng)
+        doc = json.loads(json.dumps(legacy_dense_doc(inst)))
+        again = ProblemInstance.from_json(doc)
+        assert again.moi.tobytes() == inst.moi.tobytes()
+        assert again.to_json() == inst.to_json()
+
+
+@pytest.mark.parametrize("edit", sorted(MALFORMED_INSTANCE_EDITS))
+def test_malformed_moi_triplets_rejected(edit):
+    doc = instance_with_moi(FORMAT_CASES["zero_user_row"]).to_json()
+    MALFORMED_INSTANCE_EDITS[edit](doc)
+    with pytest.raises(ValueError):
+        ProblemInstance.from_json(doc)
 
 
 def test_selection_json_round_trip():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ st = pytest.importorskip("hypothesis.strategies")
 from birdcast import (  # noqa: E402
     CoverageState,
     McsTable,
+    MulticastPlan,
     ProblemInstance,
     Selection,
     accelerated_greedy,
@@ -19,9 +23,10 @@ from birdcast import (  # noqa: E402
     refined_greedy,
     remove_redundant,
     selection_cost,
+    selection_from_plan,
     utility,
 )
-from birdcast.instance import is_budget_feasible  # noqa: E402
+from birdcast.instance import FEASIBILITY_RTOL, is_budget_feasible  # noqa: E402
 
 # few distinct weights and rates, so that equal ratios, and the tie-breaks
 # both greedy solvers must share, come up often
@@ -93,6 +98,20 @@ def test_plan_from_selection_keeps_utility(case):
         return
     assert evaluate_plan(inst, plan_from_selection(inst, sel)).utility == \
         utility(inst, sel)
+
+
+@PROPERTY_SETTINGS
+@hypothesis.given(instances_with_selections())
+def test_plan_file_maps_back_to_an_equal_or_cheaper_selection(case):
+    inst, sel = case
+    cost = selection_cost(inst, sel)
+    inst = dataclasses.replace(inst, budget_s=max(inst.budget_s, cost))
+    doc = json.loads(json.dumps(plan_from_selection(inst, sel).to_json()))
+    back = selection_from_plan(inst, MulticastPlan.from_json(doc))
+    # not an identity: a group's rate is its slowest member's, which can
+    # be faster than the option it was built for
+    assert utility(inst, back) == utility(inst, sel)
+    assert selection_cost(inst, back) <= cost * (1.0 + FEASIBILITY_RTOL)
 
 
 @PROPERTY_SETTINGS
