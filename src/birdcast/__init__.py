@@ -53,6 +53,7 @@ from .oracle import (
     OracleResult,
     brute_force_assignments,
     exact_solve,
+    lp_bound,
     unrestricted_opt,
     verify_equivalence,
 )
@@ -98,6 +99,7 @@ __all__ = [
     "item_cost",
     "kmeanspp_solve",
     "local_correlation",
+    "lp_bound",
     "marginal_gain",
     "marginal_util_solve",
     "plan_from_selection",

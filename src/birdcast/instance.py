@@ -478,25 +478,27 @@ def evaluate_plan(inst: ProblemInstance, plan: MulticastPlan) -> PlanEvaluation:
     """
     if plan.n_grids != inst.n_grids:
         raise ValueError("plan mask width does not match the instance")
-    covered = np.zeros((inst.n_users, inst.n_grids), dtype=bool)
+    # members[k] marks group k's users; a group with grids to send at a
+    # rate of 0 or below stays unmarked and covers nothing
+    members = np.zeros((plan.n_groups, inst.n_users))
     latency = 0.0
     rate_consistent = True
     user_rate = inst.user_max_rate_bps()
     bits = 8.0 * inst.grid_bytes
-    for k in range(plan.n_groups):
-        members = list(plan.groups[k])
-        mask = plan.masks[k]
-        n_sel = int(mask.sum())
+    for k, n_sel in enumerate(plan.masks.sum(axis=1).tolist()):
+        group = list(plan.groups[k])
         if n_sel:
             if plan.rates_bps[k] <= 0:
                 rate_consistent = False
                 continue
             latency += bits * n_sel / plan.rates_bps[k]
-        if members:
-            if plan.rates_bps[k] != float(user_rate[members].min()):
+        if group:
+            if plan.rates_bps[k] != float(user_rate[group].min()):
                 rate_consistent = False
-            if n_sel:
-                covered[np.ix_(members, np.flatnonzero(mask))] = True
+            members[k, group] = 1.0
+    # counts of delivering groups, exact in float64; a float product runs
+    # in BLAS, where numpy's bool matmul has no fast kernel
+    covered = members.T @ plan.masks > 0.0
     value = coverage_utility(inst, covered)
     feasible = rate_consistent and is_budget_feasible(inst, latency)
     return PlanEvaluation(utility=value, latency_s=latency, feasible=feasible)

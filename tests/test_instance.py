@@ -293,6 +293,20 @@ def test_evaluate_plan_flags_wrong_group_rate():
     assert not evaluate_plan(inst, plan).feasible
 
 
+def test_evaluate_plan_group_at_non_positive_rate_covers_nothing():
+    inst = two_rate_instance()
+    for bad_rate in (0.0, -1e6):
+        plan = MulticastPlan(
+            groups=((0, 1), (0,)),
+            masks=np.array([[True, False], [False, True]]),
+            rates_bps=(bad_rate, 2e6),
+        )
+        ev = evaluate_plan(inst, plan)
+        assert ev.utility == 0.5  # only user 0's grid 1, from group 1
+        assert ev.latency_s == 8.0 * 1600.0 / 2e6
+        assert not ev.feasible
+
+
 def test_monotonicity_and_submodularity_random():
     rng = np.random.default_rng(26)
     for _ in range(200):

@@ -16,6 +16,7 @@ from birdcast import (
     dp_solve,
     exact_solve,
     kmeanspp_solve,
+    lp_bound,
     marginal_util_solve,
     refined_greedy,
     unicast_solve,
@@ -23,6 +24,8 @@ from birdcast import (
     utility,
     verify_equivalence,
 )
+
+from birdcast.oracle import DEFAULT_ENUMERATION_CAP, _bound_rtol
 
 from conftest import random_full_scale_instance, random_instance
 
@@ -43,6 +46,40 @@ def test_nothing_fits_gives_zero():
     res = exact_solve(inst)
     assert res.opt_utility == 0.0
     assert len(res.opt_selection) == 0
+
+
+def test_lp_bound_fills_hull_increments_by_slope():
+    # rate 1 costs 1.0 s and rate 2 costs 0.5 s; user 0 decodes both
+    table = McsTable(rates=(1.0, 2.0), thresholds_db=(0.0, 10.0))
+    inst = ProblemInstance(moi=np.array([[1.0, 3.0], [1.0, 0.0]]),
+                           snr_db=(20.0, 5.0), mcs=table, grid_bytes=125.0,
+                           bandwidth_hz=1000.0, budget_s=0.75)
+    # grid 1 is worth 3 at either rate, so only its fast rate is a Pareto
+    # option (slope 6); grid 0's hull runs straight from (0, 0) to (1, 2)
+    # (slope 2), which fills the 0.25 s left in part
+    assert lp_bound(inst) == 3.0 + 2.0 * 0.25
+    res = exact_solve(inst)
+    assert res.opt_utility == 3.0
+    assert res.opt_selection.items == frozenset({(1, 1)})
+
+
+def test_lp_bound_caps_the_optimum():
+    rng = np.random.default_rng(57)
+    for _ in range(200):
+        inst = random_instance(rng)
+        opt = exact_solve(inst).opt_utility
+        assert lp_bound(inst) * (1.0 + _bound_rtol(inst)) >= opt
+
+
+def test_opt_selection_uses_no_dominated_rate():
+    # a slower rate that a cheaper one of the same grid matches is never
+    # branched on, so ties go to the cheaper rate
+    rng = np.random.default_rng(58)
+    for _ in range(100):
+        inst = random_instance(rng)
+        table = inst.rate_class_table()
+        for l, m in exact_solve(inst).opt_selection.items:
+            assert table[l, m] > table[l, m + 1]
 
 
 def test_cap_rejection():
@@ -117,3 +154,35 @@ def test_empty_selection_round_trip():
     plan = plan_from_selection(inst, Selection(frozenset()))
     ev = evaluate_plan(inst, plan)
     assert (ev.utility, ev.latency_s) == (0.0, 0.0)
+
+
+def _milp_opt(optimize, inst: ProblemInstance) -> float:
+    """Optimum of the MCKP as a 0/1 program: x[l, m] with at most one rate
+    per grid and total cost within the budget (costs in budget units)."""
+    n_grids, n_rates = inst.n_grids, inst.n_rates
+    values = inst.rate_class_table()[:, :n_rates].ravel()
+    one_per_grid = np.kron(np.eye(n_grids), np.ones(n_rates))
+    cost = np.tile(inst.item_cost_s, n_grids)[None, :] / inst.budget_s
+    res = optimize.milp(
+        -values, integrality=np.ones(values.size),
+        bounds=optimize.Bounds(0.0, 1.0),
+        constraints=[optimize.LinearConstraint(one_per_grid, -np.inf, 1.0),
+                     optimize.LinearConstraint(cost, -np.inf, 1.0)],
+        options={"mip_rel_gap": 0.0})
+    assert res.success, res.message
+    return -res.fun
+
+
+def test_exact_matches_milp_beyond_brute_force():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(59)
+    checked = 0
+    while checked < 40:
+        inst = random_instance(rng, max_users=8, max_grids=13, max_rates=4)
+        # too big for brute_force_assignments, within exact_solve's cap
+        size = (inst.n_rates + 1) ** inst.n_grids
+        if not 2 ** 12 < size <= DEFAULT_ENUMERATION_CAP:
+            continue
+        expected = _milp_opt(optimize, inst)
+        assert exact_solve(inst).opt_utility == pytest.approx(expected, rel=1e-9)
+        checked += 1

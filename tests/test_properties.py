@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from birdcast import (  # noqa: E402
     Selection,
     accelerated_greedy,
     evaluate_plan,
+    exact_solve,
+    lp_bound,
     plan_from_selection,
     refined_greedy,
     remove_redundant,
@@ -27,6 +30,7 @@ from birdcast import (  # noqa: E402
     utility,
 )
 from birdcast.instance import FEASIBILITY_RTOL, is_budget_feasible  # noqa: E402
+from birdcast.oracle import _bound_rtol  # noqa: E402
 
 # few distinct weights and rates, so that equal ratios, and the tie-breaks
 # both greedy solvers must share, come up often
@@ -121,3 +125,13 @@ def test_refined_and_accelerated_select_the_same_set(inst):
     accelerated = accelerated_greedy(inst)
     assert refined.selection == accelerated.selection
     assert refined.utility == accelerated.utility
+
+
+@PROPERTY_SETTINGS
+@hypothesis.given(instances())
+def test_lp_bound_caps_the_optimum_which_caps_the_greedy(inst):
+    opt = exact_solve(inst).opt_utility
+    greedy = accelerated_greedy(inst).utility
+    # the same float slack the oracle's search prunes with
+    assert lp_bound(inst) * (1.0 + _bound_rtol(inst)) >= opt
+    assert opt >= greedy >= (1.0 - 1.0 / math.sqrt(math.e)) * opt
