@@ -4,9 +4,14 @@ Each baseline fixes a grouping policy first (everyone, singletons,
 channel-quality clusters, or a sorted contiguous partition) and then
 spends the latency budget greedily given that policy; the marginal-utility
 heuristic works on grid-rate items directly but commits to a single rate
-per grid. Every scheme returns a SolveResult whose utility is the
-objective of its own plan, so free riders outside a scheme's groups earn
-it no credit.
+per grid. Broadcast, unicast and the joint greedy that shares the budget
+among fixed groups spend it by one ordered scan (_budget_scan): each item
+in turn is sent if the budget left pays for it. k-means++ and the DP
+propose candidate partitions and leave through one best-of exit
+(_best_of), which runs the joint greedy on each candidate and keeps the
+first of highest utility. Every scheme returns a SolveResult whose utility
+is the objective of its own plan, so free riders outside a scheme's groups
+earn it no credit.
 """
 
 from __future__ import annotations
@@ -14,14 +19,16 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .instance import (
     MulticastPlan,
+    PlanEvaluation,
     ProblemInstance,
-    Selection,
     _group_plan,
+    _rates_utility,
     evaluate_plan,
     selection_from_plan,
 )
@@ -31,6 +38,11 @@ logger = logging.getLogger(__name__)
 
 BASELINE_IDS = ("broadcast", "unicast", "marginal_util", "kmeanspp", "dp", "dp_fair")
 
+# k-means++ seeding and Lloyd iterations
+_RNG_SEED = 0
+_LLOYD_MAX_ITER = 100
+_LLOYD_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class BaselineConfig:
@@ -39,9 +51,6 @@ class BaselineConfig:
     kmeans_k_range: tuple[int, int] | None = None  # inclusive; default [1, min(N, M)]
     dp_max_groups: int = 8
     fairness_floor: float = 0.1
-    rng_seed: int = 0
-    lloyd_max_iter: int = 100
-    lloyd_tol: float = 1e-9
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.fairness_floor <= 1.0:
@@ -52,30 +61,18 @@ class BaselineConfig:
 
 DEFAULT_CONFIG = BaselineConfig()
 
+# a _best_of candidate: disjoint groups, each group's rate index, and meta
+_Candidate = tuple[list[np.ndarray], list[int], dict]
+
 
 def _decodable_users(inst: ProblemInstance) -> np.ndarray:
     return np.flatnonzero(inst.user_max_rate_index() >= 0)
 
 
-def _empty_result(inst: ProblemInstance, t0: float, meta: dict) -> SolveResult:
-    plan = MulticastPlan(groups=(), masks=np.zeros((0, inst.n_grids), bool),
-                         rates_bps=())
-    return SolveResult(
-        selection=Selection(frozenset()),
-        plan=plan,
-        utility=0.0,
-        latency_s=0.0,
-        gain_evaluations=0,
-        wall_time_s=time.perf_counter() - t0,
-        meta=meta,
-    )
-
-
-def _result_from_groups(inst: ProblemInstance, groups: list[np.ndarray],
-                        masks: np.ndarray, rate_idx: list[int], evals: int,
-                        t0: float, meta: dict) -> SolveResult:
-    plan = _group_plan(inst, groups, masks, rate_idx)
-    evaluation = evaluate_plan(inst, plan)
+def _result(inst: ProblemInstance, plan: MulticastPlan,
+            evaluation: PlanEvaluation, meta: dict, evals: int,
+            t0: float) -> SolveResult:
+    """The one exit of the group baselines: `plan` and its evaluation."""
     return SolveResult(
         selection=selection_from_plan(inst, plan),
         plan=plan,
@@ -87,8 +84,41 @@ def _result_from_groups(inst: ProblemInstance, groups: list[np.ndarray],
     )
 
 
+def _budget_scan(costs: np.ndarray,
+                 budget_s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Send the items in order, each one the budget left still pays for.
+
+    costs[i] is the cost of the i-th item. Returns the positions of the
+    items sent, in order, and the budget before each of them followed by
+    the budget left at the end. Each run of items that fit is paid by one
+    np.subtract.accumulate, which subtracts in the order a loop would. The
+    budget only shrinks, so an item it cannot pay for is dropped for good.
+    """
+    pos = np.arange(costs.size)
+    budget_left = budget_s
+    sent = [pos[:0]]
+    budgets_before = []
+    while pos.size:
+        item_costs = costs[pos]
+        # the budget before each item, were every item from here on sent
+        before = np.subtract.accumulate(np.concatenate(([budget_left], item_costs)))
+        short = np.flatnonzero(item_costs > before[:-1])
+        stop = int(short[0]) if short.size else pos.size
+        sent.append(pos[:stop])
+        budgets_before.append(before[:stop])
+        budget_left = before[stop]
+        pos = pos[stop + 1:]
+        pos = pos[costs[pos] <= budget_left]
+    return np.concatenate(sent), np.concatenate([*budgets_before, [budget_left]])
+
+
 def broadcast_solve(inst: ProblemInstance) -> SolveResult:
-    """One group of every decodable user at the worst member's rate."""
+    """One group of every decodable user at the worst member's rate.
+
+    Grids go in descending total member weight (ties to the lower grid)
+    while the budget pays for them; each grid looked at, and the one that
+    stops the scan, counts one gain evaluation.
+    """
     t0 = time.perf_counter()
     users = _decodable_users(inst)
     meta: dict = {}
@@ -98,65 +128,43 @@ def broadcast_solve(inst: ProblemInstance) -> SolveResult:
         logger.warning("broadcast: dropping %d user(s) with no decodable rate",
                        len(dropped))
     if users.size == 0:
-        return _empty_result(inst, t0, meta)
+        return _best_of(inst, [([], [], meta)], 0, t0)
     rate_idx = int(inst.user_max_rate_index()[users].min())
-    cost = float(inst.item_cost_s[rate_idx])
     weights = inst.moi[users].sum(axis=0)
-    order = np.argsort(-weights, kind="stable")
-    mask = np.zeros(inst.n_grids, dtype=bool)
-    budget_left = inst.budget_s
-    evals = 0
-    for l in order:
-        evals += 1
-        if weights[l] <= 0.0 or cost > budget_left:
-            break
-        mask[l] = True
-        budget_left -= cost
-    masks = mask[None, :]
-    return _result_from_groups(inst, [users], masks, [rate_idx], evals, t0, meta)
+    order = np.argsort(-weights, kind="stable")[:int((weights > 0.0).sum())]
+    sent, _ = _budget_scan(np.full(order.size, inst.item_cost_s[rate_idx]),
+                           inst.budget_s)
+    masks = np.zeros((1, inst.n_grids), dtype=bool)
+    masks[0, order[sent]] = True
+    plan = _group_plan(inst, [users], masks, [rate_idx])
+    return _result(inst, plan, evaluate_plan(inst, plan), meta,
+                   min(sent.size + 1, inst.n_grids), t0)
 
 
 def unicast_solve(inst: ProblemInstance) -> SolveResult:
     """Dedicated per-user links, ranked by weight per unit of link time.
 
-    Each transmission benefits exactly one user, so the same grid sent to
-    two users costs twice; the reported selection collapses duplicates but
-    latency and utility follow the dedicated plan.
+    Every positive (user, grid) pair is scanned once, by ratio descending,
+    then the lower user, then the lower grid. Each transmission benefits
+    exactly one user, so the same grid sent to two users costs twice; the
+    reported selection collapses duplicates but latency and utility follow
+    the dedicated plan.
     """
     t0 = time.perf_counter()
     users = _decodable_users(inst)
-    if users.size == 0:
-        return _empty_result(inst, t0, {})
-    max_idx = inst.user_max_rate_index()
-    pairs = []
-    for n in users:
-        cost = float(inst.item_cost_s[max_idx[n]])
-        for l in range(inst.n_grids):
-            w = float(inst.moi[n, l])
-            if w > 0.0:
-                pairs.append((-w / cost, int(n), l, cost, w))
-    pairs.sort()
-    budget_left = inst.budget_s
-    served: dict[int, list[int]] = {}
-    total = 0.0
-    evals = len(pairs)
-    for _, n, l, cost, w in pairs:
-        if cost <= budget_left:
-            budget_left -= cost
-            served.setdefault(n, []).append(l)
-            total += w
-    groups = []
-    mask_rows = []
-    rate_idx = []
-    for n in sorted(served):
-        row = np.zeros(inst.n_grids, dtype=bool)
-        row[served[n]] = True
-        groups.append(np.array([n]))
-        mask_rows.append(row)
-        rate_idx.append(int(max_idx[n]))
-    masks = (np.stack(mask_rows) if mask_rows
-             else np.zeros((0, inst.n_grids), dtype=bool))
-    return _result_from_groups(inst, groups, masks, rate_idx, evals, t0, {})
+    max_idx = inst.user_max_rate_index()[users]
+    weights = inst.moi[users]
+    user_cost = inst.item_cost_s[max_idx]
+    rows, grids = np.nonzero(weights > 0.0)
+    ratios = weights[rows, grids] / user_cost[rows]
+    order = np.lexsort((grids, rows, -ratios))
+    sent, _ = _budget_scan(user_cost[rows[order]], inst.budget_s)
+    picked = np.zeros(weights.shape, dtype=bool)
+    picked[rows[order[sent]], grids[order[sent]]] = True
+    served = picked.any(axis=1)
+    plan = _group_plan(inst, list(users[served, None]), picked[served],
+                       max_idx[served].tolist())
+    return _result(inst, plan, evaluate_plan(inst, plan), {}, rows.size, t0)
 
 
 def marginal_util_solve(inst: ProblemInstance) -> SolveResult:
@@ -170,7 +178,7 @@ def marginal_util_solve(inst: ProblemInstance) -> SolveResult:
     rate = [inst.n_rates] * inst.n_grids
     _, evals, _ = _argmax_pass(inst.rate_class_table(), inst.item_cost_s, rate,
                                inst.budget_s, grid_exclusive=True)
-    return _result_from_rates(inst, rate, evals, t0)
+    return _result_from_rates(inst, rate, evals, t0, _rates_utility(inst, rate))
 
 
 def _joint_greedy(inst: ProblemInstance, groups: list[np.ndarray],
@@ -181,13 +189,12 @@ def _joint_greedy(inst: ProblemInstance, groups: list[np.ndarray],
     Each step sends the affordable item of highest uncovered member weight
     per second (ties to the lower grid, then the lower group). Groups are
     disjoint, so an item's ratio stays fixed until it is sent, and the
-    budget only shrinks, so an item the budget cannot pay for never
-    becomes affordable again: one scan in descending ratio order makes
-    the step-by-step argmax's choices. That holds while every positive
-    weight gives a positive ratio, which fails only for a subnormal weight
-    over a cost above one second. Each step counts the affordable groups
-    times L gain evaluations, and so does the closing step that finds
-    nothing left to send.
+    budget only shrinks, so _budget_scan over the positive items in
+    descending ratio order makes the step-by-step argmax's choices. That
+    holds while every positive weight gives a positive ratio, which fails
+    only for a subnormal weight over a cost above one second. Each step
+    counts the affordable groups times L gain evaluations, and so does the
+    closing step that finds nothing left to send.
     """
     n_groups = len(groups)
     masks = np.zeros((n_groups, inst.n_grids), dtype=bool)
@@ -198,30 +205,39 @@ def _joint_greedy(inst: ProblemInstance, groups: list[np.ndarray],
     ratios = (uncovered / costs[None, :]).ravel()
     order = np.argsort(-ratios, kind="stable")
     order = order[:int((ratios > 0.0).sum())]
-    budget_left = budget_s
-    sent = [order[:0]]
-    budgets_before = []
-    while order.size:
-        item_costs = costs[order % n_groups]
-        # the budget before each item, were every item from here on sent
-        before = np.subtract.accumulate(np.concatenate(([budget_left], item_costs)))
-        short = np.flatnonzero(item_costs > before[:-1])
-        stop = int(short[0]) if short.size else order.size
-        sent.append(order[:stop])
-        budgets_before.append(before[:stop])
-        budget_left = before[stop]
-        order = order[stop + 1:]
-        order = order[costs[order % n_groups] <= budget_left]
-    sent_items = np.concatenate(sent)
-    masks[sent_items % n_groups, sent_items // n_groups] = True
-    steps = np.concatenate([*budgets_before, [budget_left]])
+    sent, steps = _budget_scan(costs[order % n_groups], budget_s)
+    items = order[sent]
+    masks[items % n_groups, items // n_groups] = True
     affordable = (costs[None, :] <= steps[:, None]).sum(axis=1)
     return masks, int(affordable.sum()) * inst.n_grids
 
 
-def _kmeanspp_1d(values: np.ndarray, k: int, rng: np.random.Generator,
-                 max_iter: int, tol: float) -> np.ndarray:
-    """Deterministic-by-seed 1-D k-means++ labels (may use < k clusters)."""
+def _best_of(inst: ProblemInstance, candidates: Iterable[_Candidate],
+             evals: int, t0: float) -> SolveResult | None:
+    """The best candidate partition once the joint greedy shares the full
+    budget among its groups: the first of highest utility, with its meta.
+
+    evals counts the gain evaluations spent before; every joint greedy
+    adds its own. None when there is no candidate.
+    """
+    best = None
+    for groups, rate_idx, meta in candidates:
+        masks, pass_evals = _joint_greedy(inst, groups, rate_idx, inst.budget_s)
+        evals += pass_evals
+        plan = _group_plan(inst, groups, masks, rate_idx)
+        evaluation = evaluate_plan(inst, plan)
+        if best is None or evaluation.utility > best[1].utility:
+            best = (plan, evaluation, meta)
+    return None if best is None else _result(inst, *best, evals, t0)
+
+
+def _kmeanspp_1d(values: np.ndarray, k: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Deterministic-by-seed 1-D k-means++ labels (may use < k clusters).
+
+    A Lloyd step moves each centre to its members' mean, one np.bincount
+    pair for all clusters; an empty cluster keeps its centre.
+    """
     n = values.size
     centers = [float(values[rng.integers(n)])]
     while len(centers) < k:
@@ -231,14 +247,13 @@ def _kmeanspp_1d(values: np.ndarray, k: int, rng: np.random.Generator,
             break  # fewer distinct values than requested clusters
         centers.append(float(values[rng.choice(n, p=d2 / total)]))
     centers_arr = np.asarray(centers)
-    for _ in range(max_iter):
+    for _ in range(_LLOYD_MAX_ITER):
         labels = np.argmin(np.abs(values[:, None] - centers_arr[None, :]), axis=1)
-        new_centers = centers_arr.copy()
-        for c in range(centers_arr.size):
-            members = values[labels == c]
-            if members.size:
-                new_centers[c] = members.mean()
-        if np.max(np.abs(new_centers - centers_arr)) < tol:
+        counts = np.bincount(labels, minlength=centers_arr.size)
+        sums = np.bincount(labels, weights=values, minlength=centers_arr.size)
+        new_centers = np.where(counts > 0, sums / np.maximum(counts, 1),
+                               centers_arr)
+        if np.max(np.abs(new_centers - centers_arr)) < _LLOYD_TOL:
             centers_arr = new_centers
             break
         centers_arr = new_centers
@@ -255,33 +270,22 @@ def kmeanspp_solve(inst: ProblemInstance,
     t0 = time.perf_counter()
     users = _decodable_users(inst)
     if users.size == 0:
-        return _empty_result(inst, t0, {})
+        return _best_of(inst, [([], [], {})], 0, t0)
     max_idx = inst.user_max_rate_index()
     rates = inst.user_max_rate_bps()[users]
     lo, hi = cfg.kmeans_k_range or (1, min(users.size, inst.n_rates))
     hi = min(hi, users.size, inst.n_rates)
     if lo < 1 or lo > hi:
         raise ValueError("kmeans_k_range must satisfy 1 <= lo <= hi <= min(N, M)")
-    rng = np.random.default_rng(cfg.rng_seed)
-    best = None
-    evals = 0
-    for k in range(lo, hi + 1):
-        labels = _kmeanspp_1d(rates, k, rng, cfg.lloyd_max_iter, cfg.lloyd_tol)
-        groups = []
-        rate_idx = []
-        for c in sorted(set(labels.tolist())):
-            members = users[labels == c]
-            groups.append(members)
-            rate_idx.append(int(max_idx[members].min()))
-        masks, pass_evals = _joint_greedy(inst, groups, rate_idx, inst.budget_s)
-        evals += pass_evals
-        value = evaluate_plan(inst, _group_plan(inst, groups, masks,
-                                                rate_idx)).utility
-        if best is None or value > best[0]:
-            best = (value, groups, masks, rate_idx, k)
-    assert best is not None
-    _, groups, masks, rate_idx, k = best
-    return _result_from_groups(inst, groups, masks, rate_idx, evals, t0, {"k": k})
+    rng = np.random.default_rng(_RNG_SEED)
+
+    def clusterings() -> Iterable[_Candidate]:
+        for k in range(lo, hi + 1):
+            labels = _kmeanspp_1d(rates, k, rng)
+            groups = [users[labels == c] for c in np.unique(labels)]
+            yield groups, [int(max_idx[g].min()) for g in groups], {"k": k}
+
+    return _best_of(inst, clusterings(), 0, t0)
 
 
 def _below_floor(members: np.ndarray, chosen: np.ndarray, floor: float) -> bool:
@@ -391,32 +395,16 @@ def _best_split(seg_value: np.ndarray,
     return bounds
 
 
-def _best_partition(inst: ProblemInstance, ordered: np.ndarray,
-                    values: np.ndarray, seg_rate: np.ndarray, t0: float,
-                    fair: bool) -> SolveResult | None:
-    """Best split for each group count, shared out by the joint greedy;
-    the highest-utility one wins. None when no group count has a split."""
-    n = ordered.size
-    best = None
-    evals = 0
+def _partitions(ordered: np.ndarray, values: np.ndarray,
+                seg_rate: np.ndarray, fair: bool) -> Iterable[_Candidate]:
+    """The best split of the sorted users for each group count, as
+    _best_of candidates; a group count with no split is skipped."""
     for k_groups, seg_value in enumerate(values, start=1):
-        evals += n * (n + 1) // 2
         bounds = _best_split(seg_value, k_groups)
-        if bounds is None:
-            continue
-        groups = [ordered[i:j] for i, j in bounds]
-        rate_idx = [int(seg_rate[i, j - 1]) for i, j in bounds]
-        masks, pass_evals = _joint_greedy(inst, groups, rate_idx, inst.budget_s)
-        evals += pass_evals
-        value = evaluate_plan(inst, _group_plan(inst, groups, masks,
-                                                rate_idx)).utility
-        if best is None or value > best[0]:
-            best = (value, groups, masks, rate_idx, k_groups)
-    if best is None:
-        return None
-    _, groups, masks, rate_idx, k_groups = best
-    return _result_from_groups(inst, groups, masks, rate_idx, evals, t0,
-                               {"k": k_groups, "fair": fair})
+        if bounds is not None:
+            yield ([ordered[i:j] for i, j in bounds],
+                   [int(seg_rate[i, j - 1]) for i, j in bounds],
+                   {"k": k_groups, "fair": fair})
 
 
 def dp_solve(inst: ProblemInstance, cfg: BaselineConfig = DEFAULT_CONFIG,
@@ -426,8 +414,9 @@ def dp_solve(inst: ProblemInstance, cfg: BaselineConfig = DEFAULT_CONFIG,
     Users are sorted by achievable rate (descending); candidate groups are
     contiguous runs valued by their stand-alone greedy utility under an
     equal budget split, and the best partition per group count is found by
-    the classic boundary recurrence. The chosen partition then shares the
-    full budget in a joint greedy. With fair=True a partition is only
+    the classic boundary recurrence. Each of those partitions then shares
+    the full budget in the joint greedy, and _best_of keeps the first of
+    highest utility. With fair=True a partition is only
     admissible if its valuation serves every member at least the
     configured fraction of their total interest mass. When no partition
     meets fairness_floor, the plain dp schedule is returned flagged
@@ -437,7 +426,7 @@ def dp_solve(inst: ProblemInstance, cfg: BaselineConfig = DEFAULT_CONFIG,
     t0 = time.perf_counter()
     users = _decodable_users(inst)
     if users.size == 0:
-        return _empty_result(inst, t0, {})
+        return _best_of(inst, [([], [], {})], 0, t0)
     max_idx = inst.user_max_rate_index()
     rates = inst.user_max_rate_bps()
     ordered = np.asarray(sorted(users.tolist(), key=lambda n: (-rates[n], n)))
@@ -446,10 +435,13 @@ def dp_solve(inst: ProblemInstance, cfg: BaselineConfig = DEFAULT_CONFIG,
     floor = cfg.fairness_floor if fair else 0.0
     values, fair_values, seg_rate = _segment_values(inst, ordered, max_idx,
                                                     budgets, floor)
-    if fair_values is None:
-        return _best_partition(inst, ordered, values, seg_rate, t0, fair)
-    result = _best_partition(inst, ordered, fair_values, seg_rate, t0, fair)
+    # every group count values every contiguous run once
+    evals = n_groups * ordered.size * (ordered.size + 1) // 2
+    admissible = values if fair_values is None else fair_values
+    result = _best_of(inst, _partitions(ordered, admissible, seg_rate, fair),
+                      evals, t0)
     if result is None:
-        result = _best_partition(inst, ordered, values, seg_rate, t0, False)
+        result = _best_of(inst, _partitions(ordered, values, seg_rate, False),
+                          evals, t0)
         result.meta["fair_infeasible"] = True
     return result

@@ -208,8 +208,9 @@ def remove_redundant(inst: ProblemInstance, sel: Selection) -> tuple[Selection, 
 
 
 def _result_from_rates(inst: ProblemInstance, rate: list[int], evals: int,
-                       t0: float) -> SolveResult:
-    """The result of sending each grid l at rate index rate[l] (M: unsent).
+                       t0: float, value: float) -> SolveResult:
+    """The result of sending each grid l at rate index rate[l] (M: unsent),
+    whose objective, _rates_utility(inst, rate), is `value`.
 
     Latency adds the item costs one by one in grid order, the order of
     Selection.sorted_items; raises ValueError when it exceeds the budget.
@@ -224,7 +225,7 @@ def _result_from_rates(inst: ProblemInstance, rate: list[int], evals: int,
     return SolveResult(
         selection=Selection(frozenset(zip(sent.tolist(), sent_rate.tolist()))),
         plan=_canonical_plan(inst, masks, latency),
-        utility=_rates_utility(inst, rate),
+        utility=value,
         latency_s=latency,
         gain_evaluations=evals,
         wall_time_s=time.perf_counter() - t0,
@@ -250,10 +251,11 @@ def _two_pass_greedy(inst: ProblemInstance,
     if reclaimed > 0.0:
         _, pass_evals, _ = run_pass(table, costs, rate, budget_left + reclaimed)
         evals += pass_evals
+    value = _rates_utility(inst, rate)
     single, single_value = _best_single_item(inst, table)
-    if single is not None and single_value > _rates_utility(inst, rate):
-        rate = _single_item_rates(inst, single)
-    return _result_from_rates(inst, rate, evals, t0)
+    if single is not None and single_value > value:
+        rate, value = _single_item_rates(inst, single), single_value
+    return _result_from_rates(inst, rate, evals, t0, value)
 
 
 def refined_greedy(inst: ProblemInstance) -> SolveResult:

@@ -78,6 +78,27 @@ def test_broadcast_empty_when_nobody_decodes(caplog):
     assert res.utility == 0.0 and res.plan.n_groups == 0
 
 
+@pytest.mark.parametrize("solve, meta", [
+    (broadcast_solve, {"dropped_users": [0, 1]}),
+    (unicast_solve, {}),
+    (kmeanspp_solve, {}),
+    (lambda i: dp_solve(i), {}),
+    (lambda i: dp_solve(i, fair=True), {}),
+], ids=["broadcast", "unicast", "kmeanspp", "dp", "dp_fair"])
+def test_group_baselines_empty_when_nobody_decodes(solve, meta):
+    table = McsTable(rates=(1.0,), thresholds_db=(50.0,))
+    inst = ProblemInstance(moi=np.array([[1.0, 0.5], [0.2, 0.0]]),
+                           snr_db=(0.0, 3.0), mcs=table, grid_bytes=1000.0,
+                           bandwidth_hz=1e6, budget_s=1.0)
+    res = solve(inst)
+    assert res.selection.items == frozenset()
+    assert res.plan.groups == () and res.plan.rates_bps == ()
+    assert res.plan.masks.shape == (0, 2)
+    assert repr(res.utility) == "0.0" and repr(res.latency_s) == "0.0"
+    assert res.gain_evaluations == 0
+    assert res.meta == meta
+
+
 def test_unicast_disjoint_interests_hand_sim():
     # both users decode only the base rate; disjoint single-grid interests;
     # budget fits three dedicated transmissions of 4 ms each
@@ -94,6 +115,16 @@ def test_unicast_disjoint_interests_hand_sim():
     # ratio order: 1.0, 0.9, 0.8 fit; 0.7 does not
     assert res.utility == pytest.approx(2.7)
     assert res.latency_s == pytest.approx(0.012)
+
+
+def test_unicast_serves_the_lower_user_first_on_ties():
+    # every weight is 1.0, so the two strong users' pairs tie on ratio;
+    # the budget (14 ms) fits three 4 ms strong-rate sends, all user 0's
+    res = unicast_solve(fig1_instance())
+    assert res.plan.groups == ((0,),)
+    assert np.flatnonzero(res.plan.masks[0]).tolist() == [0, 2, 3]
+    assert res.utility == 3.0
+    assert res.gain_evaluations == 8  # every positive (user, grid) pair
 
 
 def test_unicast_plan_is_singleton_groups():
@@ -336,6 +367,56 @@ def baseline_digests(inst: ProblemInstance) -> tuple[str, str, str]:
 def test_partition_baselines_are_bit_stable(name):
     inst = GOLDEN_BASELINE_INSTANCES[name]()
     assert baseline_digests(inst) == GOLDEN_BASELINE_DIGESTS[name]
+
+
+# sha256 of the sorted selection, the plan's groups, mask bytes and
+# repr(rates), repr(utility), repr(latency), gain_evaluations and the sorted
+# meta of broadcast and unicast; any change to their schedules or counters
+# must update these.
+GOLDEN_GROUP_DIGESTS = {
+    'fair_infeasible': (
+        '6f7010e97e85c37c73886b06f5021efc4f018a29c76251026fa386b180c6ca25',
+        '4e4e3213c6227bffc712b1c0e1a69f45f2b08be082f0649178e81601a20ceef0',
+    ),
+    'identical_users': (
+        '3172069e93b9eec2153fe9ea046279642f04fd6828b9106d4699a4969db11a56',
+        '9760b6b1cd63bffb23fa2ed632aafc599a9a36c344a8d7bd07260be1a735c0e7',
+    ),
+    'n32_5ms': (
+        '57e55ce9a9bf34ef1d24e56c947a9e14982c998ff37a683cde5824d136ae25d8',
+        '9acdd92289a5689b48a142e7a67be59cdccdf0a75ee879d8ba18a3a15e5124d3',
+    ),
+    'n96_40x25': (
+        '0ff4e8bec93c96311b8d0a57b50835995ed6a4fa860f56a294e73cdf0b90597c',
+        'ead51abf52c2f7f161d85010f37638fffc05dafa559077563242b628fb9565f9',
+    ),
+    'one_user': (
+        'a9b66c813131b048526259d362cdc142cb78a1fc78c2cf835cc8433d77fb2cbd',
+        '1b21c2f5518b8ae16578361a664f84c4dee59db2a54482ff8f071ccac80f7c77',
+    ),
+    'paper_default': (
+        '2a22ba01b102b8aed209b1a0f276a45cb603733be454433bd864c99c1dfbbeef',
+        '86cbf0fbcc72f3cb1ff3ac58f7b7be5482f58bc902106be4ab9987ad5b14bb3e',
+    ),
+}
+
+
+def group_digests(inst: ProblemInstance) -> tuple[str, str]:
+    out = []
+    for res in (broadcast_solve(inst), unicast_solve(inst)):
+        plan = res.plan
+        doc = repr((sorted(res.selection.items), plan.groups,
+                    plan.masks.tobytes(), repr(plan.rates_bps),
+                    repr(res.utility), repr(res.latency_s),
+                    res.gain_evaluations, sorted(res.meta.items())))
+        out.append(hashlib.sha256(doc.encode()).hexdigest())
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BASELINE_INSTANCES))
+def test_broadcast_and_unicast_are_bit_stable(name):
+    inst = GOLDEN_BASELINE_INSTANCES[name]()
+    assert group_digests(inst) == GOLDEN_GROUP_DIGESTS[name]
 
 
 def test_dp_memory_stays_linear_in_users():
