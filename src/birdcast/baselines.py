@@ -8,8 +8,9 @@ per grid. Broadcast, unicast and the joint greedy that shares the budget
 among fixed groups spend it by one ordered scan (_budget_scan): each item
 in turn is sent if the budget left pays for it. k-means++ and the DP
 propose candidate partitions and leave through one best-of exit
-(_best_of), which runs the joint greedy on each candidate and keeps the
-first of highest utility. Every scheme returns a SolveResult whose utility
+(_best_of), which runs the joint greedy on each candidate, scores it on
+its coverage matrix, keeps the first of highest utility and builds only
+that one's plan. Every scheme returns a SolveResult whose utility
 is the objective of its own plan, so free riders outside a scheme's groups
 earn it no credit.
 """
@@ -29,6 +30,7 @@ from .instance import (
     ProblemInstance,
     _group_plan,
     _rates_utility,
+    coverage_utility,
     evaluate_plan,
     selection_from_plan,
 )
@@ -217,6 +219,10 @@ def _best_of(inst: ProblemInstance, candidates: Iterable[_Candidate],
     """The best candidate partition once the joint greedy shares the full
     budget among its groups: the first of highest utility, with its meta.
 
+    A candidate is scored by coverage_utility on its N x L coverage, each
+    member's row its group's mask (the groups are disjoint): the matrix
+    evaluate_plan derives from the plan, so the score is bit-identical to
+    the plan's utility. Only the winner's plan is built and evaluated.
     evals counts the gain evaluations spent before; every joint greedy
     adds its own. None when there is no candidate.
     """
@@ -224,11 +230,17 @@ def _best_of(inst: ProblemInstance, candidates: Iterable[_Candidate],
     for groups, rate_idx, meta in candidates:
         masks, pass_evals = _joint_greedy(inst, groups, rate_idx, inst.budget_s)
         evals += pass_evals
-        plan = _group_plan(inst, groups, masks, rate_idx)
-        evaluation = evaluate_plan(inst, plan)
-        if best is None or evaluation.utility > best[1].utility:
-            best = (plan, evaluation, meta)
-    return None if best is None else _result(inst, *best, evals, t0)
+        covered = np.zeros((inst.n_users, inst.n_grids), dtype=bool)
+        for members, mask in zip(groups, masks):
+            covered[members] = mask
+        value = coverage_utility(inst, covered)
+        if best is None or value > best[0]:
+            best = (value, groups, masks, rate_idx, meta)
+    if best is None:
+        return None
+    _, groups, masks, rate_idx, meta = best
+    plan = _group_plan(inst, groups, masks, rate_idx)
+    return _result(inst, plan, evaluate_plan(inst, plan), meta, evals, t0)
 
 
 def _kmeanspp_1d(values: np.ndarray, k: int,

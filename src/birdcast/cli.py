@@ -32,7 +32,7 @@ from .baselines import (
     unicast_solve,
 )
 from .channel import McsTable
-from .instance import ProblemInstance
+from .instance import ProblemInstance, evaluate_plan
 from .oracle import EnumerationCapExceeded, exact_solve
 from .scenario import GenParams, RadioParams, fig1_instance, generate
 from .solvers import accelerated_greedy, refined_greedy
@@ -230,7 +230,8 @@ def _run_sweep_cell(payload: tuple) -> list[dict]:
                 "solver": solver_id, "variable": variable, "value": value,
                 "seed": seed, "utility": res.utility,
                 "latency_s": res.latency_s, "wall_time_s": res.wall_time_s,
-                "gain_evaluations": res.gain_evaluations, "feasible": True,
+                "gain_evaluations": res.gain_evaluations,
+                "feasible": evaluate_plan(inst, res.plan).feasible,
             })
         except Exception as exc:
             rows.append({"solver": solver_id, "variable": variable,

@@ -269,8 +269,8 @@ class MulticastPlan:
         masks = np.ascontiguousarray(np.asarray(self.masks, dtype=bool))
         if masks.ndim != 2:
             raise ValueError("masks must be a K x L boolean matrix")
-        groups = tuple(tuple(sorted(int(n) for n in g)) for g in self.groups)
-        rates = tuple(float(r) for r in self.rates_bps)
+        groups = tuple(tuple(sorted(map(int, g))) for g in self.groups)
+        rates = tuple(map(float, self.rates_bps))
         if not (len(groups) == masks.shape[0] == len(rates)):
             raise ValueError("groups, masks, and rates_bps must agree on K")
         masks.setflags(write=False)
@@ -419,16 +419,22 @@ def _canonical_plan(inst: ProblemInstance, masks: np.ndarray,
     if not is_budget_feasible(inst, cost_s):
         raise ValueError(f"selection cost {cost_s:.6g}s exceeds budget "
                          f"{inst.budget_s:.6g}s")
-    groups = [np.flatnonzero(inst.decodable[:, k]) for k in range(inst.n_rates)]
+    # one nonzero over the rate-major decodability lists each group's users
+    # in order; as Python ints they are cheap for MulticastPlan to sort
+    ks, users = np.nonzero(inst.decodable.T)
+    bounds = np.searchsorted(ks, np.arange(inst.n_rates + 1)).tolist()
+    users = users.tolist()
+    groups = [users[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
     return _group_plan(inst, groups, masks, range(inst.n_rates))
 
 
-def _group_plan(inst: ProblemInstance, groups: Sequence[np.ndarray],
+def _group_plan(inst: ProblemInstance,
+                groups: Sequence[np.ndarray | list[int]],
                 masks: np.ndarray, rate_idx: Sequence[int]) -> MulticastPlan:
     """Plan in which group k sends masks[k] at its slowest member's maximum
     rate, or at the nominal rate of option rate_idx[k] when it is empty."""
-    user_rate = inst.user_max_rate_bps()
-    rates = [float(user_rate[members].min()) if len(members)
+    user_rate = inst.user_max_rate_bps().tolist()
+    rates = [min(user_rate[n] for n in members) if len(members)
              else float(inst.bandwidth_hz * inst.mcs.rates[k])
              for members, k in zip(groups, rate_idx)]
     return MulticastPlan(groups=tuple(groups), masks=masks,

@@ -72,7 +72,7 @@ class SolveResult:
         }
 
 
-def _gains(table: np.ndarray, rate: list[int]) -> np.ndarray:
+def _gains(table: np.ndarray, rate: np.ndarray) -> np.ndarray:
     """L x M marginal gains of every item given each grid's slowest rate."""
     n_rates = table.shape[1] - 1
     current = table[np.arange(table.shape[0]), rate]
@@ -84,31 +84,42 @@ def _argmax_pass(table: np.ndarray, costs: np.ndarray, rate: list[int],
                  ) -> tuple[float, int, list[Item]]:
     """One greedy pass; every iteration evaluates all remaining candidates.
 
-    Candidates are every item but each grid's current (l, rate[l]). A
-    selection rewrites only its grid's row of the ratio matrix.
+    Candidates are every item but each grid's current (l, rate[l]); each
+    step scans the whole L x M ratio matrix, with -inf at non-candidates,
+    and counts every live candidate as one evaluation. The masked matrix
+    and the candidate count persist between steps: a selection rewrites
+    only its grid's row, and an unaffordable item only its own entry.
     grid_exclusive drops a grid's other rates permanently once any rate is
     selected for it (the behaviour of the marginal-utility baseline).
     Returns the budget left, the gain evaluations and the items picked.
     """
     n_rates = costs.size
-    ratios = _gains(table, rate) / costs
-    candidates = np.arange(n_rates)[None, :] != np.asarray(rate)[:, None]
+    rate_idx = np.asarray(rate)
+    candidates = np.arange(n_rates)[None, :] != rate_idx[:, None]
+    masked = np.where(candidates, _gains(table, rate_idx) / costs, -np.inf)
+    live = int(candidates.sum())
     picks: list[Item] = []
     evals = 0
-    while candidates.any() and budget_left > 0:
-        evals += int(candidates.sum())
-        flat = int(np.argmax(np.where(candidates, ratios, -np.inf)))
-        l, m = divmod(flat, n_rates)
-        if ratios[l, m] <= 0.0:
+    while live and budget_left > 0:
+        evals += live
+        l, m = divmod(int(np.argmax(masked)), n_rates)
+        if masked[l, m] <= 0.0:
             break
-        if costs[m] <= budget_left:
-            picks.append((l, m))
-            rate[l] = m
-            ratios[l] = np.maximum(table[l, :n_rates] - table[l, m], 0.0) / costs
-            budget_left -= costs[m]
-            if grid_exclusive:
-                candidates[l, :] = False
         candidates[l, m] = False
+        live -= 1
+        if costs[m] > budget_left:
+            masked[l, m] = -np.inf
+            continue
+        picks.append((l, m))
+        rate[l] = m
+        budget_left -= costs[m]
+        if grid_exclusive:
+            live -= int(candidates[l].sum())
+            candidates[l] = False
+            masked[l] = -np.inf
+        else:
+            ratios = np.maximum(table[l, :n_rates] - table[l, m], 0.0) / costs
+            masked[l] = np.where(candidates[l], ratios, -np.inf)
     return budget_left, evals, picks
 
 
@@ -120,47 +131,48 @@ def _lazy_pass(table: np.ndarray, costs: np.ndarray, rate: list[int],
     every item but each grid's current (l, rate[l]) counts as one
     evaluation. A popped candidate is re-evaluated once and accepted
     immediately when its fresh ratio still beats the best cached bound
-    left in the queue; otherwise it is re-inserted with the fresh value. Candidates whose grid already
-    carries an equal-or-slower rate are dropped on sight. The stdlib
-    min-heap holds (neg ratio, grid, rate), so it pops the largest ratio
-    first and, among equal ratios, the lower grid, then the lower rate.
+    left in the queue; otherwise it goes back with the fresh value, and
+    the same heapreplace yields the next candidate. Candidates whose grid
+    already carries an equal-or-slower rate, or that the budget left
+    cannot pay for, are dropped on sight. The stdlib min-heap holds
+    (neg ratio, grid, rate), so it pops the largest ratio first and, among
+    equal ratios, the lower grid, then the lower rate.
     Returns the budget left, the gain evaluations and the items picked.
     """
-    gains = _gains(table, rate)
+    rate_idx = np.asarray(rate)
+    gains = _gains(table, rate_idx)
     valid = (gains > 0.0) & (costs <= budget_left)[None, :]
-    ls, ms = np.nonzero(valid)
-    neg = -(gains[ls, ms] / costs[ms])
-    heap = list(zip(neg.tolist(), ls.tolist(), ms.tolist()))
-    heapq.heapify(heap)
-    evals = gains.size - sum(r < costs.size for r in rate)
+    evals = gains.size - int(np.count_nonzero(rate_idx < costs.size))
     picks: list[Item] = []
-    grids = np.flatnonzero(valid.any(axis=1))
-    rows = dict(zip(grids.tolist(), table[grids].tolist()))  # only rows a pop reads
+    if not valid.any():
+        return budget_left, evals, picks
+    ls, ms = np.divmod(np.flatnonzero(valid), costs.size)
+    neg = -(gains[ls, ms] / costs[ms])
+    # the items come grid-major, so a stable sort on neg puts them in
+    # heap-key order, and a sorted list already is a heap
+    order = np.argsort(neg, kind="stable")
+    grid_list = ls[order].tolist()
+    heap = list(zip(neg[order].tolist(), grid_list, ms[order].tolist()))
+    grids = sorted(set(grid_list))
+    rows = dict(zip(grids, table[grids].tolist()))  # only rows a pop reads
     cost_list = costs.tolist()
+    heappop, heapreplace = heapq.heappop, heapq.heapreplace
     while heap and budget_left > 0:
-        _, l, m = heapq.heappop(heap)
-        r = rate[l]
-        if m >= r:
-            continue  # dominated: a slower rate already serves this grid
-        if cost_list[m] > budget_left:
-            continue
-        row = rows[l]
-        ratio = (row[m] - row[r]) / cost_list[m]
-        evals += 1
-        if heap:
-            head = heap[0]
-            accept = (ratio > -head[0]
-                      or (ratio == -head[0] and (l, m) < (head[1], head[2])))
-        else:
-            accept = True
-        if accept:
-            if ratio <= 0.0:
-                break
+        _, l, m = heappop(heap)
+        while m < rate[l] and cost_list[m] <= budget_left:
+            row = rows[l]
+            # the key holds the negated fresh ratio; a - b is exactly -(b - a)
+            key = ((row[rate[l]] - row[m]) / cost_list[m], l, m)
+            evals += 1
+            if heap and heap[0] < key:
+                _, l, m = heapreplace(heap, key)
+                continue
+            if key[0] >= 0.0:
+                return budget_left, evals, picks
             picks.append((l, m))
             rate[l] = m
             budget_left -= cost_list[m]
-        else:
-            heapq.heappush(heap, (-ratio, l, m))
+            break
     return budget_left, evals, picks
 
 
@@ -186,9 +198,9 @@ def _best_single_item(inst: ProblemInstance,
     return item, _rates_utility(inst, _single_item_rates(inst, item))
 
 
-def _single_item_rates(inst: ProblemInstance, item: Item) -> list[int]:
+def _single_item_rates(inst: ProblemInstance, item: Item) -> np.ndarray:
     """Rate vector of the schedule that sends only `item`."""
-    rate = [inst.n_rates] * inst.n_grids
+    rate = np.full(inst.n_grids, inst.n_rates)
     rate[item[0]] = item[1]
     return rate
 
@@ -207,8 +219,8 @@ def remove_redundant(inst: ProblemInstance, sel: Selection) -> tuple[Selection, 
     return Selection(kept), reclaimed
 
 
-def _result_from_rates(inst: ProblemInstance, rate: list[int], evals: int,
-                       t0: float, value: float) -> SolveResult:
+def _result_from_rates(inst: ProblemInstance, rate: np.ndarray | list[int],
+                       evals: int, t0: float, value: float) -> SolveResult:
     """The result of sending each grid l at rate index rate[l] (M: unsent),
     whose objective, _rates_utility(inst, rate), is `value`.
 
@@ -251,6 +263,7 @@ def _two_pass_greedy(inst: ProblemInstance,
     if reclaimed > 0.0:
         _, pass_evals, _ = run_pass(table, costs, rate, budget_left + reclaimed)
         evals += pass_evals
+    rate = np.asarray(rate)
     value = _rates_utility(inst, rate)
     single, single_value = _best_single_item(inst, table)
     if single is not None and single_value > value:

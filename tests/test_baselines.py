@@ -419,6 +419,59 @@ def test_broadcast_and_unicast_are_bit_stable(name):
     assert group_digests(inst) == GOLDEN_GROUP_DIGESTS[name]
 
 
+# sha256 of the plan's groups, mask bytes and repr(rates), and repr(latency)
+# of each partition baseline, which GOLDEN_BASELINE_DIGESTS leaves out; any
+# change to the plans they return must update these.
+GOLDEN_PLAN_DIGESTS = {
+    'fair_infeasible': (
+        'fac907c7793024197c400f7cc49e1e0e13fc374ac0870c31bca35bc8d894be48',
+        'bbcd31e9758b3b010839305122be9e0df53a41e3bc67e67427a467058518b921',
+        'bbcd31e9758b3b010839305122be9e0df53a41e3bc67e67427a467058518b921',
+    ),
+    'identical_users': (
+        'fe4ec53e705213e5ee72cf79a2c882c70d8aafb42a8f0b59a8a033861eac6639',
+        'fe4ec53e705213e5ee72cf79a2c882c70d8aafb42a8f0b59a8a033861eac6639',
+        'fe4ec53e705213e5ee72cf79a2c882c70d8aafb42a8f0b59a8a033861eac6639',
+    ),
+    'n32_5ms': (
+        'de858112ca40c5b0a3061fd0e5aa94046feb34d5199d0e71ff54f60e4109ab42',
+        '766b95e450b74bfcecac9f2328736274baf97ebc46ac20371ac399e621445e81',
+        '766b95e450b74bfcecac9f2328736274baf97ebc46ac20371ac399e621445e81',
+    ),
+    'n96_40x25': (
+        'eda839bcfcf888307b148c0d39be30005292a58786b2e72f8239a276d9977014',
+        'f73c70bd299b922ab75349f6b0b5a79e81b47b36bb59214f2e845aea4a68e981',
+        'f73c70bd299b922ab75349f6b0b5a79e81b47b36bb59214f2e845aea4a68e981',
+    ),
+    'one_user': (
+        '4fad08ff570df808ba24531d6b500c68032c3d0f1437746c0e11c6b6a5304775',
+        '4fad08ff570df808ba24531d6b500c68032c3d0f1437746c0e11c6b6a5304775',
+        '4fad08ff570df808ba24531d6b500c68032c3d0f1437746c0e11c6b6a5304775',
+    ),
+    'paper_default': (
+        '7d459bbd64ee53ec2825aea32033bdf46a3fcc46c8f78593c796502b226595d1',
+        '7d459bbd64ee53ec2825aea32033bdf46a3fcc46c8f78593c796502b226595d1',
+        '7d459bbd64ee53ec2825aea32033bdf46a3fcc46c8f78593c796502b226595d1',
+    ),
+}
+
+
+def plan_digests(inst: ProblemInstance) -> tuple[str, str, str]:
+    out = []
+    for res in (kmeanspp_solve(inst), dp_solve(inst), dp_solve(inst, fair=True)):
+        plan = res.plan
+        doc = repr((plan.groups, plan.masks.tobytes(), repr(plan.rates_bps),
+                    repr(res.latency_s)))
+        out.append(hashlib.sha256(doc.encode()).hexdigest())
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BASELINE_INSTANCES))
+def test_partition_baseline_plans_are_bit_stable(name):
+    inst = GOLDEN_BASELINE_INSTANCES[name]()
+    assert plan_digests(inst) == GOLDEN_PLAN_DIGESTS[name]
+
+
 def test_dp_memory_stays_linear_in_users():
     # one (n - i) x L pass per start user, never an array per segment
     inst = random_full_scale_instance(np.random.default_rng(0), 64, 2000)

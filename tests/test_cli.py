@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,7 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from birdcast import ProblemInstance, __version__, fig1_instance
+from birdcast import (
+    MulticastPlan,
+    ProblemInstance,
+    __version__,
+    broadcast_solve,
+    fig1_instance,
+)
 from birdcast.cli import CSV_COLUMNS, SOLVERS, main
 
 from conftest import (
@@ -167,6 +174,38 @@ def test_sweep_rows_reparse_identically(tmp_path, capsys):
     for ra, rb in zip(rows_a, rows_b):
         assert ra["utility"] == rb["utility"]
         assert ra["gain_evaluations"] == rb["gain_evaluations"]
+
+
+def over_budget_solve(inst: ProblemInstance):
+    """Broadcast's schedule widened to send every grid, whatever it costs."""
+    res = broadcast_solve(inst)
+    plan = MulticastPlan(groups=res.plan.groups,
+                         masks=np.ones_like(res.plan.masks),
+                         rates_bps=res.plan.rates_bps)
+    return dataclasses.replace(res, plan=plan)
+
+
+def test_sweep_reports_an_over_budget_plan_infeasible(tmp_path, capsys,
+                                                      monkeypatch):
+    monkeypatch.setitem(SOLVERS, "over_budget", over_budget_solve)
+    spec = {
+        "variable": "budget",
+        "values": [0.002],
+        "params": {"n_users": 6, "grid_h": 5, "grid_w": 10},
+        "solvers": ["over_budget", "broadcast"],
+        "repetitions": 1,
+        "seed": 0,
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--spec", str(spec_path), "--jobs", "1",
+                "--out", str(out)]) == 0
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert tuple(rows[0].keys()) == CSV_COLUMNS
+    assert {r["solver"]: r["feasible"] for r in rows} == {
+        "over_budget": "False", "broadcast": "True"}
 
 
 def test_sweep_bad_variable(tmp_path, capsys):

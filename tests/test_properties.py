@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import json
 import math
 
@@ -29,8 +30,15 @@ from birdcast import (  # noqa: E402
     selection_from_plan,
     utility,
 )
-from birdcast.instance import FEASIBILITY_RTOL, is_budget_feasible  # noqa: E402
+from birdcast.baselines import _best_of, _joint_greedy, _result  # noqa: E402
+from birdcast.instance import (  # noqa: E402
+    FEASIBILITY_RTOL,
+    _canonical_plan,
+    _group_plan,
+    is_budget_feasible,
+)
 from birdcast.oracle import _bound_rtol  # noqa: E402
+from birdcast.solvers import _argmax_pass, _lazy_pass  # noqa: E402
 
 # few distinct weights and rates, so that equal ratios, and the tie-breaks
 # both greedy solvers must share, come up often
@@ -106,6 +114,21 @@ def test_plan_from_selection_keeps_utility(case):
 
 @PROPERTY_SETTINGS
 @hypothesis.given(instances_with_selections())
+def test_canonical_plan_matches_the_per_group_reference(case):
+    inst, sel = case
+    masks = np.zeros((inst.n_rates, inst.n_grids), dtype=bool)
+    for l, m in sel.items:
+        masks[m, l] = True
+    groups = [np.flatnonzero(inst.decodable[:, k]) for k in range(inst.n_rates)]
+    ref = _group_plan(inst, groups, masks, range(inst.n_rates))
+    new = _canonical_plan(inst, masks, 0.0)
+    assert new.groups == ref.groups
+    assert repr(new.rates_bps) == repr(ref.rates_bps)
+    assert new.masks.tobytes() == ref.masks.tobytes()
+
+
+@PROPERTY_SETTINGS
+@hypothesis.given(instances_with_selections())
 def test_plan_file_maps_back_to_an_equal_or_cheaper_selection(case):
     inst, sel = case
     cost = selection_cost(inst, sel)
@@ -135,3 +158,163 @@ def test_lp_bound_caps_the_optimum_which_caps_the_greedy(inst):
     # the same float slack the oracle's search prunes with
     assert lp_bound(inst) * (1.0 + _bound_rtol(inst)) >= opt
     assert opt >= greedy >= (1.0 - 1.0 / math.sqrt(math.e)) * opt
+
+
+def dense_argmax_pass(table, costs, rate, budget_left, grid_exclusive=False):
+    """Reference pass: rebuilds the masked ratio matrix and recounts the
+    candidates at every step."""
+    n_rates = costs.size
+    current = table[np.arange(table.shape[0]), rate]
+    ratios = np.maximum(table[:, :n_rates] - current[:, None], 0.0) / costs
+    candidates = np.arange(n_rates)[None, :] != np.asarray(rate)[:, None]
+    picks = []
+    evals = 0
+    while candidates.any() and budget_left > 0:
+        evals += int(candidates.sum())
+        flat = int(np.argmax(np.where(candidates, ratios, -np.inf)))
+        l, m = divmod(flat, n_rates)
+        if ratios[l, m] <= 0.0:
+            break
+        if costs[m] <= budget_left:
+            picks.append((l, m))
+            rate[l] = m
+            ratios[l] = np.maximum(table[l, :n_rates] - table[l, m], 0.0) / costs
+            budget_left -= costs[m]
+            if grid_exclusive:
+                candidates[l, :] = False
+        candidates[l, m] = False
+    return budget_left, evals, picks
+
+
+@st.composite
+def pass_starts(draw) -> tuple[ProblemInstance, list[int], float]:
+    inst = draw(instances())
+    rate = draw(st.lists(st.integers(0, inst.n_rates), min_size=inst.n_grids,
+                         max_size=inst.n_grids))
+    budget = float(inst.item_cost_s.max()) * draw(st.floats(0.0, 2.0 * inst.n_grids))
+    return inst, rate, budget
+
+
+# a pass whose only candidate is worth sending, which random draws seldom
+# produce
+ONE_ITEM_START = (
+    ProblemInstance(moi=np.ones((1, 1)), snr_db=(4.0,),
+                    mcs=McsTable(rates=(1.0,), thresholds_db=(0.0,)),
+                    grid_bytes=1000.0, bandwidth_hz=1e6, budget_s=1.0),
+    [1],
+    1.0,
+)
+
+
+@PROPERTY_SETTINGS
+@hypothesis.given(pass_starts(), st.booleans())
+@hypothesis.example(ONE_ITEM_START, False)
+def test_argmax_pass_matches_the_dense_reference(start, grid_exclusive):
+    inst, rate, budget = start
+    table, costs = inst.rate_class_table(), inst.item_cost_s
+    ref_rate, new_rate = list(rate), list(rate)
+    ref = dense_argmax_pass(table, costs, ref_rate, budget, grid_exclusive)
+    new = _argmax_pass(table, costs, new_rate, budget, grid_exclusive)
+    assert new_rate == ref_rate
+    assert new[1:] == ref[1:]  # evals and picks
+    assert np.float64(new[0]).tobytes() == np.float64(ref[0]).tobytes()
+
+
+def push_pop_lazy_pass(table, costs, rate, budget_left):
+    """Reference lazy pass: heapify, then a separate pop and push for every
+    candidate whose fresh ratio loses to the head."""
+    n_rates = costs.size
+    current = table[np.arange(table.shape[0]), rate]
+    gains = np.maximum(table[:, :n_rates] - current[:, None], 0.0)
+    valid = (gains > 0.0) & (costs <= budget_left)[None, :]
+    ls, ms = np.nonzero(valid)
+    neg = -(gains[ls, ms] / costs[ms])
+    heap = list(zip(neg.tolist(), ls.tolist(), ms.tolist()))
+    heapq.heapify(heap)
+    evals = gains.size - sum(r < n_rates for r in rate)
+    picks = []
+    rows = table.tolist()
+    cost_list = costs.tolist()
+    while heap and budget_left > 0:
+        _, l, m = heapq.heappop(heap)
+        r = rate[l]
+        if m >= r or cost_list[m] > budget_left:
+            continue
+        ratio = (rows[l][m] - rows[l][r]) / cost_list[m]
+        evals += 1
+        if heap:
+            head = heap[0]
+            accept = (ratio > -head[0]
+                      or (ratio == -head[0] and (l, m) < (head[1], head[2])))
+        else:
+            accept = True
+        if accept:
+            if ratio <= 0.0:
+                break
+            picks.append((l, m))
+            rate[l] = m
+            budget_left -= cost_list[m]
+        else:
+            heapq.heappush(heap, (-ratio, l, m))
+    return budget_left, evals, picks
+
+
+@PROPERTY_SETTINGS
+@hypothesis.given(pass_starts())
+@hypothesis.example(ONE_ITEM_START)
+def test_lazy_pass_matches_the_push_pop_reference(start):
+    inst, rate, budget = start
+    table, costs = inst.rate_class_table(), inst.item_cost_s
+    ref_rate, new_rate = list(rate), list(rate)
+    ref = push_pop_lazy_pass(table, costs, ref_rate, budget)
+    new = _lazy_pass(table, costs, new_rate, budget)
+    assert new_rate == ref_rate
+    assert new[1:] == ref[1:]  # evals and picks
+    assert np.float64(new[0]).tobytes() == np.float64(ref[0]).tobytes()
+
+
+def build_every_plan_best_of(inst, candidates, evals, t0):
+    """Reference best-of: builds and evaluates every candidate's plan."""
+    best = None
+    for groups, rate_idx, meta in candidates:
+        masks, pass_evals = _joint_greedy(inst, groups, rate_idx, inst.budget_s)
+        evals += pass_evals
+        plan = _group_plan(inst, groups, masks, rate_idx)
+        evaluation = evaluate_plan(inst, plan)
+        if best is None or evaluation.utility > best[1].utility:
+            best = (plan, evaluation, meta)
+    return None if best is None else _result(inst, *best, evals, t0)
+
+
+@st.composite
+def partition_candidates(draw) -> tuple[ProblemInstance, list]:
+    inst = draw(instances())
+    max_idx = inst.user_max_rate_index()
+    users = np.flatnonzero(max_idx >= 0)
+    candidates = []
+    for c in range(draw(st.integers(0, 4))):
+        # label -1 leaves a user out of every group
+        labels = np.array(draw(st.lists(st.integers(-1, 2), min_size=users.size,
+                                        max_size=users.size)), dtype=np.int64)
+        groups = [users[labels == g] for g in np.unique(labels[labels >= 0])]
+        candidates.append((groups, [int(max_idx[g].min()) for g in groups],
+                           {"candidate": c}))
+    return inst, candidates
+
+
+def result_fields(res):
+    if res is None:
+        return None
+    plan = res.plan
+    return (res.selection, plan.groups, plan.masks.tobytes(),
+            repr(plan.rates_bps), repr(res.utility), repr(res.latency_s),
+            res.gain_evaluations, res.meta)
+
+
+@PROPERTY_SETTINGS
+@hypothesis.given(partition_candidates(), st.integers(0, 50))
+def test_best_of_matches_the_build_every_plan_reference(case, evals):
+    inst, candidates = case
+    ref = build_every_plan_best_of(inst, candidates, evals, 0.0)
+    new = _best_of(inst, candidates, evals, 0.0)
+    assert result_fields(new) == result_fields(ref)
