@@ -15,7 +15,6 @@ import logging
 
 from .baselines import (
     BASELINE_IDS,
-    BaselineConfig,
     broadcast_solve,
     dp_solve,
     kmeanspp_solve,
@@ -68,7 +67,6 @@ from .solvers import (
 
 __all__ = [
     "BASELINE_IDS",
-    "BaselineConfig",
     "CoverageState",
     "DEFAULT_MCS_TABLE",
     "EnumerationCapExceeded",

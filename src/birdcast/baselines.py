@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -46,22 +45,14 @@ _LLOYD_MAX_ITER = 100
 _LLOYD_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class BaselineConfig:
-    """Knobs for the clustering and partitioning baselines."""
-
-    kmeans_k_range: tuple[int, int] | None = None  # inclusive; default [1, min(N, M)]
-    dp_max_groups: int = 8
-    fairness_floor: float = 0.1
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.fairness_floor <= 1.0:
-            raise ValueError("fairness_floor must lie in [0, 1]")
-        if self.dp_max_groups < 1:
-            raise ValueError("dp_max_groups must be >= 1")
-
-
-DEFAULT_CONFIG = BaselineConfig()
+# the most groups a DP partition may have
+_DP_MAX_GROUPS = 8
+# dp_fair's floor: the least share of each member's total interest that
+# the group's valuation must serve. 0.1 is not checked against the
+# paper's fairness baseline, whose text is not at hand (PAPER.md holds
+# only the abstract); on many scenes no partition meets it and dp_fair
+# falls back to dp's schedule (see CHANGES.md).
+_FAIRNESS_FLOOR = 0.1
 
 # a _best_of candidate: disjoint groups, each group's rate index, and meta
 _Candidate = tuple[list[np.ndarray], list[int], dict]
@@ -272,12 +263,11 @@ def _kmeanspp_1d(values: np.ndarray, k: int,
     return np.argmin(np.abs(values[:, None] - centers_arr[None, :]), axis=1)
 
 
-def kmeanspp_solve(inst: ProblemInstance,
-                   cfg: BaselineConfig = DEFAULT_CONFIG) -> SolveResult:
+def kmeanspp_solve(inst: ProblemInstance) -> SolveResult:
     """Cluster users on achievable rate, then allocate grids per group.
 
-    Sweeps the configured cluster-count range and keeps the best outcome,
-    which favors the baseline.
+    Sweeps the cluster count k over 1..min(decodable users, M) and keeps
+    the best outcome, which favors the baseline.
     """
     t0 = time.perf_counter()
     users = _decodable_users(inst)
@@ -285,14 +275,10 @@ def kmeanspp_solve(inst: ProblemInstance,
         return _best_of(inst, [([], [], {})], 0, t0)
     max_idx = inst.user_max_rate_index()
     rates = inst.user_max_rate_bps()[users]
-    lo, hi = cfg.kmeans_k_range or (1, min(users.size, inst.n_rates))
-    hi = min(hi, users.size, inst.n_rates)
-    if lo < 1 or lo > hi:
-        raise ValueError("kmeans_k_range must satisfy 1 <= lo <= hi <= min(N, M)")
     rng = np.random.default_rng(_RNG_SEED)
 
     def clusterings() -> Iterable[_Candidate]:
-        for k in range(lo, hi + 1):
+        for k in range(1, min(users.size, inst.n_rates) + 1):
             labels = _kmeanspp_1d(rates, k, rng)
             groups = [users[labels == c] for c in np.unique(labels)]
             yield groups, [int(max_idx[g].min()) for g in groups], {"k": k}
@@ -419,19 +405,18 @@ def _partitions(ordered: np.ndarray, values: np.ndarray,
                    {"k": k_groups, "fair": fair})
 
 
-def dp_solve(inst: ProblemInstance, cfg: BaselineConfig = DEFAULT_CONFIG,
-             fair: bool = False) -> SolveResult:
+def dp_solve(inst: ProblemInstance, fair: bool = False) -> SolveResult:
     """Contiguous partition of rate-sorted users via dynamic programming.
 
     Users are sorted by achievable rate (descending); candidate groups are
     contiguous runs valued by their stand-alone greedy utility under an
-    equal budget split, and the best partition per group count is found by
-    the classic boundary recurrence. Each of those partitions then shares
-    the full budget in the joint greedy, and _best_of keeps the first of
-    highest utility. With fair=True a partition is only
-    admissible if its valuation serves every member at least the
-    configured fraction of their total interest mass. When no partition
-    meets fairness_floor, the plain dp schedule is returned flagged
+    equal budget split, and the best partition into each group count up
+    to _DP_MAX_GROUPS is found by the classic boundary recurrence. Each of
+    those partitions then shares the full budget in the joint greedy, and
+    _best_of keeps the first of highest utility. With fair=True a
+    partition is only admissible if its valuation serves every member at
+    least _FAIRNESS_FLOOR of their total interest mass. When no partition
+    meets it, the plain dp schedule is returned flagged
     meta["fair_infeasible"]; at a 5 ms budget that held on 24 to 32 of 42
     scenes of N=32, L=250 on each of four sets of scene seeds.
     """
@@ -442,9 +427,9 @@ def dp_solve(inst: ProblemInstance, cfg: BaselineConfig = DEFAULT_CONFIG,
     max_idx = inst.user_max_rate_index()
     rates = inst.user_max_rate_bps()
     ordered = np.asarray(sorted(users.tolist(), key=lambda n: (-rates[n], n)))
-    n_groups = min(cfg.dp_max_groups, ordered.size)
+    n_groups = min(_DP_MAX_GROUPS, ordered.size)
     budgets = [inst.budget_s / k for k in range(1, n_groups + 1)]
-    floor = cfg.fairness_floor if fair else 0.0
+    floor = _FAIRNESS_FLOOR if fair else 0.0
     values, fair_values, seg_rate = _segment_values(inst, ordered, max_idx,
                                                     budgets, floor)
     # every group count values every contiguous run once

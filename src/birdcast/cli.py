@@ -152,19 +152,13 @@ def _load_instance(path: str) -> ProblemInstance:
 
 
 def cmd_solve(args) -> int:
-    if args.solver != "oracle" and args.solver not in SOLVERS:
-        ids = ", ".join(sorted([*SOLVERS, "oracle"]))
-        print(f"unknown solver '{args.solver}'; available: {ids}",
-              file=sys.stderr)
+    solvers = {**SOLVERS, "oracle": exact_solve}
+    if args.solver not in solvers:
+        print(f"unknown solver '{args.solver}'; available: "
+              f"{', '.join(sorted(solvers))}", file=sys.stderr)
         return 1
-    inst = _load_instance(args.instance)
-    if args.solver == "oracle":
-        result = exact_solve(inst)
-        doc = {"solver": "oracle", **result.to_json()}
-    else:
-        res = SOLVERS[args.solver](inst)
-        doc = {"solver": args.solver, **res.to_json()}
-    print(_dump(doc))
+    result = solvers[args.solver](_load_instance(args.instance))
+    print(_dump({"solver": args.solver, **result.to_json()}))
     return 0
 
 
@@ -181,7 +175,7 @@ def cmd_oracle(args) -> int:
     if key in cache:
         print(_dump({"instance_sha256": key, "cached": True, **cache[key]}))
         return 0
-    result = exact_solve(inst, cap=args.cap)
+    result = exact_solve(inst)
     cache[key] = result.to_json()
     if cache_path:
         cache_path.write_text(_dump(cache))
@@ -422,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="exact optimum with JSON cache")
     p_oracle.add_argument("instance", help="instance JSON file")
     p_oracle.add_argument("--cache", help="JSON cache file keyed by instance hash")
-    p_oracle.add_argument("--cap", type=int, default=2 ** 22)
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_fig1 = sub.add_parser("fig1", help="built-in four-user toy instance")

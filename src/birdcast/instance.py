@@ -207,9 +207,11 @@ def _moi_from_triplets(triplets: dict, n_users: int,
 
 def _index_array(indices: list, size: int, name: str) -> np.ndarray:
     """Integer index list checked against [0, size), before numpy could
-    wrap a negative index."""
+    wrap a negative index. A JSON true or false is no index, though numpy
+    reads it as 1 or 0 among integers."""
     arr = np.asarray(indices)
-    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+    if (arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu")
+            or bool in set(map(type, indices))):
         raise ValueError(f"moi {name} indices must be a list of integers")
     if arr.size and (arr.min() < 0 or arr.max() >= size):
         raise ValueError(f"moi {name} index out of range [0, {size})")
@@ -257,8 +259,7 @@ class MulticastPlan:
 
     In the canonical form produced by plan_from_selection there is one group
     per rate option, holding every user that decodes it; empty groups are
-    retained so the mapping is testable verbatim and can be pruned
-    separately for display.
+    retained so the mapping is testable verbatim.
     """
 
     groups: tuple[tuple[int, ...], ...]
@@ -285,15 +286,6 @@ class MulticastPlan:
     @property
     def n_grids(self) -> int:
         return self.masks.shape[1]
-
-    def pruned(self) -> "MulticastPlan":
-        """Cosmetic copy without empty groups."""
-        keep = [k for k, g in enumerate(self.groups) if g]
-        return MulticastPlan(
-            groups=tuple(self.groups[k] for k in keep),
-            masks=self.masks[keep] if keep else np.zeros((0, self.n_grids), bool),
-            rates_bps=tuple(self.rates_bps[k] for k in keep),
-        )
 
     def to_json(self) -> dict:
         return {

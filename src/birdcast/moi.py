@@ -44,10 +44,6 @@ class GridMap:
     def width(self) -> int:
         return self.values.shape[1]
 
-    @property
-    def n_cells(self) -> int:
-        return self.values.size
-
     def is_binary(self) -> bool:
         return bool(np.all((self.values == 0.0) | (self.values == 1.0)))
 

@@ -31,7 +31,12 @@ from .instance import (
     utility,
 )
 
-DEFAULT_ENUMERATION_CAP = 2 ** 22
+# the largest assignment spaces (M+1)^L that exact_solve and
+# brute_force_assignments search, and the most items L*M unrestricted_opt
+# enumerates subsets of
+ENUMERATION_CAP = 2 ** 22
+_BRUTE_FORCE_CAP = 2 ** 12
+_UNRESTRICTED_CAP_ITEMS = 16
 
 
 class EnumerationCapExceeded(ValueError):
@@ -137,8 +142,7 @@ def _bound_rtol(inst: ProblemInstance) -> float:
     return 2 * (inst.n_items + inst.n_grids) * float(np.finfo(np.float64).eps)
 
 
-def exact_solve(inst: ProblemInstance,
-                cap: int = DEFAULT_ENUMERATION_CAP) -> OracleResult:
+def exact_solve(inst: ProblemInstance) -> OracleResult:
     """True optimum over one-rate-per-grid assignments.
 
     Branch and bound over the MCKP. It branches only on each grid's Pareto
@@ -159,7 +163,7 @@ def exact_solve(inst: ProblemInstance,
     lexicographically smallest sorted item list is kept; it never holds an
     option that a cheaper rate of the same grid matches in value.
     """
-    _check_cap(inst, cap)
+    _check_cap(inst, ENUMERATION_CAP)
     options, increments = _mckp(inst)
     budget = inst.budget_s
     inflate = 1.0 + _bound_rtol(inst)
@@ -202,10 +206,9 @@ def exact_solve(inst: ProblemInstance,
     )
 
 
-def brute_force_assignments(inst: ProblemInstance,
-                            cap: int = 2 ** 12) -> OracleResult:
+def brute_force_assignments(inst: ProblemInstance) -> OracleResult:
     """Unpruned sweep of every one-rate-per-grid assignment (tiny instances)."""
-    _check_cap(inst, cap)
+    _check_cap(inst, _BRUTE_FORCE_CAP)
     contrib, costs = inst.rate_class_table()[:, :inst.n_rates], inst.item_cost_s
     n_grids, n_rates = inst.n_grids, inst.n_rates
     best_value = 0.0
@@ -229,16 +232,17 @@ def brute_force_assignments(inst: ProblemInstance,
     )
 
 
-def unrestricted_opt(inst: ProblemInstance, cap_items: int = 16) -> float:
+def unrestricted_opt(inst: ProblemInstance) -> float:
     """Optimum allowing several rates per grid (double-check mode).
 
     Enumerates every per-grid subset of rates; a grid's coverage is decided
     by its slowest selected rate while its cost is the subset's total, so
     the sweep genuinely covers all item subsets.
     """
-    if inst.n_grids * inst.n_rates > cap_items:
+    if inst.n_grids * inst.n_rates > _UNRESTRICTED_CAP_ITEMS:
         raise EnumerationCapExceeded(
-            f"L*M = {inst.n_grids * inst.n_rates} exceeds the cap {cap_items}")
+            f"L*M = {inst.n_grids * inst.n_rates} exceeds the cap "
+            f"{_UNRESTRICTED_CAP_ITEMS}")
     contrib, costs = inst.rate_class_table()[:, :inst.n_rates], inst.item_cost_s
     n_rates = inst.n_rates
     # per grid: (cost, value, slowest rate) of every local rate subset;

@@ -99,6 +99,10 @@ def _fractional_grid(doc: dict) -> None:
     doc["moi"]["grid"][0] = 0.5
 
 
+def _true_grid(doc: dict) -> None:
+    doc["moi"]["grid"][1] = True  # numpy would read it as grid 1
+
+
 def _repeated_pair(doc: dict) -> None:
     for key in ("user", "grid", "value"):
         doc["moi"][key].append(doc["moi"][key][0])
@@ -113,11 +117,12 @@ def _unknown_format(doc: dict) -> None:
 
 
 # edits that each turn a valid format-2 instance document (with at least
-# one nonzero weight) into one from_json must reject
+# two nonzero weights, the second off grid 1) into one from_json must reject
 MALFORMED_INSTANCE_EDITS = {
     "user_out_of_range": _user_past_range,
     "negative_grid": _negative_grid,
     "fractional_grid": _fractional_grid,
+    "true_grid": _true_grid,
     "repeated_pair": _repeated_pair,
     "unequal_lengths": _short_values,
     "unknown_format": _unknown_format,

@@ -11,7 +11,6 @@ import pytest
 
 from birdcast import (
     DEFAULT_MCS_TABLE,
-    BaselineConfig,
     GenParams,
     McsTable,
     ProblemInstance,
@@ -24,6 +23,7 @@ from birdcast import (
     refined_greedy,
     unicast_solve,
 )
+from birdcast import baselines
 from birdcast.scenario import fig1_instance
 
 from conftest import random_full_scale_instance, random_instance
@@ -172,11 +172,16 @@ def test_marginal_util_plateaus_with_budget():
 
 
 def test_kmeans_single_cluster_equals_broadcast():
+    # k-means++'s k=1 candidate: every decodable user at their slowest top rate
     rng = np.random.default_rng(62)
     for _ in range(20):
         inst = random_instance(rng)
-        cfg = BaselineConfig(kmeans_k_range=(1, 1))
-        assert kmeanspp_solve(inst, cfg).utility == broadcast_solve(inst).utility
+        max_idx = inst.user_max_rate_index()
+        users = np.flatnonzero(max_idx >= 0)
+        candidate = (([users], [int(max_idx[users].min())], {"k": 1})
+                     if users.size else ([], [], {}))
+        single = baselines._best_of(inst, [candidate], 0, 0.0)
+        assert single.utility == broadcast_solve(inst).utility
 
 
 def test_kmeans_identical_snr_collapses():
@@ -231,7 +236,7 @@ def test_dp_fair_never_above_unconstrained():
         assert dp_solve(inst, fair=True).utility <= dp_solve(inst).utility + 1e-12
 
 
-def test_dp_fair_admits_a_member_served_exactly_the_floor():
+def test_dp_fair_admits_a_member_served_exactly_the_floor(monkeypatch):
     # the floor is the weakest member's share exactly as the fairness rule
     # computes it; a sum over the same grids in another order reads this
     # share 1 ulp lower, which must not reject the group
@@ -242,12 +247,12 @@ def test_dp_fair_admits_a_member_served_exactly_the_floor():
                            budget_s=0.161)  # 8 ms per grid: 20 fit
     chosen = np.argsort(-moi.sum(axis=0), kind="stable")[:20]
     floor = float((moi[:, chosen].sum(axis=1) / moi.sum(axis=1)).min())
-    exact = dp_solve(inst, BaselineConfig(dp_max_groups=1, fairness_floor=floor),
-                     fair=True)
-    assert exact.meta == {"k": 1, "fair": True}
-    above = BaselineConfig(dp_max_groups=1,
-                           fairness_floor=float(np.nextafter(floor, 1.0)))
-    assert dp_solve(inst, above, fair=True).meta["fair_infeasible"]
+    monkeypatch.setattr(baselines, "_DP_MAX_GROUPS", 1)
+    monkeypatch.setattr(baselines, "_FAIRNESS_FLOOR", floor)
+    assert dp_solve(inst, fair=True).meta == {"k": 1, "fair": True}
+    monkeypatch.setattr(baselines, "_FAIRNESS_FLOOR",
+                        float(np.nextafter(floor, 1.0)))
+    assert dp_solve(inst, fair=True).meta["fair_infeasible"]
 
 
 def test_dp_groups_contiguous_in_sorted_rate_order():
@@ -283,13 +288,6 @@ def test_fig1_orderings():
     birdcast = refined_greedy(inst).utility
     assert broadcast_solve(inst).utility < birdcast
     assert unicast_solve(inst).utility < broadcast_solve(inst).utility
-
-
-def test_baseline_config_validation():
-    with pytest.raises(ValueError):
-        BaselineConfig(fairness_floor=1.5)
-    with pytest.raises(ValueError):
-        BaselineConfig(dp_max_groups=0)
 
 
 def identical_users_instance() -> ProblemInstance:

@@ -439,14 +439,6 @@ def test_plan_json_round_trip():
     assert again.rates_bps == plan.rates_bps
 
 
-def test_plan_pruned_drops_empty_groups():
-    plan = MulticastPlan(groups=((1,), ()),
-                         masks=np.array([[True], [False]]),
-                         rates_bps=(1e6, 2e6))
-    pruned = plan.pruned()
-    assert pruned.n_groups == 1 and pruned.groups == ((1,),)
-
-
 def test_instance_rejects_bad_inputs():
     table = McsTable(rates=(1.0,), thresholds_db=(0.0,))
     with pytest.raises(ValueError):

@@ -25,7 +25,7 @@ from birdcast import (
     verify_equivalence,
 )
 
-from birdcast.oracle import DEFAULT_ENUMERATION_CAP, _bound_rtol
+from birdcast.oracle import ENUMERATION_CAP, _bound_rtol
 
 from conftest import random_full_scale_instance, random_instance
 
@@ -82,11 +82,29 @@ def test_opt_selection_uses_no_dominated_rate():
             assert table[l, m] > table[l, m + 1]
 
 
-def test_cap_rejection():
-    rng = np.random.default_rng(50)
-    inst = random_instance(rng, max_users=3, max_grids=8, max_rates=3)
+def grids_instance(n_grids: int, n_rates: int) -> ProblemInstance:
+    """Two users who decode every rate, on n_grids grids of random weight."""
+    table = McsTable(rates=tuple(range(1, n_rates + 1)),
+                     thresholds_db=tuple(float(m) for m in range(n_rates)))
+    moi = np.random.default_rng(n_grids).uniform(0.0, 1.0, (2, n_grids))
+    return ProblemInstance(moi=moi, snr_db=(float(n_rates),) * 2, mcs=table,
+                           grid_bytes=1000.0, bandwidth_hz=1e6,
+                           budget_s=0.01 * n_grids)
+
+
+def test_caps_solve_at_their_bound_and_reject_past_it():
+    # exact_solve: (M+1)^L = 4^11 = 2^22 is the cap itself
+    assert exact_solve(grids_instance(11, 3)).nodes_explored > 0
     with pytest.raises(EnumerationCapExceeded):
-        exact_solve(inst, cap=1)
+        exact_solve(grids_instance(12, 3))
+    # brute_force_assignments: 4^6 = 2^12
+    assert brute_force_assignments(grids_instance(6, 3)).nodes_explored == 4 ** 6
+    with pytest.raises(EnumerationCapExceeded):
+        brute_force_assignments(grids_instance(7, 3))
+    # unrestricted_opt: L*M = 16 items
+    assert unrestricted_opt(grids_instance(16, 1)) > 0.0
+    with pytest.raises(EnumerationCapExceeded):
+        unrestricted_opt(grids_instance(17, 1))
 
 
 def test_cap_message_names_sizes_not_the_product():
@@ -181,7 +199,7 @@ def test_exact_matches_milp_beyond_brute_force():
         inst = random_instance(rng, max_users=8, max_grids=13, max_rates=4)
         # too big for brute_force_assignments, within exact_solve's cap
         size = (inst.n_rates + 1) ** inst.n_grids
-        if not 2 ** 12 < size <= DEFAULT_ENUMERATION_CAP:
+        if not 2 ** 12 < size <= ENUMERATION_CAP:
             continue
         expected = _milp_opt(optimize, inst)
         assert exact_solve(inst).opt_utility == pytest.approx(expected, rel=1e-9)

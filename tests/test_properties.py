@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import heapq
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +35,7 @@ from birdcast import (  # noqa: E402
     utility,
 )
 from birdcast.baselines import _best_of, _joint_greedy, _result  # noqa: E402
+from birdcast.cli import main  # noqa: E402
 from birdcast.instance import (  # noqa: E402
     FEASIBILITY_RTOL,
     _canonical_plan,
@@ -318,3 +323,80 @@ def test_best_of_matches_the_build_every_plan_reference(case, evals):
     ref = build_every_plan_best_of(inst, candidates, evals, 0.0)
     new = _best_of(inst, candidates, evals, 0.0)
     assert result_fields(new) == result_fields(ref)
+
+
+NON_FINITE = st.sampled_from((math.nan, math.inf, -math.inf))
+SCALARS = ("grid_bytes", "bandwidth_hz", "budget_s")
+
+
+@st.composite
+def non_finite_value(draw, doc: dict) -> None:
+    field = draw(st.sampled_from(("moi", "snr_db", *SCALARS)))
+    bad = draw(NON_FINITE)
+    if field == "snr_db":
+        doc["snr_db"][draw(st.integers(0, doc["n_users"] - 1))] = bad
+    elif field != "moi":
+        doc[field] = bad
+    elif doc["moi"]["value"]:
+        values = doc["moi"]["value"]
+        values[draw(st.integers(0, len(values) - 1))] = bad
+    else:
+        doc["moi"] = {"user": [0], "grid": [0], "value": [bad]}
+
+
+@st.composite
+def non_positive_size(draw, doc: dict) -> None:
+    doc[draw(st.sampled_from(SCALARS))] = draw(
+        st.floats(max_value=0.0, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def malformed_triplets(draw, doc: dict) -> None:
+    moi = doc["moi"]
+    if not moi["value"]:
+        moi.update(user=[0], grid=[0], value=[0.5])
+    at = draw(st.integers(0, len(moi["value"]) - 1))
+    defect = draw(st.sampled_from(
+        ("unequal_lengths", "out_of_range", "not_an_int", "repeated_pair",
+         "negative_weight")))
+    if defect == "unequal_lengths":
+        moi[draw(st.sampled_from(("user", "grid", "value")))].pop(at)
+    elif defect == "out_of_range":
+        key = draw(st.sampled_from(("user", "grid")))
+        size = doc["n_users" if key == "user" else "n_grids"]
+        moi[key][at] = draw(st.integers(-10 ** 6, -1)
+                            | st.integers(size, size + 10 ** 6))
+    elif defect == "not_an_int":
+        key = draw(st.sampled_from(("user", "grid")))
+        moi[key][at] = draw(st.sampled_from((0.5, 1.0, "0", None, True, [0])))
+    elif defect == "repeated_pair":
+        for key in ("user", "grid", "value"):
+            moi[key].append(moi[key][at])
+    else:
+        moi["value"][at] = -draw(st.floats(min_value=1e-300, max_value=1e300))
+
+
+@st.composite
+def invalid_instance_docs(draw) -> dict:
+    doc = draw(instances()).to_json()
+    defect = draw(st.sampled_from(
+        (non_finite_value, non_positive_size, malformed_triplets)))
+    draw(defect(doc))
+    return doc
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
+                     database=None)
+@hypothesis.given(invalid_instance_docs())
+def test_invalid_instance_is_rejected_with_exit_code_1(doc):
+    text = json.dumps(doc)  # non-finite floats as NaN/Infinity, as json reads them
+    with pytest.raises(ValueError):
+        ProblemInstance.from_json(json.loads(text))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bad.json"
+        path.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["solve", str(path), "--solver", "birdcast_accel"])
+    assert code == 1
+    assert err.getvalue().startswith("error:")
