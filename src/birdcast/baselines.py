@@ -297,23 +297,22 @@ def _below_floor(members: np.ndarray, chosen: np.ndarray, floor: float) -> bool:
 
 def _segment_values(inst: ProblemInstance, ordered: np.ndarray,
                     max_idx: np.ndarray, budgets: list[float],
-                    floor: float) -> tuple[np.ndarray, np.ndarray | None,
-                                           np.ndarray]:
+                    floor: float) -> tuple[np.ndarray, np.ndarray | None]:
     """Stand-alone greedy value of every contiguous run of sorted users.
 
     For sorted users i..j the grid order by summed member weight is the
     same under every budget; only how many grids fit the group's budget
     slice changes. values[k, i, j] is the sum of the run's top
     min(fit, positive) grid weights, where fit counts the grids budgets[k]
-    pays for at the run's rate (its slowest member's) and positive the
-    grids of positive weight; entries with j < i are -inf. The runs that
-    start at user i are valued in one pass over an (n - i) x L array, so
-    memory stays O(n L + K n^2).
+    pays for at the run's rate and positive the grids of positive weight;
+    entries with j < i are -inf. The users are sorted by top rate,
+    descending, so a run's rate, its slowest member's, is its last
+    member's. The runs that start at user i are valued in one pass over
+    an (n - i) x L array, so memory stays O(n L + K n^2).
 
     With floor > 0 the second table repeats values but is -inf wherever
     the run's chosen grids serve some member less than `floor` of their
-    total interest; it is None otherwise. The third result is each run's
-    rate index.
+    total interest; it is None otherwise.
     """
     n = ordered.size
     n_grids = inst.n_grids
@@ -328,12 +327,10 @@ def _segment_values(inst: ProblemInstance, ordered: np.ndarray,
     slack = 4 * n_grids * np.finfo(float).eps * floor + np.finfo(float).tiny
     values = np.full((len(budgets), n, n), -np.inf)
     fair = values.copy() if floor > 0.0 else None
-    seg_rate = np.zeros((n, n), dtype=np.int64)
     for i in range(n):
         w = prefix[i + 1:] - prefix[i]  # row r: the run i..i+r
         cum = np.cumsum(np.sort(w, axis=1)[:, ::-1], axis=1)
-        rate = np.minimum.accumulate(max_idx[ordered[i:]])
-        seg_rate[i, i:] = rate
+        rate = max_idx[ordered[i:]]
         n_top = np.minimum(fit[:, rate], (w > 0.0).sum(axis=1))
         top = cum[np.arange(n - i), np.maximum(n_top - 1, 0)]
         values[:, i, i:] = np.where(n_top > 0, top, 0.0)
@@ -358,7 +355,7 @@ def _segment_values(inst: ProblemInstance, ordered: np.ndarray,
             reject[r, k] = _below_floor(weights[i:i + r + 1],
                                         order[r, :n_top[k, r]], floor)
         fair[:, i, i:] = np.where(reject.T, -np.inf, values[:, i, i:])
-    return values, fair, seg_rate
+    return values, fair
 
 
 def _best_split(seg_value: np.ndarray,
@@ -394,14 +391,15 @@ def _best_split(seg_value: np.ndarray,
 
 
 def _partitions(ordered: np.ndarray, values: np.ndarray,
-                seg_rate: np.ndarray, fair: bool) -> Iterable[_Candidate]:
+                max_idx: np.ndarray, fair: bool) -> Iterable[_Candidate]:
     """The best split of the sorted users for each group count, as
-    _best_of candidates; a group count with no split is skipped."""
+    _best_of candidates, each group at its last (slowest) member's top
+    rate; a group count with no split is skipped."""
     for k_groups, seg_value in enumerate(values, start=1):
         bounds = _best_split(seg_value, k_groups)
         if bounds is not None:
             yield ([ordered[i:j] for i, j in bounds],
-                   [int(seg_rate[i, j - 1]) for i, j in bounds],
+                   [int(max_idx[ordered[j - 1]]) for i, j in bounds],
                    {"k": k_groups, "fair": fair})
 
 
@@ -425,20 +423,20 @@ def dp_solve(inst: ProblemInstance, fair: bool = False) -> SolveResult:
     if users.size == 0:
         return _best_of(inst, [([], [], {})], 0, t0)
     max_idx = inst.user_max_rate_index()
-    rates = inst.user_max_rate_bps()
-    ordered = np.asarray(sorted(users.tolist(), key=lambda n: (-rates[n], n)))
+    top = max_idx.tolist()
+    ordered = np.asarray(sorted(users.tolist(), key=lambda n: (-top[n], n)))
     n_groups = min(_DP_MAX_GROUPS, ordered.size)
     budgets = [inst.budget_s / k for k in range(1, n_groups + 1)]
     floor = _FAIRNESS_FLOOR if fair else 0.0
-    values, fair_values, seg_rate = _segment_values(inst, ordered, max_idx,
-                                                    budgets, floor)
+    values, fair_values = _segment_values(inst, ordered, max_idx, budgets,
+                                          floor)
     # every group count values every contiguous run once
     evals = n_groups * ordered.size * (ordered.size + 1) // 2
     admissible = values if fair_values is None else fair_values
-    result = _best_of(inst, _partitions(ordered, admissible, seg_rate, fair),
+    result = _best_of(inst, _partitions(ordered, admissible, max_idx, fair),
                       evals, t0)
     if result is None:
-        result = _best_of(inst, _partitions(ordered, values, seg_rate, False),
+        result = _best_of(inst, _partitions(ordered, values, max_idx, False),
                           evals, t0)
         result.meta["fair_infeasible"] = True
     return result

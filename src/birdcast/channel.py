@@ -54,9 +54,18 @@ class McsTable:
     @classmethod
     def from_json(cls, entries: list[dict[str, float]]) -> "McsTable":
         return cls(
-            rates=tuple(e["rate"] for e in entries),
-            thresholds_db=tuple(e["threshold_db"] for e in entries),
+            rates=_reject_bools([e["rate"] for e in entries], "mcs_table rate"),
+            thresholds_db=_reject_bools([e["threshold_db"] for e in entries],
+                                        "mcs_table threshold_db"),
         )
+
+
+def _reject_bools(values: list, name: str) -> list:
+    """values, after checking that none is a JSON true or false, which
+    float() and numpy would read as 1.0 or 0.0."""
+    if bool in set(map(type, values)):
+        raise ValueError(f"{name}: a JSON true or false is not a number")
+    return values
 
 
 # Default 14-option table used throughout; custom tables are accepted

@@ -18,7 +18,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +48,13 @@ SOLVERS = {
     "dp_fair": lambda inst: dp_solve(inst, fair=True),
 }
 
-SWEEP_VARIABLES = ("budget", "bandwidth", "n_users", "n_grids")
+# the GenParams field each swept variable sets, and its type; an n_grids
+# value sets grid_h to the grid count over grid_w
+_SWEEP_FIELDS = {"budget": ("budget_s", float),
+                 "bandwidth": ("bandwidth_hz", float),
+                 "n_users": ("n_users", int),
+                 "n_grids": ("grid_h", int)}
+SWEEP_VARIABLES = tuple(_SWEEP_FIELDS)
 
 CSV_COLUMNS = ("solver", "variable", "value", "seed", "utility",
                "latency_s", "wall_time_s", "gain_evaluations", "feasible")
@@ -86,31 +92,16 @@ def _genparams_to_dict(p: GenParams) -> dict:
     return d
 
 
-def _collect_gen_params(args) -> GenParams:
-    overrides: dict = {}
-    if args.params:
-        overrides.update(json.loads(Path(args.params).read_text()))
-    flag_map = {
-        "n_users": args.n_users,
-        "seed": args.seed,
-        "grid_h": args.grid_h,
-        "grid_w": args.grid_w,
-        "eta": args.eta,
-        "window": args.window,
-        "grid_bytes": args.grid_bytes,
-        "n_objects": args.n_objects,
-        "n_occluders": args.n_occluders,
-    }
-    for key, value in flag_map.items():
-        if value is not None:
-            overrides[key] = value
+def _read_gen_params(args, **fields) -> GenParams:
+    """GenParams from the --params file, then `fields`, then --budget-ms
+    and --bandwidth-mhz, each overriding what came before."""
+    d = json.loads(Path(args.params).read_text()) if args.params else {}
+    d.update(fields)
     if args.budget_ms is not None:
-        overrides["budget_s"] = args.budget_ms * 1e-3
+        d["budget_s"] = args.budget_ms * 1e-3
     if args.bandwidth_mhz is not None:
-        overrides["bandwidth_hz"] = args.bandwidth_mhz * 1e6
-    if args.extent is not None:
-        overrides["extent"] = (args.extent, args.extent)
-    return _genparams_from_dict(overrides)
+        d["bandwidth_hz"] = args.bandwidth_mhz * 1e6
+    return _genparams_from_dict(d)
 
 
 def _add_gen_flags(sub: argparse.ArgumentParser) -> None:
@@ -130,7 +121,13 @@ def _add_gen_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def cmd_gen(args) -> int:
-    params = _collect_gen_params(args)
+    flags = ("n_users", "seed", "grid_h", "grid_w", "eta", "window",
+             "grid_bytes", "n_objects", "n_occluders")
+    fields = {k: getattr(args, k) for k in flags
+              if getattr(args, k) is not None}
+    if args.extent is not None:
+        fields["extent"] = (args.extent, args.extent)
+    params = _read_gen_params(args, **fields)
     scene, inst = generate(params)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -183,53 +180,43 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _apply_sweep_value(params: GenParams, variable: str, value: float) -> GenParams:
-    d = _genparams_to_dict(params)
-    base = _genparams_from_dict  # round-trip keeps nested types
-    if variable == "budget":
-        d["budget_s"] = float(value)
-    elif variable == "bandwidth":
-        d["bandwidth_hz"] = float(value)
-    elif variable == "n_users":
-        d["n_users"] = int(value)
-    elif variable == "n_grids":
-        total = int(value)
-        if total % params.grid_w != 0:
+def _apply_sweep_value(params: GenParams, variable: str,
+                       value: float) -> GenParams:
+    """params with the swept variable set to value; a count must be a
+    whole number, and a grid count a multiple of grid_w."""
+    name, kind = _SWEEP_FIELDS[variable]
+    if kind is int and not float(value).is_integer():
+        raise ValueError(f"{variable} value {value} is not a whole number")
+    value = kind(value)
+    if variable == "n_grids":
+        if value % params.grid_w != 0:
             raise ValueError(
-                f"n_grids value {total} is not a multiple of grid_w "
+                f"n_grids value {value} is not a multiple of grid_w "
                 f"{params.grid_w}")
-        d["grid_h"] = total // params.grid_w
-    else:
-        raise ValueError(f"unknown sweep variable '{variable}'")
-    return base(d)
+        value //= params.grid_w
+    return replace(params, **{name: value})
 
 
 def _run_sweep_cell(payload: tuple) -> list[dict]:
     """One (value, seed) cell: generate once, run every requested solver."""
-    params_dict, variable, value, seed, solver_ids = payload
-    params = _genparams_from_dict({**params_dict, "seed": seed})
-    params = _apply_sweep_value(params, variable, value)
-    rows = []
+    params, variable, value, solver_ids = payload
+    cell = {"variable": variable, "value": value, "seed": params.seed}
     try:
         _, inst = generate(params)
     except Exception as exc:  # cell-level failure: report every solver row
-        for solver_id in solver_ids:
-            rows.append({"solver": solver_id, "variable": variable,
-                         "value": value, "seed": seed, "error": str(exc)})
-        return rows
+        return [{"solver": s, **cell, "error": str(exc)} for s in solver_ids]
+    rows = []
     for solver_id in solver_ids:
+        row = {"solver": solver_id, **cell}
         try:
             res = SOLVERS[solver_id](inst)
-            rows.append({
-                "solver": solver_id, "variable": variable, "value": value,
-                "seed": seed, "utility": res.utility,
-                "latency_s": res.latency_s, "wall_time_s": res.wall_time_s,
-                "gain_evaluations": res.gain_evaluations,
-                "feasible": evaluate_plan(inst, res.plan).feasible,
-            })
+            row.update(utility=res.utility, latency_s=res.latency_s,
+                       wall_time_s=res.wall_time_s,
+                       gain_evaluations=res.gain_evaluations,
+                       feasible=evaluate_plan(inst, res.plan).feasible)
         except Exception as exc:
-            rows.append({"solver": solver_id, "variable": variable,
-                         "value": value, "seed": seed, "error": str(exc)})
+            row["error"] = str(exc)
+        rows.append(row)
     return rows
 
 
@@ -242,7 +229,7 @@ def cmd_sweep(args) -> int:
     if variable not in SWEEP_VARIABLES:
         raise ValueError(f"variable must be one of {SWEEP_VARIABLES}")
     values = spec["values"]
-    if not values or any(v <= 0 for v in values):
+    if not values or any(isinstance(v, bool) or v <= 0 for v in values):
         raise ValueError("values must be a non-empty list of positive numbers")
     solver_ids = spec.get("solvers", sorted(SOLVERS))
     unknown = [s for s in solver_ids if s not in SOLVERS]
@@ -250,9 +237,10 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"unknown solvers in spec: {unknown}")
     reps = int(spec.get("repetitions", 1))
     base_seed = int(spec.get("seed", 0))
-    params_dict = dict(spec.get("params", {}))
+    base = _genparams_from_dict(spec.get("params", {}))
     cells = [
-        (params_dict, variable, value, base_seed + rep, solver_ids)
+        (_apply_sweep_value(replace(base, seed=base_seed + rep), variable,
+                            value), variable, value, solver_ids)
         for value in values
         for rep in range(reps)
     ]
@@ -305,33 +293,24 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    import contextlib
     import csv
     import statistics
 
     n_users_list = [int(v) for v in args.n_users.split(",")]
     n_grids_list = [int(v) for v in args.n_grids.split(",")]
-    base: dict = {}
-    if args.params:
-        base.update(json.loads(Path(args.params).read_text()))
-    if args.budget_ms is not None:
-        base["budget_s"] = args.budget_ms * 1e-3
-    if args.bandwidth_mhz is not None:
-        base["bandwidth_hz"] = args.bandwidth_mhz * 1e6
-    grid_w = int(base.get("grid_w", GenParams().grid_w))
+    base = _read_gen_params(args)
     rows = []
     for n_users in n_users_list:
         for n_grids in n_grids_list:
-            if n_grids % grid_w != 0:
-                raise ValueError(f"n_grids {n_grids} is not a multiple "
-                                 f"of grid_w {grid_w}")
+            sized = _apply_sweep_value(
+                _apply_sweep_value(base, "n_users", n_users),
+                "n_grids", n_grids)
             samples: dict[str, dict[str, list[float]]] = {
                 s: {"wall": [], "evals": []} for s in ("birdcast",
                                                        "birdcast_accel")}
             for rep in range(args.reps):
-                d = dict(base)
-                d.update(n_users=n_users, grid_w=grid_w,
-                         grid_h=n_grids // grid_w, seed=args.seed + rep)
-                _, inst = generate(_genparams_from_dict(d))
+                _, inst = generate(replace(sized, seed=args.seed + rep))
                 for solver_id in ("birdcast", "birdcast_accel"):
                     res = SOLVERS[solver_id](inst)
                     samples[solver_id]["wall"].append(res.wall_time_s)
@@ -344,17 +323,12 @@ def cmd_bench(args) -> int:
                     int(statistics.median(data["evals"])),
                     int(np.percentile(data["evals"], 95)),
                 ])
-    header = ["solver", "n_users", "n_grids", "median_wall_s",
-              "p95_wall_s", "median_evals", "p95_evals"]
-    if args.out == "-":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
+    with (contextlib.nullcontext(sys.stdout) if args.out == "-"
+          else Path(args.out).open("w", newline="")) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["solver", "n_users", "n_grids", "median_wall_s",
+                         "p95_wall_s", "median_evals", "p95_evals"])
         writer.writerows(rows)
-    else:
-        with Path(args.out).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
     return 0
 
 

@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import McsTable, item_cost
+from .channel import McsTable, _reject_bools, item_cost
 
 # Relative slack for budget-feasibility checks only; utilities and plan/cost
 # equivalences are compared exactly.
@@ -53,6 +53,8 @@ class ProblemInstance:
         moi = np.ascontiguousarray(np.asarray(self.moi, dtype=np.float64))
         if moi.ndim != 2:
             raise ValueError("moi must be an N x L matrix")
+        if moi.shape[1] == 0:
+            raise ValueError("an instance needs at least one grid")
         if not np.all(np.isfinite(moi)) or np.any(moi < 0.0):
             raise ValueError("moi weights must be finite and non-negative")
         snr = tuple(float(s) for s in self.snr_db)
@@ -163,16 +165,24 @@ class ProblemInstance:
     def from_json(cls, d: dict) -> "ProblemInstance":
         """Read a format-2 document, or a dense one (no "format" key) whose
         moi is a list of N rows."""
+        if not isinstance(d, dict):
+            raise ValueError("an instance document must be a JSON object")
         fmt = d.get("format")
         if fmt is None:
             moi = np.asarray(d["moi"], dtype=np.float64)
+            if moi.ndim == 2:  # any other shape fails in __post_init__
+                for row in d["moi"]:
+                    _reject_bools(row, "moi")
         elif fmt == INSTANCE_FORMAT:
             moi = _moi_from_triplets(d["moi"], d["n_users"], d["n_grids"])
         else:
             raise ValueError(f"unknown instance format {fmt!r}")
+        for key in ("n_users", "n_grids", "grid_bytes", "bandwidth_hz",
+                    "budget_s"):
+            _reject_bools([d[key]], key)
         inst = cls(
             moi=moi,
-            snr_db=tuple(d["snr_db"]),
+            snr_db=tuple(_reject_bools(d["snr_db"], "snr_db")),
             mcs=McsTable.from_json(d["mcs_table"]),
             grid_bytes=d["grid_bytes"],
             bandwidth_hz=d["bandwidth_hz"],
@@ -194,7 +204,8 @@ def _moi_from_triplets(triplets: dict, n_users: int,
     moi = np.zeros((n_users, n_grids), dtype=np.float64)
     user = _index_array(triplets["user"], n_users, "user")
     grid = _index_array(triplets["grid"], n_grids, "grid")
-    value = np.asarray(triplets["value"], dtype=np.float64)
+    value = np.asarray(_reject_bools(triplets["value"], "moi value"),
+                       dtype=np.float64)
     if value.ndim != 1 or not user.size == grid.size == value.size:
         raise ValueError("moi triplets must be three lists of equal length")
     flat = user * n_grids + grid  # below moi.size, so it cannot overflow

@@ -116,6 +116,47 @@ def _unknown_format(doc: dict) -> None:
     doc["format"] = 3
 
 
+def _set_true(*path):
+    """Edit that sets doc[path[0]][path[1]]... to a JSON true; float() and
+    numpy would read it as 1.0."""
+    def edit(doc: dict) -> None:
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = True
+    return edit
+
+
+def _false_threshold(doc: dict) -> None:
+    doc["mcs_table"][0]["threshold_db"] = False  # would read as 0.0
+
+
+def _to_dense(doc: dict) -> list[list]:
+    """Turn a format-2 document into the older dense layout in place and
+    return its moi rows."""
+    rows = [[0.0] * doc["n_grids"] for _ in range(doc["n_users"])]
+    triplets = doc.pop("moi")
+    for n, l, v in zip(triplets["user"], triplets["grid"], triplets["value"]):
+        rows[n][l] = v
+    del doc["format"]
+    doc["moi"] = rows
+    return rows
+
+
+def _true_dense_weight(doc: dict) -> None:
+    _to_dense(doc)[1][1] = True
+
+
+def _no_grids(doc: dict) -> None:
+    doc["n_grids"] = 0
+    doc["moi"] = {"user": [], "grid": [], "value": []}
+
+
+def _dense_no_grids(doc: dict) -> None:
+    _to_dense(doc)
+    doc["n_grids"] = 0
+    doc["moi"] = [[] for _ in range(doc["n_users"])]
+
+
 # edits that each turn a valid format-2 instance document (with at least
 # two nonzero weights, the second off grid 1) into one from_json must reject
 MALFORMED_INSTANCE_EDITS = {
@@ -126,4 +167,14 @@ MALFORMED_INSTANCE_EDITS = {
     "repeated_pair": _repeated_pair,
     "unequal_lengths": _short_values,
     "unknown_format": _unknown_format,
+    "true_budget": _set_true("budget_s"),
+    "true_grid_bytes": _set_true("grid_bytes"),
+    "true_bandwidth": _set_true("bandwidth_hz"),
+    "true_snr": _set_true("snr_db", 0),
+    "true_weight": _set_true("moi", "value", 0),
+    "true_dense_weight": _true_dense_weight,
+    "true_mcs_rate": _set_true("mcs_table", 0, "rate"),
+    "false_mcs_threshold": _false_threshold,
+    "no_grids": _no_grids,
+    "dense_no_grids": _dense_no_grids,
 }

@@ -387,3 +387,174 @@ def test_accelerated_time_grows_roughly_linearly_in_users():
             times.append(accelerated_greedy(inst).wall_time_s)
         medians[n_users] = statistics.median(times)
     assert medians[24] / medians[8] < 6.0
+
+
+def write_spec(tmp_path, spec: dict) -> str:
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+def read_csv(path) -> list[dict]:
+    with Path(path).open() as fh:
+        return list(csv.DictReader(fh))
+
+
+SWEPT_SCENES = {
+    "n_users": ([3, 5], lambda base, v: dataclasses.replace(base, n_users=v)),
+    "n_grids": ([30, 50],
+                lambda base, v: dataclasses.replace(base, grid_h=v // 10)),
+}
+
+
+@pytest.mark.parametrize("variable", sorted(SWEPT_SCENES))
+def test_sweep_cells_run_each_solver_on_the_swept_scene(tmp_path, capsys,
+                                                        variable):
+    from birdcast import GenParams, generate
+
+    values, scene_params = SWEPT_SCENES[variable]
+    params = {"n_users": 4, "grid_h": 2, "grid_w": 10, "n_occluders": 3,
+              "budget_s": 0.002}
+    spec = {"variable": variable, "values": values, "params": params,
+            "solvers": ["birdcast_accel", "unicast"], "repetitions": 2,
+            "seed": 6}
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--spec", write_spec(tmp_path, spec),
+                "--out", str(out)]) == 0
+    rows = read_csv(out)
+    assert len(rows) == 2 * 2 * 2
+    for r in rows:
+        base = GenParams(**params, seed=int(r["seed"]))
+        _, inst = generate(scene_params(base, int(r["value"])))
+        res = SOLVERS[r["solver"]](inst)
+        assert float(r["utility"]) == res.utility
+        assert int(r["gain_evaluations"]) == res.gain_evaluations
+
+
+def test_bench_generator_flags_reach_the_scenes(tmp_path, capsys):
+    import statistics
+
+    from birdcast import GenParams, generate
+
+    params_path = tmp_path / "params.json"
+    params_path.write_text(json.dumps({"grid_w": 10, "n_occluders": 3}))
+    out = tmp_path / "bench.csv"
+    assert run(["bench", "--n-users", "4,6", "--n-grids", "30", "--reps", "3",
+                "--seed", "5", "--params", str(params_path),
+                "--budget-ms", "0.5", "--bandwidth-mhz", "40",
+                "--out", str(out)]) == 0
+    rows = read_csv(out)
+    assert [(r["solver"], r["n_users"], r["n_grids"]) for r in rows] == [
+        (s, n, "30") for n in ("4", "6") for s in ("birdcast", "birdcast_accel")]
+    for r in rows:
+        evals = []
+        for rep in range(3):
+            _, inst = generate(GenParams(
+                grid_w=10, n_occluders=3, n_users=int(r["n_users"]), grid_h=3,
+                seed=5 + rep, budget_s=0.5 * 1e-3, bandwidth_hz=40 * 1e6))
+            evals.append(SOLVERS[r["solver"]](inst).gain_evaluations)
+        assert int(r["median_evals"]) == int(statistics.median(evals))
+        assert int(r["p95_evals"]) == int(np.percentile(evals, 95))
+
+
+def test_bench_prints_to_stdout_the_csv_it_writes_to_a_file(tmp_path, capsys):
+    args = ["bench", "--n-users", "3", "--n-grids", "20", "--reps", "2",
+            "--params", str(tmp_path / "params.json")]
+    (tmp_path / "params.json").write_text(json.dumps({"grid_w": 10}))
+    out = tmp_path / "bench.csv"
+    assert run(args + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert run(args + ["--out", "-"]) == 0
+    printed = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    written = read_csv(out)
+    assert printed[0].keys() == written[0].keys()
+    timed = ("median_wall_s", "p95_wall_s")
+    strip = lambda rows: [
+        {k: v for k, v in r.items() if k not in timed} for r in rows]
+    assert strip(printed) == strip(written) and len(written) == 2
+
+
+def test_gen_params_extent_and_bandwidth_reach_the_provenance(tmp_path,
+                                                             capsys):
+    params_path = tmp_path / "params.json"
+    params_path.write_text(json.dumps({"n_users": 5, "grid_h": 4,
+                                       "radio": {"tx_power_dbm": 20.0}}))
+    assert run(["gen", "--params", str(params_path), "--extent", "60",
+                "--bandwidth-mhz", "20", "--seed", "3",
+                "--out", str(tmp_path / "o")]) == 0
+    for name in ("scene.json", "instance.json"):
+        doc = json.loads((tmp_path / "o" / name).read_text())
+        params = doc["provenance"]["params"]
+        assert params["n_users"] == 5 and params["grid_h"] == 4
+        assert params["radio"]["tx_power_dbm"] == 20.0
+        assert params["extent"] == [60.0, 60.0]
+        assert params["bandwidth_hz"] == 20 * 1e6
+        assert params["seed"] == doc["provenance"]["seed"] == 3
+    inst = json.loads((tmp_path / "o" / "instance.json").read_text())
+    assert inst["n_users"] == 5 and inst["n_grids"] == 100
+    assert inst["bandwidth_hz"] == 20 * 1e6
+
+
+def test_sweep_and_bench_reject_a_grid_count_off_the_grid_width(tmp_path,
+                                                                capsys):
+    spec = {"variable": "n_grids", "values": [50, 55],
+            "params": {"n_users": 3, "grid_h": 2}, "solvers": ["unicast"]}
+    assert run(["sweep", "--spec", write_spec(tmp_path, spec),
+                "--out", str(tmp_path / "x.csv")]) == 1
+    sweep_err = capsys.readouterr().err
+    assert run(["bench", "--n-users", "3", "--n-grids", "55", "--reps", "1",
+                "--out", str(tmp_path / "b.csv")]) == 1
+    bench_err = capsys.readouterr().err
+    for err in (sweep_err, bench_err):
+        assert err.startswith("error:")
+        assert "55 is not a multiple of grid_w 25" in err
+    assert not (tmp_path / "x.csv").exists()
+    assert not (tmp_path / "b.csv").exists()
+
+
+def raising_solve(inst: ProblemInstance):
+    raise RuntimeError("solver broke")
+
+
+def test_sweep_keeps_the_row_of_a_solver_that_raises(tmp_path, capsys,
+                                                     monkeypatch):
+    monkeypatch.setitem(SOLVERS, "raises", raising_solve)
+    spec = {"variable": "budget", "values": [0.002],
+            "params": {"n_users": 4, "grid_h": 2, "grid_w": 10},
+            "solvers": ["raises", "birdcast"], "repetitions": 1, "seed": 0}
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--spec", write_spec(tmp_path, spec),
+                "--out", str(out)]) == 0
+    assert "solver broke" in capsys.readouterr().err
+    rows = {r["solver"]: r for r in read_csv(out)}
+    assert rows["raises"] == {
+        "solver": "raises", "variable": "budget", "value": "0.002",
+        "seed": "0", "utility": "", "latency_s": "", "wall_time_s": "",
+        "gain_evaluations": "", "feasible": "False"}
+    assert float(rows["birdcast"]["utility"]) > 0.0
+    summary = json.loads(Path(str(out) + ".summary.json").read_text())
+    assert summary["orderings"] == []
+
+
+@pytest.mark.parametrize("variable, value", [
+    ("n_users", 8.5), ("n_grids", 50.5), ("n_users", True), ("budget", True)])
+def test_sweep_rejects_a_value_it_would_run_as_another(tmp_path, capsys,
+                                                       variable, value):
+    # int(8.5) would run 8 users, and a JSON true would run as 1, while
+    # the CSV row printed the value as written
+    spec = {"variable": variable, "values": [value],
+            "params": {"n_users": 3, "grid_h": 2, "grid_w": 10},
+            "solvers": ["unicast"]}
+    assert run(["sweep", "--spec", write_spec(tmp_path, spec),
+                "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("text", ["[]", "null"])
+def test_instance_file_that_is_no_object_is_invalid_input(tmp_path, capsys,
+                                                          text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run(["solve", str(path), "--solver", "birdcast_accel"]) == 1
+    assert capsys.readouterr().err.startswith("error:")

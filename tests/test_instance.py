@@ -459,3 +459,16 @@ def test_instance_rejects_bad_inputs():
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError):
             ProblemInstance(**{**good, "snr_db": (bad,)})
+
+
+@pytest.mark.parametrize("doc", [[], None, "instance", 3.0])
+def test_instance_document_that_is_no_object_rejected(doc):
+    with pytest.raises(ValueError, match="JSON object"):
+        ProblemInstance.from_json(doc)
+
+
+def test_instance_without_grids_rejected():
+    with pytest.raises(ValueError, match="at least one grid"):
+        instance_with_moi(np.zeros((2, 0)))
+    # an instance without users stays valid
+    assert instance_with_moi(np.zeros((0, 3))).n_grids == 3
