@@ -83,26 +83,22 @@ def _budget_scan(costs: np.ndarray,
 
     costs[i] is the cost of the i-th item. Returns the positions of the
     items sent, in order, and the budget before each of them followed by
-    the budget left at the end. Each run of items that fit is paid by one
-    np.subtract.accumulate, which subtracts in the order a loop would. The
-    budget only shrinks, so an item it cannot pay for is dropped for good.
+    the budget left at the end. The scan stops once the budget left is
+    below the cheapest cost, since the budget only shrinks.
     """
-    pos = np.arange(costs.size)
+    cheapest = float(costs.min(initial=np.inf))
     budget_left = budget_s
-    sent = [pos[:0]]
+    sent = []
     budgets_before = []
-    while pos.size:
-        item_costs = costs[pos]
-        # the budget before each item, were every item from here on sent
-        before = np.subtract.accumulate(np.concatenate(([budget_left], item_costs)))
-        short = np.flatnonzero(item_costs > before[:-1])
-        stop = int(short[0]) if short.size else pos.size
-        sent.append(pos[:stop])
-        budgets_before.append(before[:stop])
-        budget_left = before[stop]
-        pos = pos[stop + 1:]
-        pos = pos[costs[pos] <= budget_left]
-    return np.concatenate(sent), np.concatenate([*budgets_before, [budget_left]])
+    for pos, cost in enumerate(costs.tolist()):
+        if budget_left < cheapest:
+            break
+        if cost <= budget_left:
+            sent.append(pos)
+            budgets_before.append(budget_left)
+            budget_left -= cost
+    budgets_before.append(budget_left)
+    return np.array(sent, dtype=np.intp), np.array(budgets_before)
 
 
 def broadcast_solve(inst: ProblemInstance) -> SolveResult:

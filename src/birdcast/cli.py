@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands: gen (synthesize a scene + instance), solve (run one scheduler
-on an instance file), sweep (utility curves over a swept parameter, CSV
-out), bench (solver timing statistics, CSV out), oracle (exact optimum
-with a JSON cache), fig1 (the built-in four-user toy instance and the
+Subcommands: gen (synthesize a scene + instance), solve (run one scheduler,
+or the exact oracle with --solver oracle, on an instance file), sweep
+(utility curves over a swept parameter, CSV out), bench (solver timing
+statistics, CSV out), fig1 (the built-in four-user toy instance and the
 schemes' utilities on it).
 
 Exit codes: 0 success; 1 usage error or invalid input, such as an
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -159,25 +160,14 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_oracle(args) -> int:
-    import hashlib
-
-    inst = _load_instance(args.instance)
-    key = hashlib.sha256(
-        json.dumps(inst.to_json(), sort_keys=True).encode()).hexdigest()
-    cache: dict = {}
-    cache_path = Path(args.cache) if args.cache else None
-    if cache_path and cache_path.exists():
-        cache = json.loads(cache_path.read_text())
-    if key in cache:
-        print(_dump({"instance_sha256": key, "cached": True, **cache[key]}))
-        return 0
-    result = exact_solve(inst)
-    cache[key] = result.to_json()
-    if cache_path:
-        cache_path.write_text(_dump(cache))
-    print(_dump({"instance_sha256": key, "cached": False, **cache[key]}))
-    return 0
+def _count(value, name: str) -> int:
+    """value as a count of at least 1; a fraction, a JSON true or false,
+    or anything below 1 is invalid input."""
+    whole = (type(value) is int
+             or isinstance(value, float) and value.is_integer())
+    if not whole or value < 1:
+        raise ValueError(f"{name} must be a whole number >= 1, not {value!r}")
+    return int(value)
 
 
 def _apply_sweep_value(params: GenParams, variable: str,
@@ -229,13 +219,15 @@ def cmd_sweep(args) -> int:
     if variable not in SWEEP_VARIABLES:
         raise ValueError(f"variable must be one of {SWEEP_VARIABLES}")
     values = spec["values"]
-    if not values or any(isinstance(v, bool) or v <= 0 for v in values):
-        raise ValueError("values must be a non-empty list of positive numbers")
+    if not values or any(isinstance(v, bool) or not 0 < v < math.inf
+                         for v in values):
+        raise ValueError("values must be a non-empty list of positive, "
+                         "finite numbers")
     solver_ids = spec.get("solvers", sorted(SOLVERS))
     unknown = [s for s in solver_ids if s not in SOLVERS]
     if unknown:
         raise ValueError(f"unknown solvers in spec: {unknown}")
-    reps = int(spec.get("repetitions", 1))
+    reps = _count(spec.get("repetitions", 1), "repetitions")
     base_seed = int(spec.get("seed", 0))
     base = _genparams_from_dict(spec.get("params", {}))
     cells = [
@@ -299,6 +291,7 @@ def cmd_bench(args) -> int:
 
     n_users_list = [int(v) for v in args.n_users.split(",")]
     n_grids_list = [int(v) for v in args.n_grids.split(",")]
+    _count(args.reps, "--reps")
     base = _read_gen_params(args)
     rows = []
     for n_users in n_users_list:
@@ -386,11 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--bandwidth-mhz", type=float, dest="bandwidth_mhz")
     p_bench.add_argument("--out", default="-", help="CSV path or - for stdout")
     p_bench.set_defaults(func=cmd_bench)
-
-    p_oracle = sub.add_parser("oracle", help="exact optimum with JSON cache")
-    p_oracle.add_argument("instance", help="instance JSON file")
-    p_oracle.add_argument("--cache", help="JSON cache file keyed by instance hash")
-    p_oracle.set_defaults(func=cmd_oracle)
 
     p_fig1 = sub.add_parser("fig1", help="built-in four-user toy instance")
     p_fig1.add_argument("--out", help="write JSON here instead of stdout")

@@ -229,6 +229,13 @@ def _index_array(indices: list, size: int, name: str) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def _check_ints(values: list, name: str) -> None:
+    """Raise ValueError unless every entry is an integer: int() would
+    truncate a fraction and read a JSON true or false as 1 or 0."""
+    if any(type(v) is not int for v in values):
+        raise ValueError(f"{name} indices must be integers")
+
+
 @dataclass(frozen=True)
 class Selection:
     """A set of (grid, rate) items — the sparse form of the decision matrix."""
@@ -261,6 +268,8 @@ class Selection:
 
     @classmethod
     def from_json(cls, data: list[list[int]]) -> "Selection":
+        for pair in data:
+            _check_ints(pair, "selection")
         return cls.from_pairs(data)
 
 
@@ -307,6 +316,8 @@ class MulticastPlan:
 
     @classmethod
     def from_json(cls, d: dict) -> "MulticastPlan":
+        for group in d["groups"]:
+            _check_ints(group, "plan group")
         return cls(
             groups=tuple(tuple(g) for g in d["groups"]),
             masks=np.asarray(d["masks"], dtype=bool),
@@ -444,6 +455,18 @@ def _group_plan(inst: ProblemInstance,
                          rates_bps=tuple(rates))
 
 
+def _check_plan(inst: ProblemInstance, plan: MulticastPlan) -> None:
+    """Raise ValueError unless the plan's masks span the instance's grids
+    and every group member is one of its users. Groups are sorted, so
+    their ends bound them."""
+    if plan.n_grids != inst.n_grids:
+        raise ValueError("plan mask width does not match the instance")
+    for k, group in enumerate(plan.groups):
+        if group and (group[0] < 0 or group[-1] >= inst.n_users):
+            raise ValueError(f"group {k} has a member outside "
+                             f"[0, {inst.n_users})")
+
+
 def selection_from_plan(inst: ProblemInstance, plan: MulticastPlan) -> Selection:
     """Collapse a plan into unique (grid, rate) items.
 
@@ -452,8 +475,7 @@ def selection_from_plan(inst: ProblemInstance, plan: MulticastPlan) -> Selection
     groups collapse into one item, so the cost never exceeds the plan's
     latency.
     """
-    if plan.n_grids != inst.n_grids:
-        raise ValueError("plan mask width does not match the instance")
+    _check_plan(inst, plan)
     option_bps = [inst.bandwidth_hz * r for r in inst.mcs.rates]
     items: set[Item] = set()
     for k in range(plan.n_groups):
@@ -485,8 +507,7 @@ def evaluate_plan(inst: ProblemInstance, plan: MulticastPlan) -> PlanEvaluation:
     Feasible means the latency fits the budget and every non-empty group's
     rate equals its slowest member's maximum rate.
     """
-    if plan.n_grids != inst.n_grids:
-        raise ValueError("plan mask width does not match the instance")
+    _check_plan(inst, plan)
     # members[k] marks group k's users; a group with grids to send at a
     # rate of 0 or below stays unmarked and covers nothing
     members = np.zeros((plan.n_groups, inst.n_users))

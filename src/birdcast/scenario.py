@@ -10,7 +10,7 @@ parameters including the seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -109,6 +109,13 @@ class GenParams:
     mcs: McsTable = field(default=DEFAULT_MCS_TABLE)
 
     def __post_init__(self) -> None:
+        named = [(f.name, getattr(self, f.name)) for f in fields(self)]
+        named += [("extent", v) for v in self.extent]
+        named += [(f"radio.{k}", v) for k, v in asdict(self.radio).items()]
+        infinite = sorted({name for name, v in named
+                           if isinstance(v, float) and not math.isfinite(v)})
+        if infinite:
+            raise ValueError(f"{', '.join(infinite)} must be finite")
         if self.n_users < 1:
             raise ValueError("n_users must be >= 1")
         if self.grid_h < 1 or self.grid_w < 1:

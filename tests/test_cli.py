@@ -102,15 +102,15 @@ def test_solve_oracle_over_cap(tmp_path, capsys):
     assert "cap" in capsys.readouterr().err
 
 
-def test_oracle_cache_round_trip(tmp_path, capsys):
+def test_solve_oracle_on_fig1(tmp_path, capsys):
     path = write_fig1(tmp_path)
-    cache = str(tmp_path / "cache.json")
-    assert run(["oracle", path, "--cache", cache]) == 0
-    first = json.loads(capsys.readouterr().out)
-    assert first["cached"] is False and first["opt_utility"] == 8.0
-    assert run(["oracle", path, "--cache", cache]) == 0
-    second = json.loads(capsys.readouterr().out)
-    assert second["cached"] is True and second["opt_utility"] == 8.0
+    assert run(["solve", path, "--solver", "oracle"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == {"solver", "opt_utility", "opt_selection",
+                        "nodes_explored"}
+    assert doc["solver"] == "oracle" and doc["opt_utility"] == 8.0
+    # solve --solver oracle is the one CLI path to the oracle
+    assert run(["oracle", path]) == 1
 
 
 def test_fig1_subcommand(capsys):
@@ -119,6 +119,15 @@ def test_fig1_subcommand(capsys):
     assert doc["results"] == {"oracle": 8.0, "birdcast": 8.0,
                               "birdcast_accel": 8.0, "broadcast": 6.0,
                               "unicast": 3.0}
+
+
+def test_fig1_out_writes_what_it_prints(tmp_path, capsys):
+    assert run(["fig1"]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "fig1.json"
+    assert run(["fig1", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    assert out.read_text() + "\n" == printed
 
 
 def test_sweep_csv_and_summary(tmp_path, capsys):
@@ -324,7 +333,7 @@ def test_oracle_cap_far_beyond_int_formatting_limit(tmp_path, capsys):
     inst = random_full_scale_instance(np.random.default_rng(0), 2, 4000)
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(inst.to_json()))
-    assert run(["oracle", str(path)]) == 2
+    assert run(["solve", str(path), "--solver", "oracle"]) == 2
     err = capsys.readouterr().err
     assert "M=14, L=4000" in err and "cap" in err
 
@@ -558,3 +567,82 @@ def test_instance_file_that_is_no_object_is_invalid_input(tmp_path, capsys,
     path.write_text(text)
     assert run(["solve", str(path), "--solver", "birdcast_accel"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--extent", "nan"], ["--extent", "inf"], ["--bandwidth-mhz=-inf"]])
+def test_gen_rejects_a_non_finite_parameter(tmp_path, capsys, flags):
+    out = tmp_path / "o"
+    assert run(["gen", "--n-users", "2", "--grid-h", "2", *flags,
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be finite" in err
+    assert not out.exists()
+
+
+def test_gen_rejects_a_non_finite_radio_parameter(tmp_path, capsys):
+    params_path = tmp_path / "params.json"
+    params_path.write_text('{"radio": {"noise_dbm": NaN}}')
+    assert run(["gen", "--params", str(params_path), "--n-users", "2",
+                "--grid-h", "2", "--out", str(tmp_path / "o")]) == 1
+    assert "radio.noise_dbm must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variable, value", [
+    ("budget", float("nan")), ("bandwidth", float("inf"))])
+def test_sweep_rejects_a_non_finite_value(tmp_path, capsys, variable, value):
+    spec = {"variable": variable, "values": [value],
+            "params": {"n_users": 3, "grid_h": 2, "grid_w": 10},
+            "solvers": ["unicast"]}
+    assert run(["sweep", "--spec", write_spec(tmp_path, spec),
+                "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("repetitions", [0, 2.5, True])
+def test_sweep_rejects_a_repetition_count_that_is_no_count(
+        tmp_path, capsys, repetitions):
+    # int() would run 2.5 as 2 and true as 1; 0 would write no rows
+    spec = {"variable": "budget", "values": [0.002],
+            "params": {"n_users": 3, "grid_h": 2, "grid_w": 10},
+            "solvers": ["unicast"], "repetitions": repetitions}
+    assert run(["sweep", "--spec", write_spec(tmp_path, spec),
+                "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: repetitions")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_bench_rejects_zero_reps(tmp_path, capsys):
+    assert run(["bench", "--n-users", "3", "--n-grids", "50", "--reps", "0",
+                "--out", str(tmp_path / "b.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: --reps")
+    assert not (tmp_path / "b.csv").exists()
+
+
+def test_sweep_rejects_an_unknown_solver(tmp_path, capsys):
+    spec = {"variable": "budget", "values": [0.002],
+            "params": {"n_users": 3, "grid_h": 2, "grid_w": 10},
+            "solvers": ["unicast", "oracle"]}
+    assert run(["sweep", "--spec", write_spec(tmp_path, spec),
+                "--out", str(tmp_path / "x.csv")]) == 1
+    assert "unknown solvers in spec: ['oracle']" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_sweep_params_carry_an_mcs_table(tmp_path, capsys):
+    from birdcast import GenParams, McsTable, generate
+
+    mcs = [{"rate": 0.5, "threshold_db": 0.0},
+           {"rate": 2.0, "threshold_db": 15.0}]
+    params = {"n_users": 4, "grid_h": 2, "grid_w": 10, "mcs": mcs}
+    spec = {"variable": "budget", "values": [0.002], "params": params,
+            "solvers": ["unicast"], "repetitions": 1, "seed": 2}
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--spec", write_spec(tmp_path, spec),
+                "--out", str(out)]) == 0
+    [row] = read_csv(out)
+    _, inst = generate(GenParams(**{**params, "mcs": McsTable.from_json(mcs)},
+                                 seed=2, budget_s=0.002))
+    assert inst.n_rates == 2
+    assert float(row["utility"]) == SOLVERS["unicast"](inst).utility

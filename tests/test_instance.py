@@ -13,7 +13,9 @@ from birdcast import (
     MulticastPlan,
     ProblemInstance,
     Selection,
+    accelerated_greedy,
     evaluate_plan,
+    fig1_instance,
     marginal_gain,
     plan_from_selection,
     selection_cost,
@@ -261,6 +263,52 @@ def test_selection_from_plan_rejects_non_decoder():
         selection_from_plan(inst, plan)
 
 
+def test_selection_from_plan_rejects_a_rate_that_is_no_option():
+    inst = two_rate_instance()
+    plan = MulticastPlan(groups=((0, 1),), masks=np.array([[True, False]]),
+                         rates_bps=(1.5e6,))
+    with pytest.raises(ValueError, match="not a rate option"):
+        selection_from_plan(inst, plan)
+
+
+@pytest.mark.parametrize("member", [-1, 4, 7])
+def test_plan_member_outside_the_users_rejected(member):
+    # fig1 has users 0..3; numpy would read -1 as user 3
+    inst = fig1_instance()
+    doc = accelerated_greedy(inst).plan.to_json()
+    doc["groups"][0] = [0, 1, 2, member]
+    plan = MulticastPlan.from_json(doc)
+    with pytest.raises(ValueError, match="outside"):
+        evaluate_plan(inst, plan)
+    with pytest.raises(ValueError, match="outside"):
+        selection_from_plan(inst, plan)
+
+
+@pytest.mark.parametrize("member", [1.5, True, False])
+def test_plan_document_member_that_is_no_integer_rejected(member):
+    doc = {"groups": [[0, member]], "masks": [[1, 0]], "rate_bps": [1e6]}
+    with pytest.raises(ValueError, match="integers"):
+        MulticastPlan.from_json(doc)
+
+
+@pytest.mark.parametrize("pair", [[0.5, 0], [1, True], [False, 0]])
+def test_selection_document_index_that_is_no_integer_rejected(pair):
+    with pytest.raises(ValueError, match="integers"):
+        Selection.from_json([[0, 0], pair])
+
+
+def test_plan_rejects_disagreeing_group_counts_and_flat_masks():
+    with pytest.raises(ValueError, match="agree on K"):
+        MulticastPlan(groups=((0,), (1,)), masks=np.ones((1, 2), dtype=bool),
+                      rates_bps=(1e6, 2e6))
+    with pytest.raises(ValueError, match="agree on K"):
+        MulticastPlan(groups=((0,),), masks=np.ones((1, 2), dtype=bool),
+                      rates_bps=(1e6, 2e6))
+    with pytest.raises(ValueError, match="K x L"):
+        MulticastPlan(groups=((0,),), masks=np.ones(2, dtype=bool),
+                      rates_bps=(1e6,))
+
+
 def test_evaluate_plan_counts_duplicates_once():
     inst = two_rate_instance()
     plan = MulticastPlan(
@@ -472,3 +520,18 @@ def test_instance_without_grids_rejected():
         instance_with_moi(np.zeros((2, 0)))
     # an instance without users stays valid
     assert instance_with_moi(np.zeros((0, 3))).n_grids == 3
+
+
+def test_dense_document_with_inconsistent_dimensions_rejected():
+    doc = legacy_dense_doc(fig1_instance())
+    doc["n_users"] += 1
+    with pytest.raises(ValueError, match="dimensions are inconsistent"):
+        ProblemInstance.from_json(doc)
+
+
+@pytest.mark.parametrize("n_users", [2.5, -1])
+def test_instance_document_user_count_that_is_no_count_rejected(n_users):
+    doc = fig1_instance().to_json()
+    doc["n_users"] = n_users
+    with pytest.raises(ValueError, match="n_users must be a non-negative"):
+        ProblemInstance.from_json(doc)

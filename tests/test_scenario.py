@@ -120,6 +120,41 @@ def test_genparams_validation():
         GenParams(budget_s=-1.0)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"grid_h": 0}, "grid resolution"),
+    ({"grid_w": 0}, "grid resolution"),
+    ({"extent": (100.0, 0.0)}, "extent must be positive"),
+    ({"window": 0}, "window"),
+    ({"hvn_height": 0.0}, "hvn_height"),
+    ({"occlusion_atten": 1.5}, "occlusion_atten"),
+    ({"occlusion_atten": -0.1}, "occlusion_atten"),
+])
+def test_genparams_range_checks(fields, message):
+    with pytest.raises(ValueError, match=message):
+        GenParams(**fields)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("fields, name", [
+    ({"extent": (NAN, 100.0)}, "extent"),
+    ({"extent": (100.0, INF)}, "extent"),
+    ({"budget_s": NAN}, "budget_s"),
+    ({"bandwidth_hz": INF}, "bandwidth_hz"),
+    ({"grid_bytes": INF}, "grid_bytes"),
+    ({"hvn_height": INF}, "hvn_height"),
+    ({"roi_half_width": NAN}, "roi_half_width"),
+    ({"object_sigma_m": -INF}, "object_sigma_m"),
+    ({"radio": RadioParams(tx_power_dbm=NAN)}, "radio.tx_power_dbm"),
+    ({"radio": RadioParams(pathloss_exponent=INF)}, "radio.pathloss_exponent"),
+])
+def test_genparams_rejects_non_finite_floats(fields, name):
+    # each slips past the range checks, which are false for NaN
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        GenParams(**fields)
+
+
 def test_segment_rect_intersection():
     from birdcast.scenario import _segments_blocked
 
