@@ -10,6 +10,7 @@ its lower bound, so the decodable set is always a prefix of the
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -54,17 +55,27 @@ class McsTable:
     @classmethod
     def from_json(cls, entries: list[dict[str, float]]) -> "McsTable":
         return cls(
-            rates=_reject_bools([e["rate"] for e in entries], "mcs_table rate"),
-            thresholds_db=_reject_bools([e["threshold_db"] for e in entries],
-                                        "mcs_table threshold_db"),
+            rates=_numbers([e["rate"] for e in entries], "mcs_table rate"),
+            thresholds_db=_numbers([e["threshold_db"] for e in entries],
+                                   "mcs_table threshold_db"),
         )
 
 
-def _reject_bools(values: list, name: str) -> list:
-    """values, after checking that none is a JSON true or false, which
-    float() and numpy would read as 1.0 or 0.0."""
-    if bool in set(map(type, values)):
-        raise ValueError(f"{name}: a JSON true or false is not a number")
+def _all_numbers(values: list, integers: bool = False) -> bool:
+    """Whether every entry of values, a list read from JSON, is a number
+    (an integer when `integers`); a JSON true or false, which float() and
+    numpy read as 1 or 0, is neither. Ranges are the caller's to check."""
+    kind = numbers.Integral if integers else numbers.Real
+    types = set(map(type, values))  # one pass; numpy scalars are numbers too
+    return bool not in types and all(issubclass(t, kind) for t in types)
+
+
+def _numbers(values: list, name: str, integers: bool = False) -> list:
+    """values, after checking them as _all_numbers does."""
+    if not _all_numbers(values, integers):
+        bad = next(v for v in values if not _all_numbers([v], integers))
+        raise ValueError(f"{name}: {'integers' if integers else 'numbers'} "
+                         f"only, not {bad!r}")
     return values
 
 

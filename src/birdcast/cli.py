@@ -19,7 +19,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ from .baselines import (
     marginal_util_solve,
     unicast_solve,
 )
-from .channel import McsTable
+from .channel import McsTable, _all_numbers, _numbers
 from .instance import ProblemInstance, evaluate_plan
 from .oracle import EnumerationCapExceeded, exact_solve
 from .scenario import GenParams, RadioParams, fig1_instance, generate
@@ -75,13 +75,19 @@ def _dump(obj: dict) -> str:
 
 
 def _genparams_from_dict(d: dict) -> GenParams:
+    """GenParams from a JSON object: fields annotated int take integers;
+    those annotated float, and the extent and radio entries, numbers."""
     d = dict(d)
+    for f in fields(GenParams):
+        if f.name in d and f.type in ("int", "float"):
+            _numbers([d[f.name]], f.name, integers=f.type == "int")
     if "radio" in d and isinstance(d["radio"], dict):
+        _numbers(list(d["radio"].values()), "radio")
         d["radio"] = RadioParams(**d["radio"])
     if "mcs" in d and isinstance(d["mcs"], list):
         d["mcs"] = McsTable.from_json(d["mcs"])
     if "extent" in d:
-        d["extent"] = tuple(d["extent"])
+        d["extent"] = tuple(_numbers(d["extent"], "extent"))
     return GenParams(**d)
 
 
@@ -163,9 +169,8 @@ def cmd_solve(args) -> int:
 def _count(value, name: str) -> int:
     """value as a count of at least 1; a fraction, a JSON true or false,
     or anything below 1 is invalid input."""
-    whole = (type(value) is int
-             or isinstance(value, float) and value.is_integer())
-    if not whole or value < 1:
+    # a whole float such as 2.0 counts; inf % 1 and nan % 1 are nan
+    if not (_all_numbers([value]) and value % 1 == 0 and value >= 1):
         raise ValueError(f"{name} must be a whole number >= 1, not {value!r}")
     return int(value)
 
@@ -218,9 +223,8 @@ def cmd_sweep(args) -> int:
     variable = spec["variable"]
     if variable not in SWEEP_VARIABLES:
         raise ValueError(f"variable must be one of {SWEEP_VARIABLES}")
-    values = spec["values"]
-    if not values or any(isinstance(v, bool) or not 0 < v < math.inf
-                         for v in values):
+    values = _numbers(spec["values"], "values")
+    if not values or not all(0 < v < math.inf for v in values):
         raise ValueError("values must be a non-empty list of positive, "
                          "finite numbers")
     solver_ids = spec.get("solvers", sorted(SOLVERS))
@@ -228,7 +232,7 @@ def cmd_sweep(args) -> int:
     if unknown:
         raise ValueError(f"unknown solvers in spec: {unknown}")
     reps = _count(spec.get("repetitions", 1), "repetitions")
-    base_seed = int(spec.get("seed", 0))
+    [base_seed] = _numbers([spec.get("seed", 0)], "seed", integers=True)
     base = _genparams_from_dict(spec.get("params", {}))
     cells = [
         (_apply_sweep_value(replace(base, seed=base_seed + rep), variable,

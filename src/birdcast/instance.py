@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import McsTable, _reject_bools, item_cost
+from .channel import McsTable, _all_numbers, _numbers, item_cost
 
 # Relative slack for budget-feasibility checks only; utilities and plan/cost
 # equivalences are compared exactly.
@@ -167,27 +167,22 @@ class ProblemInstance:
         moi is a list of N rows."""
         if not isinstance(d, dict):
             raise ValueError("an instance document must be a JSON object")
+        for key in ("n_users", "n_grids"):
+            if not _all_numbers([d[key]], integers=True) or d[key] < 0:
+                raise ValueError(f"{key} must be a non-negative integer")
         fmt = d.get("format")
         if fmt is None:
             moi = np.asarray(d["moi"], dtype=np.float64)
             if moi.ndim == 2:  # any other shape fails in __post_init__
-                for row in d["moi"]:
-                    _reject_bools(row, "moi")
+                _numbers([v for row in d["moi"] for v in row], "moi")
         elif fmt == INSTANCE_FORMAT:
             moi = _moi_from_triplets(d["moi"], d["n_users"], d["n_grids"])
         else:
             raise ValueError(f"unknown instance format {fmt!r}")
-        for key in ("n_users", "n_grids", "grid_bytes", "bandwidth_hz",
-                    "budget_s"):
-            _reject_bools([d[key]], key)
-        inst = cls(
-            moi=moi,
-            snr_db=tuple(_reject_bools(d["snr_db"], "snr_db")),
-            mcs=McsTable.from_json(d["mcs_table"]),
-            grid_bytes=d["grid_bytes"],
-            bandwidth_hz=d["bandwidth_hz"],
-            budget_s=d["budget_s"],
-        )
+        inst = cls(moi, tuple(_numbers(d["snr_db"], "snr_db")),
+                   McsTable.from_json(d["mcs_table"]),
+                   *_numbers([d["grid_bytes"], d["bandwidth_hz"], d["budget_s"]],
+                             "grid_bytes, bandwidth_hz and budget_s"))
         if inst.n_users != d["n_users"] or inst.n_grids != d["n_grids"]:
             raise ValueError("instance JSON dimensions are inconsistent")
         return inst
@@ -198,13 +193,10 @@ def _moi_from_triplets(triplets: dict, n_users: int,
     """Dense N x L matrix from {"user": [...], "grid": [...], "value": [...]};
     raises ValueError on an index outside [0, N) x [0, L), a repeated
     (user, grid) pair or lists of unequal lengths."""
-    for name, n in (("n_users", n_users), ("n_grids", n_grids)):
-        if type(n) is not int or n < 0:
-            raise ValueError(f"{name} must be a non-negative integer")
     moi = np.zeros((n_users, n_grids), dtype=np.float64)
     user = _index_array(triplets["user"], n_users, "user")
     grid = _index_array(triplets["grid"], n_grids, "grid")
-    value = np.asarray(_reject_bools(triplets["value"], "moi value"),
+    value = np.asarray(_numbers(triplets["value"], "moi value"),
                        dtype=np.float64)
     if value.ndim != 1 or not user.size == grid.size == value.size:
         raise ValueError("moi triplets must be three lists of equal length")
@@ -218,22 +210,11 @@ def _moi_from_triplets(triplets: dict, n_users: int,
 
 def _index_array(indices: list, size: int, name: str) -> np.ndarray:
     """Integer index list checked against [0, size), before numpy could
-    wrap a negative index. A JSON true or false is no index, though numpy
-    reads it as 1 or 0 among integers."""
-    arr = np.asarray(indices)
-    if (arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu")
-            or bool in set(map(type, indices))):
-        raise ValueError(f"moi {name} indices must be a list of integers")
+    wrap a negative index."""
+    arr = np.asarray(_numbers(indices, f"moi {name} indices", integers=True))
     if arr.size and (arr.min() < 0 or arr.max() >= size):
         raise ValueError(f"moi {name} index out of range [0, {size})")
     return arr.astype(np.int64)
-
-
-def _check_ints(values: list, name: str) -> None:
-    """Raise ValueError unless every entry is an integer: int() would
-    truncate a fraction and read a JSON true or false as 1 or 0."""
-    if any(type(v) is not int for v in values):
-        raise ValueError(f"{name} indices must be integers")
 
 
 @dataclass(frozen=True)
@@ -268,9 +249,8 @@ class Selection:
 
     @classmethod
     def from_json(cls, data: list[list[int]]) -> "Selection":
-        for pair in data:
-            _check_ints(pair, "selection")
-        return cls.from_pairs(data)
+        return cls.from_pairs(_numbers(pair, "selection indices", integers=True)
+                              for pair in data)
 
 
 @dataclass(frozen=True)
@@ -316,12 +296,15 @@ class MulticastPlan:
 
     @classmethod
     def from_json(cls, d: dict) -> "MulticastPlan":
-        for group in d["groups"]:
-            _check_ints(group, "plan group")
+        masks = np.asarray([_numbers(row, "plan masks", integers=True)
+                            for row in d["masks"]])
+        if masks.size and (masks.min() < 0 or masks.max() > 1):
+            raise ValueError("plan masks must hold only 0 and 1")
         return cls(
-            groups=tuple(tuple(g) for g in d["groups"]),
-            masks=np.asarray(d["masks"], dtype=bool),
-            rates_bps=tuple(d["rate_bps"]),
+            groups=tuple(tuple(_numbers(g, "plan group members", integers=True))
+                         for g in d["groups"]),
+            masks=masks,
+            rates_bps=tuple(_numbers(d["rate_bps"], "plan rate_bps")),
         )
 
 

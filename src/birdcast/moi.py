@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import _numbers
+
 
 @dataclass(frozen=True)
 class GridMap:
@@ -56,8 +58,8 @@ class GridMap:
 
     @classmethod
     def from_json(cls, d: dict) -> "GridMap":
-        arr = np.asarray(d["data"], dtype=np.float64).reshape(d["h"], d["w"])
-        return cls(arr)
+        shape = _numbers([d["h"], d["w"]], "GridMap h and w", integers=True)
+        return cls(np.reshape(_numbers(d["data"], "GridMap data"), shape))
 
 
 def _require_same_shape(a: GridMap, b: GridMap) -> None:

@@ -560,6 +560,49 @@ def test_sweep_rejects_a_value_it_would_run_as_another(tmp_path, capsys,
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("seed", [2.5, True, "1"])
+def test_sweep_rejects_a_seed_that_is_no_integer(tmp_path, capsys, seed):
+    # int() would run 2.5 as seed 2, and true as seed 1
+    spec = {"variable": "budget", "values": [0.002],
+            "params": {"n_users": 3, "grid_h": 2, "grid_w": 10},
+            "solvers": ["unicast"], "seed": seed}
+    assert run(["sweep", "--spec", write_spec(tmp_path, spec),
+                "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: seed")
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("params, field", [
+    ({"budget_s": True}, "budget_s"),  # would generate a 1 s budget
+    ({"seed": True}, "seed"),
+    ({"window": True}, "window"),
+    ({"eta": True}, "eta"),
+    ({"n_users": 2.5}, "n_users"),
+    ({"n_users": 3.0}, "n_users"),
+    ({"seed": 1.7}, "seed"),
+    ({"grid_bytes": "1600"}, "grid_bytes"),
+    ({"extent": [True, 100.0]}, "extent"),
+    ({"radio": {"noise_dbm": False}}, "radio"),
+    ({"mcs": [{"rate": True, "threshold_db": 0.0}]}, "mcs_table rate"),
+])
+def test_generator_parameter_of_the_wrong_type_is_invalid_input(
+        tmp_path, capsys, params, field):
+    # int fields take integers; float fields, extent and radio entries
+    # numbers, through gen --params and a sweep spec's params alike
+    params_path = tmp_path / "params.json"
+    params_path.write_text(json.dumps({"grid_h": 2, "grid_w": 10, **params}))
+    out = tmp_path / "o"
+    assert run(["gen", "--params", str(params_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}:")
+    assert not out.exists()
+    spec = {"variable": "budget", "values": [0.002], "solvers": ["unicast"],
+            "params": {"n_users": 3, "grid_h": 2, "grid_w": 10, **params}}
+    assert run(["sweep", "--spec", write_spec(tmp_path, spec),
+                "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}:")
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("text", ["[]", "null"])
 def test_instance_file_that_is_no_object_is_invalid_input(tmp_path, capsys,
                                                           text):

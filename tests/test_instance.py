@@ -297,6 +297,23 @@ def test_selection_document_index_that_is_no_integer_rejected(pair):
         Selection.from_json([[0, 0], pair])
 
 
+@pytest.mark.parametrize("edit", [
+    {"masks": [[2, 0.5]], "rate_bps": [True]},  # read as [[True, True]], 1.0
+    {"masks": [[2, 0]]},
+    {"masks": [[1, -1]]},
+    {"masks": [[0.5, 1]]},
+    {"masks": [[True, False]]},
+    {"rate_bps": [True]},
+    {"rate_bps": ["1e6"]},
+])
+def test_plan_document_that_is_no_plan_rejected(edit):
+    # masks take the integers 0 and 1, as to_json writes them, and
+    # rate_bps takes numbers
+    doc = {"groups": [[0]], "masks": [[1, 0]], "rate_bps": [1e6], **edit}
+    with pytest.raises(ValueError, match="masks|rate_bps"):
+        MulticastPlan.from_json(doc)
+
+
 def test_plan_rejects_disagreeing_group_counts_and_flat_masks():
     with pytest.raises(ValueError, match="agree on K"):
         MulticastPlan(groups=((0,), (1,)), masks=np.ones((1, 2), dtype=bool),

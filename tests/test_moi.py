@@ -26,6 +26,17 @@ def test_gridmap_rejects_non_finite():
         GridMap(np.array([[1.0, np.nan]]))
 
 
+@pytest.mark.parametrize("doc", [
+    {"h": 1, "w": 2, "data": [True, False]},  # float() reads 1.0, 0.0
+    {"h": 1, "w": 2, "data": [0.5, "1"]},  # numpy reads 1.0
+    {"h": True, "w": 2, "data": [0.5, 1.0]},
+    {"h": 1.0, "w": 2, "data": [0.5, 1.0]},
+])
+def test_gridmap_document_that_is_no_map_rejected(doc):
+    with pytest.raises(ValueError, match="GridMap"):
+        GridMap.from_json(doc)
+
+
 def test_gridmap_json_round_trip():
     g = GridMap(np.arange(6.0).reshape(2, 3))
     again = GridMap.from_json(g.to_json())

@@ -400,3 +400,34 @@ def test_invalid_instance_is_rejected_with_exit_code_1(doc):
             code = main(["solve", str(path), "--solver", "birdcast_accel"])
     assert code == 1
     assert err.getvalue().startswith("error:")
+
+
+# entries a plan document must not hold, by key: groups take integers,
+# masks the integers 0 and 1, and rate_bps numbers
+BAD_PLAN_ENTRIES = {"groups": (True, False, 0.5, "1", None),
+                    "masks": (True, False, 0.5, "1", None, 2),
+                    "rate_bps": (True, False, "1", None)}
+
+
+@st.composite
+def invalid_plan_docs(draw) -> dict:
+    """A solver's plan document with one entry of groups, masks or
+    rate_bps replaced by a bad one, so the document keeps its shape."""
+    doc = accelerated_greedy(draw(instances())).plan.to_json()
+    key = draw(st.sampled_from(sorted(BAD_PLAN_ENTRIES)))
+    bad = draw(st.sampled_from(BAD_PLAN_ENTRIES[key]))
+    entries = (doc[key] if key == "rate_bps"
+               else doc[key][draw(st.integers(0, len(doc[key]) - 1))])
+    if entries:
+        entries[draw(st.integers(0, len(entries) - 1))] = bad
+    else:  # an empty group
+        entries.append(bad)
+    return doc
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
+                     database=None)
+@hypothesis.given(invalid_plan_docs())
+def test_invalid_plan_document_is_rejected(doc):
+    with pytest.raises(ValueError):
+        MulticastPlan.from_json(json.loads(json.dumps(doc)))
