@@ -59,7 +59,7 @@ _Candidate = tuple[list[np.ndarray], list[int], dict]
 
 
 def _decodable_users(inst: ProblemInstance) -> np.ndarray:
-    return np.flatnonzero(inst.user_max_rate_index() >= 0)
+    return np.flatnonzero(inst.top_rate >= 0)
 
 
 def _result(inst: ProblemInstance, plan: MulticastPlan,
@@ -118,7 +118,7 @@ def broadcast_solve(inst: ProblemInstance) -> SolveResult:
                        len(dropped))
     if users.size == 0:
         return _best_of(inst, [([], [], meta)], 0, t0)
-    rate_idx = int(inst.user_max_rate_index()[users].min())
+    rate_idx = int(inst.top_rate[users].min())
     weights = inst.moi[users].sum(axis=0)
     order = np.argsort(-weights, kind="stable")[:int((weights > 0.0).sum())]
     sent, _ = _budget_scan(np.full(order.size, inst.item_cost_s[rate_idx]),
@@ -141,7 +141,7 @@ def unicast_solve(inst: ProblemInstance) -> SolveResult:
     """
     t0 = time.perf_counter()
     users = _decodable_users(inst)
-    max_idx = inst.user_max_rate_index()[users]
+    max_idx = inst.top_rate[users]
     weights = inst.moi[users]
     user_cost = inst.item_cost_s[max_idx]
     rows, grids = np.nonzero(weights > 0.0)
@@ -165,7 +165,7 @@ def marginal_util_solve(inst: ProblemInstance) -> SolveResult:
     """
     t0 = time.perf_counter()
     rate = [inst.n_rates] * inst.n_grids
-    _, evals, _ = _argmax_pass(inst.rate_class_table(), inst.item_cost_s, rate,
+    _, evals, _ = _argmax_pass(inst.rate_class_table, inst.item_cost_s, rate,
                                inst.budget_s, grid_exclusive=True)
     return _result_from_rates(inst, rate, evals, t0, _rates_utility(inst, rate))
 
@@ -269,7 +269,6 @@ def kmeanspp_solve(inst: ProblemInstance) -> SolveResult:
     users = _decodable_users(inst)
     if users.size == 0:
         return _best_of(inst, [([], [], {})], 0, t0)
-    max_idx = inst.user_max_rate_index()
     rates = inst.user_max_rate_bps()[users]
     rng = np.random.default_rng(_RNG_SEED)
 
@@ -277,7 +276,7 @@ def kmeanspp_solve(inst: ProblemInstance) -> SolveResult:
         for k in range(1, min(users.size, inst.n_rates) + 1):
             labels = _kmeanspp_1d(rates, k, rng)
             groups = [users[labels == c] for c in np.unique(labels)]
-            yield groups, [int(max_idx[g].min()) for g in groups], {"k": k}
+            yield groups, [int(inst.top_rate[g].min()) for g in groups], {"k": k}
 
     return _best_of(inst, clusterings(), 0, t0)
 
@@ -292,8 +291,7 @@ def _below_floor(members: np.ndarray, chosen: np.ndarray, floor: float) -> bool:
 
 
 def _segment_values(inst: ProblemInstance, ordered: np.ndarray,
-                    max_idx: np.ndarray, budgets: list[float],
-                    floor: float) -> tuple[np.ndarray, np.ndarray | None]:
+                    budgets: list[float], floor: float) -> tuple[np.ndarray, np.ndarray | None]:
     """Stand-alone greedy value of every contiguous run of sorted users.
 
     For sorted users i..j the grid order by summed member weight is the
@@ -326,7 +324,7 @@ def _segment_values(inst: ProblemInstance, ordered: np.ndarray,
     for i in range(n):
         w = prefix[i + 1:] - prefix[i]  # row r: the run i..i+r
         cum = np.cumsum(np.sort(w, axis=1)[:, ::-1], axis=1)
-        rate = max_idx[ordered[i:]]
+        rate = inst.top_rate[ordered[i:]]
         n_top = np.minimum(fit[:, rate], (w > 0.0).sum(axis=1))
         top = cum[np.arange(n - i), np.maximum(n_top - 1, 0)]
         values[:, i, i:] = np.where(n_top > 0, top, 0.0)
@@ -418,21 +416,19 @@ def dp_solve(inst: ProblemInstance, fair: bool = False) -> SolveResult:
     users = _decodable_users(inst)
     if users.size == 0:
         return _best_of(inst, [([], [], {})], 0, t0)
-    max_idx = inst.user_max_rate_index()
-    top = max_idx.tolist()
+    top = inst.top_rate.tolist()
     ordered = np.asarray(sorted(users.tolist(), key=lambda n: (-top[n], n)))
     n_groups = min(_DP_MAX_GROUPS, ordered.size)
     budgets = [inst.budget_s / k for k in range(1, n_groups + 1)]
     floor = _FAIRNESS_FLOOR if fair else 0.0
-    values, fair_values = _segment_values(inst, ordered, max_idx, budgets,
-                                          floor)
+    values, fair_values = _segment_values(inst, ordered, budgets, floor)
     # every group count values every contiguous run once
     evals = n_groups * ordered.size * (ordered.size + 1) // 2
     admissible = values if fair_values is None else fair_values
-    result = _best_of(inst, _partitions(ordered, admissible, max_idx, fair),
-                      evals, t0)
+    result = _best_of(inst, _partitions(ordered, admissible, inst.top_rate,
+                                        fair), evals, t0)
     if result is None:
-        result = _best_of(inst, _partitions(ordered, values, max_idx, False),
-                          evals, t0)
+        result = _best_of(inst, _partitions(ordered, values, inst.top_rate,
+                                            False), evals, t0)
         result.meta["fair_infeasible"] = True
     return result

@@ -54,6 +54,7 @@ class McsTable:
 
     @classmethod
     def from_json(cls, entries: list[dict[str, float]]) -> "McsTable":
+        entries = _array(entries, "mcs_table")
         return cls(
             rates=_numbers([e["rate"] for e in entries], "mcs_table rate"),
             thresholds_db=_numbers([e["threshold_db"] for e in entries],
@@ -70,9 +71,18 @@ def _all_numbers(values: list, integers: bool = False) -> bool:
     return bool not in types and all(issubclass(t, kind) for t in types)
 
 
+def _array(value, name: str) -> list:
+    """value, after checking that it is a list (or a tuple), as a JSON
+    array reads; iterating a scalar would raise TypeError."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name}: a list, not {type(value).__name__}")
+    return value
+
+
 def _numbers(values: list, name: str, integers: bool = False) -> list:
-    """values, after checking them as _all_numbers does."""
-    if not _all_numbers(values, integers):
+    """values, after checking that they are a list and that its entries
+    pass _all_numbers."""
+    if not _all_numbers(_array(values, name), integers):
         bad = next(v for v in values if not _all_numbers([v], integers))
         raise ValueError(f"{name}: {'integers' if integers else 'numbers'} "
                          f"only, not {bad!r}")

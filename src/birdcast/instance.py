@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import McsTable, _all_numbers, _numbers, item_cost
+from .channel import McsTable, _all_numbers, _array, _numbers, item_cost
 
 # Relative slack for budget-feasibility checks only; utilities and plan/cost
 # equivalences are compared exactly.
@@ -45,9 +45,20 @@ class ProblemInstance:
     bandwidth_hz: float
     budget_s: float
 
-    # derived, filled in __post_init__
+    # derived and read-only, filled in __post_init__
     decodable: np.ndarray = field(init=False, repr=False, compare=False)
     item_cost_s: np.ndarray = field(init=False, repr=False, compare=False)
+    # highest decodable rate index per user, -1 when out of range
+    top_rate: np.ndarray = field(init=False, repr=False, compare=False)
+    # L x (M+1) table S: S[l, m] is grid l's interest over the users that
+    # decode rate m, and S[:, M] = 0. Decodability is nested, so a grid's
+    # coverage depends only on the slowest rate selected for it: S[:, :M]
+    # holds the single-item utilities F({(l, m)}), and the gain of (l, m)
+    # once rate r is the slowest selected for grid l is S[l, m] - S[l, r].
+    # Built from per-top-rate class sums by a reverse cumulative sum, which
+    # adds non-negative terms only, so every row is non-increasing in float
+    # arithmetic too.
+    rate_class_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         moi = np.ascontiguousarray(np.asarray(self.moi, dtype=np.float64))
@@ -77,16 +88,19 @@ class ProblemInstance:
              for j in range(m)],
             dtype=np.float64,
         )
-        moi.setflags(write=False)
-        decodable.setflags(write=False)
-        costs.setflags(write=False)
-        object.__setattr__(self, "moi", moi)
+        top = decodable.sum(axis=1).astype(np.int64) - 1
+        one_hot = (top[:, None] == np.arange(m)[None, :]).astype(np.float64)
+        table = np.zeros((moi.shape[1], m + 1), dtype=np.float64)
+        table[:, :m] = np.cumsum((moi.T @ one_hot)[:, ::-1], axis=1)[:, ::-1]
+        arrays = {"moi": moi, "decodable": decodable, "item_cost_s": costs,
+                  "top_rate": top, "rate_class_table": table}
+        for name, arr in arrays.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "snr_db", snr)
         object.__setattr__(self, "grid_bytes", float(self.grid_bytes))
         object.__setattr__(self, "bandwidth_hz", float(self.bandwidth_hz))
         object.__setattr__(self, "budget_s", float(self.budget_s))
-        object.__setattr__(self, "decodable", decodable)
-        object.__setattr__(self, "item_cost_s", costs)
 
     @property
     def n_users(self) -> int:
@@ -104,38 +118,13 @@ class ProblemInstance:
     def n_items(self) -> int:
         return self.n_grids * self.n_rates
 
-    def user_max_rate_index(self) -> np.ndarray:
-        """Highest decodable rate index per user, -1 when out of range."""
-        return self.decodable.sum(axis=1).astype(np.int64) - 1
-
     def user_max_rate_bps(self) -> np.ndarray:
         """Maximum achievable data rate per user (0 when out of range)."""
-        idx = self.user_max_rate_index()
         rates = np.asarray(self.mcs.rates)
         out = np.zeros(self.n_users, dtype=np.float64)
-        ok = idx >= 0
-        out[ok] = self.bandwidth_hz * rates[idx[ok]]
+        ok = self.top_rate >= 0
+        out[ok] = self.bandwidth_hz * rates[self.top_rate[ok]]
         return out
-
-    def rate_class_table(self) -> np.ndarray:
-        """L x (M+1) table S: S[l, m] is grid l's interest over the users
-        that decode rate m, and S[:, M] = 0.
-
-        Decodability is nested, so a grid's coverage depends only on the
-        slowest rate selected for it: S[:, :M] holds the single-item
-        utilities F({(l, m)}), and the gain of (l, m) once rate r is the
-        slowest selected for grid l is S[l, m] - S[l, r]. Built from
-        per-top-rate class sums by a reverse cumulative sum, which adds
-        non-negative terms only, so every row is non-increasing in float
-        arithmetic too.
-        """
-        n_rates = self.n_rates
-        top = self.user_max_rate_index()
-        one_hot = (top[:, None] == np.arange(n_rates)[None, :]).astype(np.float64)
-        class_sums = self.moi.T @ one_hot
-        table = np.zeros((self.n_grids, n_rates + 1), dtype=np.float64)
-        table[:, :n_rates] = np.cumsum(class_sums[:, ::-1], axis=1)[:, ::-1]
-        return table
 
     def validate_item(self, item: Item) -> None:
         l, m = item
@@ -250,7 +239,7 @@ class Selection:
     @classmethod
     def from_json(cls, data: list[list[int]]) -> "Selection":
         return cls.from_pairs(_numbers(pair, "selection indices", integers=True)
-                              for pair in data)
+                              for pair in _array(data, "selection"))
 
 
 @dataclass(frozen=True)
@@ -297,12 +286,12 @@ class MulticastPlan:
     @classmethod
     def from_json(cls, d: dict) -> "MulticastPlan":
         masks = np.asarray([_numbers(row, "plan masks", integers=True)
-                            for row in d["masks"]])
+                            for row in _array(d["masks"], "plan masks")])
         if masks.size and (masks.min() < 0 or masks.max() > 1):
             raise ValueError("plan masks must hold only 0 and 1")
         return cls(
             groups=tuple(tuple(_numbers(g, "plan group members", integers=True))
-                         for g in d["groups"]),
+                         for g in _array(d["groups"], "plan groups")),
             masks=masks,
             rates_bps=tuple(_numbers(d["rate_bps"], "plan rate_bps")),
         )

@@ -3,7 +3,7 @@
 Because a user's coverage of a grid depends only on the slowest rate
 selected for that grid, and a faster duplicate rate on the same grid can
 only waste budget, an optimal schedule assigns at most one rate per grid.
-With S = ProblemInstance.rate_class_table(), the problem is then a
+With S = ProblemInstance.rate_class_table, the problem is then a
 multiple-choice knapsack (MCKP; Sinha & Zoltners 1979): pick at most one
 option (l, m) per grid, worth S[l, m] at the cost item_cost_s[m] that all
 grids share, under the budget. Its LP relaxation fills the budget with
@@ -84,7 +84,7 @@ def _mckp(inst: ProblemInstance) -> tuple[list[_GridOptions], list[_Increment]]:
     costs = inst.item_cost_s.tolist()
     fits = [m for m, cost in enumerate(costs) if cost <= inst.budget_s]
     grids = []
-    for l, row in enumerate(inst.rate_class_table().tolist()):
+    for l, row in enumerate(inst.rate_class_table.tolist()):
         # cost falls as m rises and S[l, m] never rises, so option m is
         # worth more than every cheaper one exactly when it is worth more
         # than m + 1; S[l, M] = 0 stands for the skip
@@ -209,7 +209,7 @@ def exact_solve(inst: ProblemInstance) -> OracleResult:
 def brute_force_assignments(inst: ProblemInstance) -> OracleResult:
     """Unpruned sweep of every one-rate-per-grid assignment (tiny instances)."""
     _check_cap(inst, _BRUTE_FORCE_CAP)
-    contrib, costs = inst.rate_class_table()[:, :inst.n_rates], inst.item_cost_s
+    contrib, costs = inst.rate_class_table[:, :inst.n_rates], inst.item_cost_s
     n_grids, n_rates = inst.n_grids, inst.n_rates
     best_value = 0.0
     best_items: list[tuple[int, int]] = []
@@ -243,7 +243,7 @@ def unrestricted_opt(inst: ProblemInstance) -> float:
         raise EnumerationCapExceeded(
             f"L*M = {inst.n_grids * inst.n_rates} exceeds the cap "
             f"{_UNRESTRICTED_CAP_ITEMS}")
-    contrib, costs = inst.rate_class_table()[:, :inst.n_rates], inst.item_cost_s
+    contrib, costs = inst.rate_class_table[:, :inst.n_rates], inst.item_cost_s
     n_rates = inst.n_rates
     # per grid: (cost, value, slowest rate) of every local rate subset;
     # coverage only depends on the slowest selected rate

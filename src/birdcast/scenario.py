@@ -37,7 +37,6 @@ class RadioParams:
     tx_power_dbm: float = 23.0
     noise_dbm: float = -92.0
     pathloss_exponent: float = 3.8
-    carrier_hz: float = 5.9e9
     ref_pathloss_db: float = 47.85
 
 
@@ -118,6 +117,8 @@ class GenParams:
             raise ValueError(f"{', '.join(infinite)} must be finite")
         if self.n_users < 1:
             raise ValueError("n_users must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.grid_h < 1 or self.grid_w < 1:
             raise ValueError("grid resolution must be >= 1 in both axes")
         if min(self.extent) <= 0:

@@ -183,16 +183,10 @@ def best_single_item(inst: ProblemInstance) -> tuple[Item | None, float]:
     Returns (None, 0.0) when no item fits; the value reported goes through
     the canonical coverage evaluator.
     """
-    return _best_single_item(inst, inst.rate_class_table())
-
-
-def _best_single_item(inst: ProblemInstance,
-                      table: np.ndarray) -> tuple[Item | None, float]:
-    """best_single_item on the instance's rate-class table `table`."""
     fits = inst.item_cost_s <= inst.budget_s
     if not fits.any():
         return None, 0.0
-    standalone = table[:, :inst.n_rates]
+    standalone = inst.rate_class_table[:, :inst.n_rates]
     flat = int(np.argmax(np.where(fits[None, :], standalone, -np.inf)))
     item = divmod(flat, inst.n_rates)
     return item, _rates_utility(inst, _single_item_rates(inst, item))
@@ -255,8 +249,7 @@ def _two_pass_greedy(inst: ProblemInstance,
     duplicates; their cost funds pass 2.
     """
     t0 = time.perf_counter()
-    table = inst.rate_class_table()
-    costs = inst.item_cost_s
+    table, costs = inst.rate_class_table, inst.item_cost_s
     rate = [inst.n_rates] * inst.n_grids
     budget_left, evals, picks = run_pass(table, costs, rate, inst.budget_s)
     reclaimed = float(sum(costs[m] for l, m in sorted(picks) if rate[l] != m))
@@ -265,7 +258,7 @@ def _two_pass_greedy(inst: ProblemInstance,
         evals += pass_evals
     rate = np.asarray(rate)
     value = _rates_utility(inst, rate)
-    single, single_value = _best_single_item(inst, table)
+    single, single_value = best_single_item(inst)
     if single is not None and single_value > value:
         rate, value = _single_item_rates(inst, single), single_value
     return _result_from_rates(inst, rate, evals, t0, value)

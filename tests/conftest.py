@@ -116,13 +116,12 @@ def _unknown_format(doc: dict) -> None:
     doc["format"] = 3
 
 
-def _set_true(*path):
-    """Edit that sets doc[path[0]][path[1]]... to a JSON true; float() and
-    numpy would read it as 1.0."""
+def _set(value, *path):
+    """Edit that sets doc[path[0]][path[1]]... to value."""
     def edit(doc: dict) -> None:
         for key in path[:-1]:
             doc = doc[key]
-        doc[path[-1]] = True
+        doc[path[-1]] = value
     return edit
 
 
@@ -167,14 +166,18 @@ MALFORMED_INSTANCE_EDITS = {
     "repeated_pair": _repeated_pair,
     "unequal_lengths": _short_values,
     "unknown_format": _unknown_format,
-    "true_budget": _set_true("budget_s"),
-    "true_grid_bytes": _set_true("grid_bytes"),
-    "true_bandwidth": _set_true("bandwidth_hz"),
-    "true_snr": _set_true("snr_db", 0),
-    "true_weight": _set_true("moi", "value", 0),
+    # a JSON true, which float() and numpy would read as 1.0
+    "true_budget": _set(True, "budget_s"),
+    "true_grid_bytes": _set(True, "grid_bytes"),
+    "true_bandwidth": _set(True, "bandwidth_hz"),
+    "true_snr": _set(True, "snr_db", 0),
+    "true_weight": _set(True, "moi", "value", 0),
     "true_dense_weight": _true_dense_weight,
-    "true_mcs_rate": _set_true("mcs_table", 0, "rate"),
+    "true_mcs_rate": _set(True, "mcs_table", 0, "rate"),
     "false_mcs_threshold": _false_threshold,
     "no_grids": _no_grids,
     "dense_no_grids": _dense_no_grids,
+    # a scalar where a list belongs; iterating it would raise TypeError
+    "scalar_moi_user": _set(5, "moi", "user"),
+    "scalar_snr": _set(3.0, "snr_db"),
 }

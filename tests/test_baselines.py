@@ -176,7 +176,7 @@ def test_kmeans_single_cluster_equals_broadcast():
     rng = np.random.default_rng(62)
     for _ in range(20):
         inst = random_instance(rng)
-        max_idx = inst.user_max_rate_index()
+        max_idx = inst.top_rate
         users = np.flatnonzero(max_idx >= 0)
         candidate = (([users], [int(max_idx[users].min())], {"k": 1})
                      if users.size else ([], [], {}))

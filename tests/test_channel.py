@@ -48,7 +48,7 @@ def test_decodable_set_lowest_threshold_inclusive():
 
 def test_decodable_set_below_everything():
     assert decodable_row(-10.0) == [False] * 14
-    assert users_instance([-10.0], DEFAULT_MCS_TABLE).user_max_rate_index()[0] == -1
+    assert users_instance([-10.0], DEFAULT_MCS_TABLE).top_rate[0] == -1
 
 
 def test_decodable_set_every_index():
@@ -91,7 +91,7 @@ def test_decodable_set_is_prefix_random():
         assert dec.tolist() == [snr >= t for t in table.thresholds_db]
         ones = int(dec.sum())
         assert dec.tolist() == [True] * ones + [False] * (table.n_rates - ones)
-        assert inst.user_max_rate_index()[0] == ones - 1
+        assert inst.top_rate[0] == ones - 1
 
 
 def test_item_cost_strictly_decreasing_in_rate():
@@ -111,9 +111,11 @@ def test_user_channel_prefix_of_ones():
     alpha = inst.decodable[0].tolist()
     ones = sum(alpha)
     assert alpha == [True] * ones + [False] * (14 - ones)
-    assert inst.user_max_rate_index()[0] == ones - 1
+    assert inst.top_rate[0] == ones - 1
 
 
 def test_table_json_round_trip():
     again = McsTable.from_json(DEFAULT_MCS_TABLE.to_json())
     assert again == DEFAULT_MCS_TABLE
+    with pytest.raises(ValueError, match="mcs_table: a list"):
+        McsTable.from_json(5)

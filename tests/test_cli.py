@@ -560,9 +560,10 @@ def test_sweep_rejects_a_value_it_would_run_as_another(tmp_path, capsys,
     assert not (tmp_path / "x.csv").exists()
 
 
-@pytest.mark.parametrize("seed", [2.5, True, "1"])
+@pytest.mark.parametrize("seed", [2.5, True, "1", -1])
 def test_sweep_rejects_a_seed_that_is_no_integer(tmp_path, capsys, seed):
-    # int() would run 2.5 as seed 2, and true as seed 1
+    # int() would run 2.5 as seed 2, and true as seed 1; numpy takes no
+    # negative seed, so -1 used to write a row of empty fields
     spec = {"variable": "budget", "values": [0.002],
             "params": {"n_users": 3, "grid_h": 2, "grid_w": 10},
             "solvers": ["unicast"], "seed": seed}

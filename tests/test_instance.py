@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -305,12 +306,15 @@ def test_selection_document_index_that_is_no_integer_rejected(pair):
     {"masks": [[True, False]]},
     {"rate_bps": [True]},
     {"rate_bps": ["1e6"]},
+    {"masks": 5},
+    {"masks": [5]},
+    {"groups": 3},
 ])
 def test_plan_document_that_is_no_plan_rejected(edit):
-    # masks take the integers 0 and 1, as to_json writes them, and
-    # rate_bps takes numbers
+    # masks take the integers 0 and 1, as to_json writes them, rate_bps
+    # takes numbers, and groups and masks are lists of lists
     doc = {"groups": [[0]], "masks": [[1, 0]], "rate_bps": [1e6], **edit}
-    with pytest.raises(ValueError, match="masks|rate_bps"):
+    with pytest.raises(ValueError, match="masks|rate_bps|groups"):
         MulticastPlan.from_json(doc)
 
 
@@ -397,11 +401,26 @@ def test_monotonicity_and_submodularity_random():
         assert marginal_gain(inst, state_a, e) >= marginal_gain(inst, state_b, e)
 
 
+def test_derived_fields_are_read_only_and_follow_replace():
+    rng = np.random.default_rng(33)
+    inst = random_instance(rng, max_rates=4)
+    for name in ("top_rate", "rate_class_table"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(inst, name)[0] = 1
+    snr = tuple(rng.uniform(-5.0, 30.0, size=inst.n_users))
+    changed = dataclasses.replace(inst, snr_db=snr)
+    fresh = ProblemInstance(inst.moi, snr, inst.mcs, inst.grid_bytes,
+                            inst.bandwidth_hz, inst.budget_s)
+    assert not np.array_equal(changed.top_rate, inst.top_rate)
+    for name in ("decodable", "item_cost_s", "top_rate", "rate_class_table"):
+        assert np.array_equal(getattr(changed, name), getattr(fresh, name))
+
+
 def test_rate_class_table_matches_coverage_reference():
     rng = np.random.default_rng(28)
     for _ in range(200):
         inst = random_instance(rng, max_rates=5)
-        table = inst.rate_class_table()
+        table = inst.rate_class_table
         assert table.shape == (inst.n_grids, inst.n_rates + 1)
         assert np.all(table[:, -1] == 0.0)
         assert np.all(np.diff(table, axis=1) <= 0.0)
@@ -492,6 +511,8 @@ def test_malformed_moi_triplets_rejected(edit):
 def test_selection_json_round_trip():
     sel = Selection.from_pairs([(3, 1), (0, 0)])
     assert Selection.from_json(sel.to_json()) == sel
+    with pytest.raises(ValueError, match="selection: a list"):
+        Selection.from_json(5)
 
 
 def test_plan_json_round_trip():

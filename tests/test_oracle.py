@@ -77,7 +77,7 @@ def test_opt_selection_uses_no_dominated_rate():
     rng = np.random.default_rng(58)
     for _ in range(100):
         inst = random_instance(rng)
-        table = inst.rate_class_table()
+        table = inst.rate_class_table
         for l, m in exact_solve(inst).opt_selection.items:
             assert table[l, m] > table[l, m + 1]
 
@@ -178,7 +178,7 @@ def _milp_opt(optimize, inst: ProblemInstance) -> float:
     """Optimum of the MCKP as a 0/1 program: x[l, m] with at most one rate
     per grid and total cost within the budget (costs in budget units)."""
     n_grids, n_rates = inst.n_grids, inst.n_rates
-    values = inst.rate_class_table()[:, :n_rates].ravel()
+    values = inst.rate_class_table[:, :n_rates].ravel()
     one_per_grid = np.kron(np.eye(n_grids), np.ones(n_rates))
     cost = np.tile(inst.item_cost_s, n_grids)[None, :] / inst.budget_s
     res = optimize.milp(

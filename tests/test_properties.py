@@ -216,7 +216,7 @@ ONE_ITEM_START = (
 @hypothesis.example(ONE_ITEM_START, False)
 def test_argmax_pass_matches_the_dense_reference(start, grid_exclusive):
     inst, rate, budget = start
-    table, costs = inst.rate_class_table(), inst.item_cost_s
+    table, costs = inst.rate_class_table, inst.item_cost_s
     ref_rate, new_rate = list(rate), list(rate)
     ref = dense_argmax_pass(table, costs, ref_rate, budget, grid_exclusive)
     new = _argmax_pass(table, costs, new_rate, budget, grid_exclusive)
@@ -269,7 +269,7 @@ def push_pop_lazy_pass(table, costs, rate, budget_left):
 @hypothesis.example(ONE_ITEM_START)
 def test_lazy_pass_matches_the_push_pop_reference(start):
     inst, rate, budget = start
-    table, costs = inst.rate_class_table(), inst.item_cost_s
+    table, costs = inst.rate_class_table, inst.item_cost_s
     ref_rate, new_rate = list(rate), list(rate)
     ref = push_pop_lazy_pass(table, costs, ref_rate, budget)
     new = _lazy_pass(table, costs, new_rate, budget)
@@ -294,7 +294,7 @@ def build_every_plan_best_of(inst, candidates, evals, t0):
 @st.composite
 def partition_candidates(draw) -> tuple[ProblemInstance, list]:
     inst = draw(instances())
-    max_idx = inst.user_max_rate_index()
+    max_idx = inst.top_rate
     users = np.flatnonzero(max_idx >= 0)
     candidates = []
     for c in range(draw(st.integers(0, 4))):

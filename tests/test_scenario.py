@@ -101,7 +101,7 @@ def test_default_scale_instance_has_feasible_items():
     _, inst = generate(GenParams(seed=0))
     assert (inst.n_users, inst.n_grids, inst.n_rates) == (24, 250, 14)
     assert inst.item_cost_s.min() <= inst.budget_s
-    assert inst.rate_class_table()[:, :inst.n_rates].max() > 0.0
+    assert inst.rate_class_table[:, :inst.n_rates].max() > 0.0
 
 
 def test_moi_zero_outside_roi():
@@ -128,6 +128,7 @@ def test_genparams_validation():
     ({"hvn_height": 0.0}, "hvn_height"),
     ({"occlusion_atten": 1.5}, "occlusion_atten"),
     ({"occlusion_atten": -0.1}, "occlusion_atten"),
+    ({"seed": -1}, "seed"),
 ])
 def test_genparams_range_checks(fields, message):
     with pytest.raises(ValueError, match=message):
@@ -197,32 +198,32 @@ GOLDEN_DIGESTS = {
     "paper_default": (
         "02bc4b6da726f4cf2fd0f7bb8ad2da09bd9c40397baf3f4c13c7424e833ae41d",
         "6e8cc34ba90ae2bb9e2fc5d6f82c5c581aa28c690a62c8478f9a2c951c082cbc",
-        "f94453ad70b18fca08b083f213af329994269febdc23a6724fa9ac597136275a",
+        "e0f48376980a576d006472b8ff8670051def57777ee9d971c3d9d8836c8bf214",
     ),
     "n32_5ms": (
         "0d6f66e4ef246b218a8eeb9bf69330f886dc2d75e4e3bd2187c8e22420fd6c85",
         "a780d0e236076f8059e2a81ddd7d9226e7c2daf62267d1fb4c10f763747599fe",
-        "52f811aeda9bf9fc3a90597e7868ff5539bc6ff204f9567777fda940266c427a",
+        "4f3a5fd45b96db51a5872078fa4b78b0ad75c8df60f39e43c96a6533764e53ca",
     ),
     "n96_40x25": (
         "818eb8a7fd6c8aa8674c7eb86d63cf431497e49f8f4c59fc71f184fc6d3adf5d",
         "db8a56307a78cbd97abd19d84cc81336d6e4f7756a5cd60bf4f26d9d42634313",
-        "93fe2a3a3b052e4eec5753b2c2eaf20145a09087ccd30c78136bb7c00920e37e",
+        "acc2f3c268c38a7b1bb7daf34b7dc60bc920cd0c57c1186d47269803197fccbc",
     ),
     "no_occluders": (
         "bb918147fe10391b43adeba4bd21b9ef32e5bd6c5076c3517733a05ed6dd0569",
         "6e8cc34ba90ae2bb9e2fc5d6f82c5c581aa28c690a62c8478f9a2c951c082cbc",
-        "1147f308f157290cc100cbc371072a0aa5e5bcb72f6c27b1271376d86b5c74cf",
+        "f6a51f9caa55f789064041aade93578c3d46868f6b66e2b5e04f8b7397dd5d17",
     ),
     "no_objects_15_occluders": (
         "bb918147fe10391b43adeba4bd21b9ef32e5bd6c5076c3517733a05ed6dd0569",
         "6e8cc34ba90ae2bb9e2fc5d6f82c5c581aa28c690a62c8478f9a2c951c082cbc",
-        "de31ada2775c4c487e704942ec102001079aa6767df43aa64ea6ab3e63001fd4",
+        "4d4c553f5981efe2360a46fdbc79c08510a5f26aa2cee68817a071a721e6b49a",
     ),
     "one_user_one_cell": (
         "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
         "6e6ebfc4f670c39059ae44ee950ae6ccab1a66b17caa64b868e4b7002d1e0067",
-        "dc2f01df9903b7b05453afdde62e15267edacc8bb85e7db111839496a09a3650",
+        "c55898587345b9c282705eab103e40839ef528793dd62275cc9ad522c0866897",
     ),
 }
 
