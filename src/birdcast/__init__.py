@@ -56,7 +56,7 @@ from .oracle import (
     unrestricted_opt,
     verify_equivalence,
 )
-from .scenario import GenParams, RadioParams, Scene, fig1_instance, generate, snr_for_user
+from .scenario import GenParams, Scene, fig1_instance, generate, snr_for_user
 from .solvers import (
     SolveResult,
     accelerated_greedy,
@@ -77,7 +77,6 @@ __all__ = [
     "OracleResult",
     "PlanEvaluation",
     "ProblemInstance",
-    "RadioParams",
     "Scene",
     "Selection",
     "SolveResult",

@@ -54,7 +54,7 @@ class McsTable:
 
     @classmethod
     def from_json(cls, entries: list[dict[str, float]]) -> "McsTable":
-        entries = _array(entries, "mcs_table")
+        entries = [_object(e, "mcs_table") for e in _array(entries, "mcs_table")]
         return cls(
             rates=_numbers([e["rate"] for e in entries], "mcs_table rate"),
             thresholds_db=_numbers([e["threshold_db"] for e in entries],
@@ -76,6 +76,14 @@ def _array(value, name: str) -> list:
     array reads; iterating a scalar would raise TypeError."""
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"{name}: a list, not {type(value).__name__}")
+    return value
+
+
+def _object(value, name: str) -> dict:
+    """value, after checking that it is a dict, as a JSON object reads;
+    indexing a scalar would raise TypeError, and a list reads by position."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name}: a JSON object, not {type(value).__name__}")
     return value
 
 

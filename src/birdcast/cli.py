@@ -32,10 +32,10 @@ from .baselines import (
     marginal_util_solve,
     unicast_solve,
 )
-from .channel import McsTable, _all_numbers, _numbers
+from .channel import McsTable, _all_numbers, _numbers, _object
 from .instance import ProblemInstance, evaluate_plan
 from .oracle import EnumerationCapExceeded, exact_solve
-from .scenario import GenParams, RadioParams, fig1_instance, generate
+from .scenario import GenParams, fig1_instance, generate
 from .solvers import accelerated_greedy, refined_greedy
 
 SOLVERS = {
@@ -75,16 +75,18 @@ def _dump(obj: dict) -> str:
 
 
 def _genparams_from_dict(d: dict) -> GenParams:
-    """GenParams from a JSON object: fields annotated int take integers;
-    those annotated float, and the extent and radio entries, numbers."""
-    d = dict(d)
+    """GenParams from a JSON object whose keys are GenParams fields: those
+    annotated int take integers; those annotated float, and the extent
+    entries, numbers. The scene model's constants are fixed in scenario.py,
+    so a key that names one, like any other key, is invalid input."""
+    d = dict(_object(d, "params"))
+    unknown = sorted(set(d) - {f.name for f in fields(GenParams)})
+    if unknown:
+        raise ValueError(f"{', '.join(unknown)}: not a generator parameter")
     for f in fields(GenParams):
         if f.name in d and f.type in ("int", "float"):
             _numbers([d[f.name]], f.name, integers=f.type == "int")
-    if "radio" in d and isinstance(d["radio"], dict):
-        _numbers(list(d["radio"].values()), "radio")
-        d["radio"] = RadioParams(**d["radio"])
-    if "mcs" in d and isinstance(d["mcs"], list):
+    if "mcs" in d:
         d["mcs"] = McsTable.from_json(d["mcs"])
     if "extent" in d:
         d["extent"] = tuple(_numbers(d["extent"], "extent"))
@@ -93,7 +95,6 @@ def _genparams_from_dict(d: dict) -> GenParams:
 
 def _genparams_to_dict(p: GenParams) -> dict:
     d = asdict(p)
-    d["radio"] = asdict(p.radio)
     d["mcs"] = p.mcs.to_json()
     d["extent"] = list(p.extent)
     return d
@@ -103,7 +104,7 @@ def _read_gen_params(args, **fields) -> GenParams:
     """GenParams from the --params file, then `fields`, then --budget-ms
     and --bandwidth-mhz, each overriding what came before."""
     d = json.loads(Path(args.params).read_text()) if args.params else {}
-    d.update(fields)
+    d = {**_object(d, "params"), **fields}
     if args.budget_ms is not None:
         d["budget_s"] = args.budget_ms * 1e-3
     if args.bandwidth_mhz is not None:
@@ -219,7 +220,7 @@ def cmd_sweep(args) -> int:
     import concurrent.futures
     import csv
 
-    spec = json.loads(Path(args.spec).read_text())
+    spec = _object(json.loads(Path(args.spec).read_text()), "spec")
     variable = spec["variable"]
     if variable not in SWEEP_VARIABLES:
         raise ValueError(f"variable must be one of {SWEEP_VARIABLES}")

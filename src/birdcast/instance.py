@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import McsTable, _all_numbers, _array, _numbers, item_cost
+from .channel import McsTable, _all_numbers, _array, _numbers, _object, item_cost
 
 # Relative slack for budget-feasibility checks only; utilities and plan/cost
 # equivalences are compared exactly.
@@ -154,8 +154,7 @@ class ProblemInstance:
     def from_json(cls, d: dict) -> "ProblemInstance":
         """Read a format-2 document, or a dense one (no "format" key) whose
         moi is a list of N rows."""
-        if not isinstance(d, dict):
-            raise ValueError("an instance document must be a JSON object")
+        _object(d, "instance document")
         for key in ("n_users", "n_grids"):
             if not _all_numbers([d[key]], integers=True) or d[key] < 0:
                 raise ValueError(f"{key} must be a non-negative integer")
@@ -182,6 +181,7 @@ def _moi_from_triplets(triplets: dict, n_users: int,
     """Dense N x L matrix from {"user": [...], "grid": [...], "value": [...]};
     raises ValueError on an index outside [0, N) x [0, L), a repeated
     (user, grid) pair or lists of unequal lengths."""
+    triplets = _object(triplets, "moi")
     moi = np.zeros((n_users, n_grids), dtype=np.float64)
     user = _index_array(triplets["user"], n_users, "user")
     grid = _index_array(triplets["grid"], n_grids, "grid")

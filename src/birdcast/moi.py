@@ -67,7 +67,7 @@ def _require_same_shape(a: GridMap, b: GridMap) -> None:
         raise ValueError(f"shape mismatch: {a.values.shape} vs {b.values.shape}")
 
 
-def local_correlation(compressed: GridMap, window: int = 5) -> GridMap:
+def local_correlation(compressed: GridMap, window: int) -> GridMap:
     """Sigmoid-averaged discrepancy between each cell and its forward window.
 
     For cell (i, j), averages sigmoid(F[i+a, j+b] - F[i, j]) over the
@@ -100,7 +100,7 @@ def entropy_map(p: GridMap) -> GridMap:
     return GridMap(vals * np.log(vals))
 
 
-def info_mask(entropy: GridMap, eta: float = 0.5) -> GridMap:
+def info_mask(entropy: GridMap, eta: float) -> GridMap:
     """Binary mask keeping the ceil(eta * cells) largest entropy values.
 
     Larger (closer to zero) entropy marks high neighbor discrepancy; uniform

@@ -10,7 +10,7 @@ parameters including the seed.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -26,18 +26,22 @@ from .moi import (
 )
 
 
-@dataclass(frozen=True)
-class RadioParams:
-    """Log-distance path-loss channel constants.
+# The scene model's constants; no caller varies them. Lengths in meters.
+OCCLUDER_MIN_SIZE = 8.0    # occluder sides are drawn from [min, max]
+OCCLUDER_MAX_SIZE = 20.0
+HVN_HEIGHT = 10.0          # the sender, above the map center
+ROI_HALF_WIDTH = 25.0      # a user's square region of interest, centered
+ROI_FORWARD_OFFSET = 10.0  # this far ahead of the user
+OCCLUSION_ATTEN = 0.15     # a user's confidence factor behind an occluder
+OBJECT_SIGMA_M = 6.0       # width of each object's confidence bump
+FEATURE_NOISE = 0.1        # std of the Gaussian noise on the feature map
 
-    The 1 m reference loss defaults to the free-space value at 5.9 GHz
-    (about 47.85 dB), the usual intercept for this model.
-    """
-
-    tx_power_dbm: float = 23.0
-    noise_dbm: float = -92.0
-    pathloss_exponent: float = 3.8
-    ref_pathloss_db: float = 47.85
+# Log-distance path-loss channel. The 1 m reference loss is the free-space
+# value at 5.9 GHz (about 47.85 dB), the usual intercept for this model.
+TX_POWER_DBM = 23.0
+NOISE_DBM = -92.0
+PATHLOSS_EXPONENT = 3.8
+REF_PATHLOSS_DB = 47.85
 
 
 @dataclass(frozen=True)
@@ -56,7 +60,6 @@ class Scene:
     compressed_feature: GridMap
     extent: tuple[float, float]
     grid_shape: tuple[int, int]
-    radio: RadioParams
     occluders: tuple[tuple[float, float, float, float], ...]  # xmin, xmax, ymin, ymax
 
     def to_json(self) -> dict:
@@ -75,14 +78,14 @@ class Scene:
             "compressed_feature": self.compressed_feature.to_json(),
             "extent": list(self.extent),
             "grid_shape": list(self.grid_shape),
-            "radio": asdict(self.radio),
             "occluders": [list(o) for o in self.occluders],
         }
 
 
 @dataclass(frozen=True)
 class GenParams:
-    """Everything the generator needs; the seed fixes the whole scene."""
+    """What a caller sets for the generator; the seed fixes the whole
+    scene. The scene model's other constants are fixed above."""
 
     n_users: int = 24
     extent: tuple[float, float] = (100.0, 100.0)
@@ -90,27 +93,17 @@ class GenParams:
     grid_w: int = 25
     n_objects: int = 12
     n_occluders: int = 6
-    occluder_min_size: float = 8.0
-    occluder_max_size: float = 20.0
     seed: int = 0
     eta: float = 0.5
     window: int = 5
     grid_bytes: float = 1600.0
     bandwidth_hz: float = 100e6
     budget_s: float = 0.030
-    hvn_height: float = 10.0
-    roi_half_width: float = 25.0
-    roi_forward_offset: float = 10.0
-    occlusion_atten: float = 0.15
-    object_sigma_m: float = 6.0
-    feature_noise: float = 0.1
-    radio: RadioParams = field(default=RadioParams())
     mcs: McsTable = field(default=DEFAULT_MCS_TABLE)
 
     def __post_init__(self) -> None:
         named = [(f.name, getattr(self, f.name)) for f in fields(self)]
         named += [("extent", v) for v in self.extent]
-        named += [(f"radio.{k}", v) for k, v in asdict(self.radio).items()]
         infinite = sorted({name for name, v in named
                            if isinstance(v, float) and not math.isfinite(v)})
         if infinite:
@@ -129,10 +122,6 @@ class GenParams:
             raise ValueError("window must be >= 1")
         if self.grid_bytes <= 0 or self.bandwidth_hz <= 0 or self.budget_s <= 0:
             raise ValueError("grid_bytes, bandwidth_hz, budget_s must be positive")
-        if self.hvn_height <= 0:
-            raise ValueError("hvn_height must be positive")
-        if not 0.0 <= self.occlusion_atten <= 1.0:
-            raise ValueError("occlusion_atten must lie in [0, 1]")
 
 
 def snr_for_user(scene: Scene, user_index: int) -> float:
@@ -143,9 +132,8 @@ def snr_for_user(scene: Scene, user_index: int) -> float:
     d = math.dist((hx, hy, hz), (ux, uy, uz))
     if d == 0.0:
         raise ValueError("user is co-located with the sender")
-    r = scene.radio
-    pathloss = r.ref_pathloss_db + 10.0 * r.pathloss_exponent * math.log10(d)
-    return r.tx_power_dbm - pathloss - r.noise_dbm
+    pathloss = REF_PATHLOSS_DB + 10.0 * PATHLOSS_EXPONENT * math.log10(d)
+    return TX_POWER_DBM - pathloss - NOISE_DBM
 
 
 def _segments_blocked(starts: np.ndarray, cells: np.ndarray,
@@ -204,7 +192,7 @@ def generate(params: GenParams) -> tuple[Scene, ProblemInstance]:
     rng = np.random.default_rng(params.seed)
     ex, ey = params.extent
     h, w = params.grid_h, params.grid_w
-    hvn = (ex / 2.0, ey / 2.0, params.hvn_height)
+    hvn = (ex / 2.0, ey / 2.0, HVN_HEIGHT)
 
     user_xy = rng.uniform((0.0, 0.0), (ex, ey), size=(params.n_users, 2))
     headings = np.array([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])
@@ -214,21 +202,21 @@ def generate(params: GenParams) -> tuple[Scene, ProblemInstance]:
     occluders = []
     for _ in range(params.n_occluders):
         cx, cy = rng.uniform((0.0, 0.0), (ex, ey))
-        width = rng.uniform(params.occluder_min_size, params.occluder_max_size)
-        depth = rng.uniform(params.occluder_min_size, params.occluder_max_size)
+        width = rng.uniform(OCCLUDER_MIN_SIZE, OCCLUDER_MAX_SIZE)
+        depth = rng.uniform(OCCLUDER_MIN_SIZE, OCCLUDER_MAX_SIZE)
         occluders.append((cx - width / 2, cx + width / 2,
                           cy - depth / 2, cy + depth / 2))
 
     cells = _cell_centers(params)
     if params.n_objects:
         d2 = ((cells[:, None, :] - objects[None, :, :]) ** 2).sum(axis=2)
-        bumps = np.exp(-d2 / (2.0 * params.object_sigma_m ** 2))
+        bumps = np.exp(-d2 / (2.0 * OBJECT_SIGMA_M ** 2))
         q_hvn_flat = np.clip(bumps.max(axis=1), 0.0, 1.0)
         feature_flat = bumps.sum(axis=1)
     else:
         q_hvn_flat = np.zeros(len(cells))
         feature_flat = np.zeros(len(cells))
-    feature_flat = feature_flat + params.feature_noise * rng.standard_normal(len(cells))
+    feature_flat = feature_flat + FEATURE_NOISE * rng.standard_normal(len(cells))
     q_hvn = GridMap(q_hvn_flat.reshape(h, w))
     compressed = GridMap(feature_flat.reshape(h, w))
 
@@ -237,13 +225,10 @@ def generate(params: GenParams) -> tuple[Scene, ProblemInstance]:
 
     # every per-user map is one row of an N x L stack
     blocked = _segments_blocked(user_xy, cells, occluders)
-    q_user_all = np.where(blocked, q_hvn_flat * params.occlusion_atten,
-                          q_hvn_flat)
-    center = user_xy + params.roi_forward_offset * user_heading
-    inside = (np.abs(cells[None, :, 0] - center[:, 0, None])
-              <= params.roi_half_width) \
-        & (np.abs(cells[None, :, 1] - center[:, 1, None])
-           <= params.roi_half_width)
+    q_user_all = np.where(blocked, q_hvn_flat * OCCLUSION_ATTEN, q_hvn_flat)
+    center = user_xy + ROI_FORWARD_OFFSET * user_heading
+    inside = (np.abs(cells[None, :, 0] - center[:, 0, None]) <= ROI_HALF_WIDTH) \
+        & (np.abs(cells[None, :, 1] - center[:, 1, None]) <= ROI_HALF_WIDTH)
     roi_all = inside.astype(np.float64)
     interest = build_moi(
         confidence_map(GridMap(np.broadcast_to(q_hvn_flat, blocked.shape)),
@@ -268,7 +253,6 @@ def generate(params: GenParams) -> tuple[Scene, ProblemInstance]:
         compressed_feature=compressed,
         extent=(float(ex), float(ey)),
         grid_shape=(h, w),
-        radio=params.radio,
         occluders=tuple(occluders),
     )
     snrs = tuple(snr_for_user(scene, n) for n in range(params.n_users))

@@ -177,7 +177,9 @@ MALFORMED_INSTANCE_EDITS = {
     "false_mcs_threshold": _false_threshold,
     "no_grids": _no_grids,
     "dense_no_grids": _dense_no_grids,
-    # a scalar where a list belongs; iterating it would raise TypeError
+    # a scalar where a list or an object belongs; iterating or indexing
+    # it would raise TypeError
+    "scalar_moi": _set(5, "moi"),
     "scalar_moi_user": _set(5, "moi", "user"),
     "scalar_snr": _set(3.0, "snr_db"),
 }

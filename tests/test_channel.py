@@ -119,3 +119,5 @@ def test_table_json_round_trip():
     assert again == DEFAULT_MCS_TABLE
     with pytest.raises(ValueError, match="mcs_table: a list"):
         McsTable.from_json(5)
+    with pytest.raises(ValueError, match="mcs_table: a JSON object"):
+        McsTable.from_json([5])

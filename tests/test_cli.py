@@ -487,7 +487,7 @@ def test_gen_params_extent_and_bandwidth_reach_the_provenance(tmp_path,
                                                              capsys):
     params_path = tmp_path / "params.json"
     params_path.write_text(json.dumps({"n_users": 5, "grid_h": 4,
-                                       "radio": {"tx_power_dbm": 20.0}}))
+                                       "eta": 0.25}))
     assert run(["gen", "--params", str(params_path), "--extent", "60",
                 "--bandwidth-mhz", "20", "--seed", "3",
                 "--out", str(tmp_path / "o")]) == 0
@@ -495,7 +495,7 @@ def test_gen_params_extent_and_bandwidth_reach_the_provenance(tmp_path,
         doc = json.loads((tmp_path / "o" / name).read_text())
         params = doc["provenance"]["params"]
         assert params["n_users"] == 5 and params["grid_h"] == 4
-        assert params["radio"]["tx_power_dbm"] == 20.0
+        assert params["eta"] == 0.25
         assert params["extent"] == [60.0, 60.0]
         assert params["bandwidth_hz"] == 20 * 1e6
         assert params["seed"] == doc["provenance"]["seed"] == 3
@@ -583,13 +583,16 @@ def test_sweep_rejects_a_seed_that_is_no_integer(tmp_path, capsys, seed):
     ({"seed": 1.7}, "seed"),
     ({"grid_bytes": "1600"}, "grid_bytes"),
     ({"extent": [True, 100.0]}, "extent"),
-    ({"radio": {"noise_dbm": False}}, "radio"),
+    # a field retired into scenario.py's scene-model constants
+    ({"radio": {"noise_dbm": -90.0}}, "radio"),
     ({"mcs": [{"rate": True, "threshold_db": 0.0}]}, "mcs_table rate"),
+    ({"mcs": 5}, "mcs_table"),
+    ({"hvn_height": 12.0}, "hvn_height"),
 ])
 def test_generator_parameter_of_the_wrong_type_is_invalid_input(
         tmp_path, capsys, params, field):
-    # int fields take integers; float fields, extent and radio entries
-    # numbers, through gen --params and a sweep spec's params alike
+    # int fields take integers; float fields and extent entries numbers;
+    # other keys none, through gen --params and a sweep spec's params alike
     params_path = tmp_path / "params.json"
     params_path.write_text(json.dumps({"grid_h": 2, "grid_w": 10, **params}))
     out = tmp_path / "o"
@@ -601,6 +604,25 @@ def test_generator_parameter_of_the_wrong_type_is_invalid_input(
     assert run(["sweep", "--spec", write_spec(tmp_path, spec),
                 "--out", str(tmp_path / "x.csv")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {field}:")
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("document", [[1, 2], 5])
+def test_parameter_document_that_is_no_object_is_invalid_input(
+        tmp_path, capsys, document):
+    # a --params file, a sweep spec and a sweep spec's params alike
+    params_path = tmp_path / "params.json"
+    params_path.write_text(json.dumps(document))
+    assert run(["gen", "--params", str(params_path),
+                "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: params: a JSON object")
+    for spec, name in [(document, "spec"),
+                       ({"variable": "budget", "values": [0.002],
+                         "params": document}, "params")]:
+        assert run(["sweep", "--spec", write_spec(tmp_path, spec),
+                    "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {name}: a JSON object")
+    assert not (tmp_path / "o").exists()
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -622,14 +644,6 @@ def test_gen_rejects_a_non_finite_parameter(tmp_path, capsys, flags):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "must be finite" in err
     assert not out.exists()
-
-
-def test_gen_rejects_a_non_finite_radio_parameter(tmp_path, capsys):
-    params_path = tmp_path / "params.json"
-    params_path.write_text('{"radio": {"noise_dbm": NaN}}')
-    assert run(["gen", "--params", str(params_path), "--n-users", "2",
-                "--grid-h", "2", "--out", str(tmp_path / "o")]) == 1
-    assert "radio.noise_dbm must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("variable, value", [

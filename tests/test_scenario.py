@@ -12,7 +12,6 @@ from birdcast import (
     DEFAULT_MCS_TABLE,
     GenParams,
     GridMap,
-    RadioParams,
     Scene,
     broadcast_solve,
     exact_solve,
@@ -38,7 +37,6 @@ def scene_with_user_at(distance_3d: tuple[float, float, float]) -> Scene:
         compressed_feature=tiny,
         extent=(100.0, 100.0),
         grid_shape=(1, 1),
-        radio=RadioParams(),
         occluders=(),
     )
 
@@ -125,9 +123,9 @@ def test_genparams_validation():
     ({"grid_w": 0}, "grid resolution"),
     ({"extent": (100.0, 0.0)}, "extent must be positive"),
     ({"window": 0}, "window"),
-    ({"hvn_height": 0.0}, "hvn_height"),
-    ({"occlusion_atten": 1.5}, "occlusion_atten"),
-    ({"occlusion_atten": -0.1}, "occlusion_atten"),
+    ({"n_users": 0}, "n_users"),
+    ({"eta": 1.5}, "eta"),
+    ({"bandwidth_hz": 0.0}, "bandwidth_hz"),
     ({"seed": -1}, "seed"),
 ])
 def test_genparams_range_checks(fields, message):
@@ -144,11 +142,6 @@ NAN, INF = float("nan"), float("inf")
     ({"budget_s": NAN}, "budget_s"),
     ({"bandwidth_hz": INF}, "bandwidth_hz"),
     ({"grid_bytes": INF}, "grid_bytes"),
-    ({"hvn_height": INF}, "hvn_height"),
-    ({"roi_half_width": NAN}, "roi_half_width"),
-    ({"object_sigma_m": -INF}, "object_sigma_m"),
-    ({"radio": RadioParams(tx_power_dbm=NAN)}, "radio.tx_power_dbm"),
-    ({"radio": RadioParams(pathloss_exponent=INF)}, "radio.pathloss_exponent"),
 ])
 def test_genparams_rejects_non_finite_floats(fields, name):
     # each slips past the range checks, which are false for NaN
@@ -198,32 +191,32 @@ GOLDEN_DIGESTS = {
     "paper_default": (
         "02bc4b6da726f4cf2fd0f7bb8ad2da09bd9c40397baf3f4c13c7424e833ae41d",
         "6e8cc34ba90ae2bb9e2fc5d6f82c5c581aa28c690a62c8478f9a2c951c082cbc",
-        "e0f48376980a576d006472b8ff8670051def57777ee9d971c3d9d8836c8bf214",
+        "50ec80f6382d6569d239ae686bbab3aa1b803f09d5095df26e95df67ff0fb8d5",
     ),
     "n32_5ms": (
         "0d6f66e4ef246b218a8eeb9bf69330f886dc2d75e4e3bd2187c8e22420fd6c85",
         "a780d0e236076f8059e2a81ddd7d9226e7c2daf62267d1fb4c10f763747599fe",
-        "4f3a5fd45b96db51a5872078fa4b78b0ad75c8df60f39e43c96a6533764e53ca",
+        "c27f0dcd69231ce716d0f8d65678be5cb16366e1671c1d844e17c7ffef30337d",
     ),
     "n96_40x25": (
         "818eb8a7fd6c8aa8674c7eb86d63cf431497e49f8f4c59fc71f184fc6d3adf5d",
         "db8a56307a78cbd97abd19d84cc81336d6e4f7756a5cd60bf4f26d9d42634313",
-        "acc2f3c268c38a7b1bb7daf34b7dc60bc920cd0c57c1186d47269803197fccbc",
+        "59bda585eb00ab8a22058486454a37d3ebdf7f3bb68c06dbdcc4c6ee0d7097f3",
     ),
     "no_occluders": (
         "bb918147fe10391b43adeba4bd21b9ef32e5bd6c5076c3517733a05ed6dd0569",
         "6e8cc34ba90ae2bb9e2fc5d6f82c5c581aa28c690a62c8478f9a2c951c082cbc",
-        "f6a51f9caa55f789064041aade93578c3d46868f6b66e2b5e04f8b7397dd5d17",
+        "9d2c8f2e5a886c06905c7b2adb1ef45a130e3e0743ff18d98776a61846a994aa",
     ),
     "no_objects_15_occluders": (
         "bb918147fe10391b43adeba4bd21b9ef32e5bd6c5076c3517733a05ed6dd0569",
         "6e8cc34ba90ae2bb9e2fc5d6f82c5c581aa28c690a62c8478f9a2c951c082cbc",
-        "4d4c553f5981efe2360a46fdbc79c08510a5f26aa2cee68817a071a721e6b49a",
+        "5d4649a19473a082d13e7fc9d2acfa41e745e0439da86ea9c171505789b9e892",
     ),
     "one_user_one_cell": (
         "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
         "6e6ebfc4f670c39059ae44ee950ae6ccab1a66b17caa64b868e4b7002d1e0067",
-        "c55898587345b9c282705eab103e40839ef528793dd62275cc9ad522c0866897",
+        "20c58c8d4689aa1dce78cfc2e66ed0a6b520d81236be45d6b0a13a03b9571d40",
     ),
 }
 
