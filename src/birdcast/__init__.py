@@ -27,13 +27,11 @@ from .channel import (
     item_cost,
 )
 from .instance import (
-    CoverageState,
     MulticastPlan,
     PlanEvaluation,
     ProblemInstance,
     Selection,
     evaluate_plan,
-    marginal_gain,
     plan_from_selection,
     selection_cost,
     selection_from_plan,
@@ -50,11 +48,8 @@ from .moi import (
 from .oracle import (
     EnumerationCapExceeded,
     OracleResult,
-    brute_force_assignments,
     exact_solve,
     lp_bound,
-    unrestricted_opt,
-    verify_equivalence,
 )
 from .scenario import GenParams, Scene, fig1_instance, generate, snr_for_user
 from .solvers import (
@@ -62,12 +57,10 @@ from .solvers import (
     accelerated_greedy,
     best_single_item,
     refined_greedy,
-    remove_redundant,
 )
 
 __all__ = [
     "BASELINE_IDS",
-    "CoverageState",
     "DEFAULT_MCS_TABLE",
     "EnumerationCapExceeded",
     "GenParams",
@@ -83,7 +76,6 @@ __all__ = [
     "accelerated_greedy",
     "best_single_item",
     "broadcast_solve",
-    "brute_force_assignments",
     "build_moi",
     "confidence_map",
     "dp_solve",
@@ -97,18 +89,14 @@ __all__ = [
     "kmeanspp_solve",
     "local_correlation",
     "lp_bound",
-    "marginal_gain",
     "marginal_util_solve",
     "plan_from_selection",
     "refined_greedy",
-    "remove_redundant",
     "selection_cost",
     "selection_from_plan",
     "snr_for_user",
     "unicast_solve",
-    "unrestricted_opt",
     "utility",
-    "verify_equivalence",
 ]
 
 # Library convention: notices reach no output unless the application

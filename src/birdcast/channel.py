@@ -4,7 +4,8 @@ Holds the rate options with their SNR decoding thresholds and the
 transmission cost of sending one grid at a given rate. The threshold model
 is deterministic: a rate is decodable exactly when the received SNR meets
 its lower bound, so the decodable set is always a prefix of the
-(ascending) rate indices (ProblemInstance.decodable holds it per user).
+(ascending) rate indices, and ProblemInstance.top_rate, its last index,
+holds it per user.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from .baselines import (
     marginal_util_solve,
     unicast_solve,
 )
-from .channel import McsTable, _all_numbers, _numbers, _object
+from .channel import McsTable, _all_numbers, _array, _numbers, _object
 from .instance import ProblemInstance, evaluate_plan
 from .oracle import EnumerationCapExceeded, exact_solve
 from .scenario import GenParams, fig1_instance, generate
@@ -159,9 +159,8 @@ def _load_instance(path: str) -> ProblemInstance:
 def cmd_solve(args) -> int:
     solvers = {**SOLVERS, "oracle": exact_solve}
     if args.solver not in solvers:
-        print(f"unknown solver '{args.solver}'; available: "
-              f"{', '.join(sorted(solvers))}", file=sys.stderr)
-        return 1
+        raise ValueError(f"unknown solver '{args.solver}'; available: "
+                         f"{', '.join(sorted(solvers))}")
     result = solvers[args.solver](_load_instance(args.instance))
     print(_dump({"solver": args.solver, **result.to_json()}))
     return 0
@@ -228,7 +227,10 @@ def cmd_sweep(args) -> int:
     if not values or not all(0 < v < math.inf for v in values):
         raise ValueError("values must be a non-empty list of positive, "
                          "finite numbers")
-    solver_ids = spec.get("solvers", sorted(SOLVERS))
+    solver_ids = _array(spec.get("solvers", sorted(SOLVERS)), "solvers")
+    for solver_id in solver_ids:
+        if not isinstance(solver_id, str):
+            raise ValueError(f"solvers: names only, not {solver_id!r}")
     unknown = [s for s in solver_ids if s not in SOLVERS]
     if unknown:
         raise ValueError(f"unknown solvers in spec: {unknown}")

@@ -34,8 +34,9 @@ class ProblemInstance:
     """Self-contained input of the grid-rate selection problem.
 
     moi is the N x L non-negative interest matrix (one vectorized map per
-    user); decodability is derived from snr_db and the MCS table, so every
-    row is a prefix-of-ones pattern over rate indices.
+    user). A user decodes exactly the rates whose SNR thresholds its
+    snr_db meets, a prefix of the rate indices, so top_rate, the last of
+    them, is the whole of its decodability.
     """
 
     moi: np.ndarray
@@ -46,7 +47,6 @@ class ProblemInstance:
     budget_s: float
 
     # derived and read-only, filled in __post_init__
-    decodable: np.ndarray = field(init=False, repr=False, compare=False)
     item_cost_s: np.ndarray = field(init=False, repr=False, compare=False)
     # highest decodable rate index per user, -1 when out of range
     top_rate: np.ndarray = field(init=False, repr=False, compare=False)
@@ -81,19 +81,19 @@ class ProblemInstance:
         if self.budget_s <= 0:
             raise ValueError("budget_s must be positive")
         m = self.mcs.n_rates
-        thresholds = np.asarray(self.mcs.thresholds_db)
-        decodable = np.asarray(snr)[:, None] >= thresholds[None, :]
         costs = np.array(
             [item_cost(j, self.mcs, self.bandwidth_hz, self.grid_bytes)
              for j in range(m)],
             dtype=np.float64,
         )
-        top = decodable.sum(axis=1).astype(np.int64) - 1
+        # thresholds ascend, and an SNR equal to one decodes that rate
+        top = np.searchsorted(self.mcs.thresholds_db, np.asarray(snr),
+                              side="right") - 1
         one_hot = (top[:, None] == np.arange(m)[None, :]).astype(np.float64)
         table = np.zeros((moi.shape[1], m + 1), dtype=np.float64)
         table[:, :m] = np.cumsum((moi.T @ one_hot)[:, ::-1], axis=1)[:, ::-1]
-        arrays = {"moi": moi, "decodable": decodable, "item_cost_s": costs,
-                  "top_rate": top, "rate_class_table": table}
+        arrays = {"moi": moi, "item_cost_s": costs, "top_rate": top,
+                  "rate_class_table": table}
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -125,12 +125,6 @@ class ProblemInstance:
         ok = self.top_rate >= 0
         out[ok] = self.bandwidth_hz * rates[self.top_rate[ok]]
         return out
-
-    def validate_item(self, item: Item) -> None:
-        l, m = item
-        if not (0 <= l < self.n_grids and 0 <= m < self.n_rates):
-            raise ValueError(f"item {item} out of range "
-                             f"(L={self.n_grids}, M={self.n_rates})")
 
     def to_json(self) -> dict:
         """Format-2 document: moi as sparse (user, grid, value) triplets in
@@ -228,10 +222,10 @@ class Selection:
 
     def validate(self, inst: ProblemInstance) -> None:
         n_grids, n_rates = inst.n_grids, inst.n_rates
-        for item in self.items:
-            l, m = item
+        for l, m in self.items:
             if not (0 <= l < n_grids and 0 <= m < n_rates):
-                inst.validate_item(item)  # raises with the item and the ranges
+                raise ValueError(f"item {(l, m)} out of range "
+                                 f"(L={n_grids}, M={n_rates})")
 
     def to_json(self) -> list[list[int]]:
         return [[l, m] for l, m in self.sorted_items()]
@@ -297,36 +291,6 @@ class MulticastPlan:
         )
 
 
-class CoverageState:
-    """Per-user received-grid bookkeeping: the N x L reference model.
-
-    covered[n, l] says user n has received grid l at a decodable rate. The
-    solvers track only the slowest selected rate per grid (see
-    ProblemInstance.rate_class_table); this state and marginal_gain are the
-    direct definition the tests check them against.
-    """
-
-    __slots__ = ("inst", "covered")
-
-    def __init__(self, inst: ProblemInstance) -> None:
-        self.inst = inst
-        self.covered = np.zeros((inst.n_users, inst.n_grids), dtype=bool)
-
-    def apply(self, item: Item) -> None:
-        """Fold one item into the coverage; re-applying is a no-op."""
-        l, m = item
-        self.inst.validate_item(item)
-        self.covered[:, l] |= self.inst.decodable[:, m]
-
-    def copy(self) -> "CoverageState":
-        dup = CoverageState(self.inst)
-        dup.covered[:] = self.covered
-        return dup
-
-    def utility(self) -> float:
-        return coverage_utility(self.inst, self.covered)
-
-
 def coverage_utility(inst: ProblemInstance, covered: np.ndarray) -> float:
     """Interest-weighted coverage total.
 
@@ -350,25 +314,16 @@ def _slowest_rates(inst: ProblemInstance, sel: Selection) -> np.ndarray:
 def _rates_utility(inst: ProblemInstance,
                    rate: np.ndarray | list[int]) -> float:
     """Objective of sending each grid l at rate index rate[l] (M: unsent)."""
-    unsent = np.zeros((inst.n_users, 1), dtype=bool)
-    decodable = np.concatenate((inst.decodable, unsent), axis=1)
-    # take keeps the gather C-ordered, so the sum runs in the same order
-    # as over any other N x L coverage matrix
-    return coverage_utility(inst, np.take(decodable, rate, axis=1))
+    # a C-ordered N x L matrix, so the sum runs in the same order as over
+    # any other coverage matrix
+    covered = inst.top_rate[:, None] >= np.asarray(rate)[None, :]
+    return coverage_utility(inst, covered)
 
 
 def utility(inst: ProblemInstance, sel: Selection) -> float:
     """Objective value of a selection (0 for the empty selection)."""
     sel.validate(inst)
     return _rates_utility(inst, _slowest_rates(inst, sel))
-
-
-def marginal_gain(inst: ProblemInstance, state: CoverageState, item: Item) -> float:
-    """utility(S + item) - utility(S) against the state's coverage."""
-    l, m = item
-    inst.validate_item(item)
-    newly = inst.decodable[:, m] & ~state.covered[:, l]
-    return float(np.dot(inst.moi[:, l], newly))
 
 
 def selection_cost(inst: ProblemInstance, sel: Selection) -> float:
@@ -407,7 +362,8 @@ def _canonical_plan(inst: ProblemInstance, masks: np.ndarray,
                          f"{inst.budget_s:.6g}s")
     # one nonzero over the rate-major decodability lists each group's users
     # in order; as Python ints they are cheap for MulticastPlan to sort
-    ks, users = np.nonzero(inst.decodable.T)
+    decodes = np.arange(inst.n_rates)[:, None] <= inst.top_rate[None, :]
+    ks, users = np.nonzero(decodes)
     bounds = np.searchsorted(ks, np.arange(inst.n_rates + 1)).tolist()
     users = users.tolist()
     groups = [users[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
@@ -459,7 +415,7 @@ def selection_from_plan(inst: ProblemInstance, plan: MulticastPlan) -> Selection
             raise ValueError(f"group {k} rate {plan.rates_bps[k]} is not a "
                              "rate option of the instance") from None
         for n in plan.groups[k]:
-            if not inst.decodable[n, m]:
+            if inst.top_rate[n] < m:
                 raise ValueError(f"user {n} cannot decode group {k}'s rate")
         for l in np.flatnonzero(plan.masks[k]):
             items.add((int(l), m))

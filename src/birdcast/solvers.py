@@ -44,7 +44,6 @@ from .instance import (
     Selection,
     _canonical_plan,
     _rates_utility,
-    _slowest_rates,
 )
 
 
@@ -197,20 +196,6 @@ def _single_item_rates(inst: ProblemInstance, item: Item) -> np.ndarray:
     rate = np.full(inst.n_grids, inst.n_rates)
     rate[item[0]] = item[1]
     return rate
-
-
-def remove_redundant(inst: ProblemInstance, sel: Selection) -> tuple[Selection, float]:
-    """Keep only the slowest-rate item per grid; report the reclaimed time.
-
-    Utility is unchanged: nested decodability makes every faster duplicate
-    reach a subset of the users the slowest one reaches.
-    """
-    sel.validate(inst)
-    rate = _slowest_rates(inst, sel).tolist()
-    kept = frozenset((l, m) for l, m in sel.items if rate[l] == m)
-    reclaimed = float(sum(inst.item_cost_s[m] for l, m in sel.sorted_items()
-                          if rate[l] != m))
-    return Selection(kept), reclaimed
 
 
 def _result_from_rates(inst: ProblemInstance, rate: np.ndarray | list[int],

@@ -17,10 +17,8 @@ from birdcast import (
     GridMap,
     ProblemInstance,
     Selection,
-    CoverageState,
     accelerated_greedy,
     broadcast_solve,
-    brute_force_assignments,
     build_moi,
     confidence_map,
     dp_solve,
@@ -31,16 +29,20 @@ from birdcast import (
     info_mask,
     kmeanspp_solve,
     local_correlation,
-    marginal_gain,
     marginal_util_solve,
     refined_greedy,
     unicast_solve,
-    unrestricted_opt,
     utility,
-    verify_equivalence,
 )
 
 from conftest import random_instance, random_full_scale_instance
+from reference import (
+    CoverageState,
+    brute_force_assignments,
+    marginal_gain,
+    unrestricted_opt,
+    verify_equivalence,
+)
 
 APPROX_BOUND = 1.0 - 1.0 / math.sqrt(math.e)
 

@@ -1,7 +1,8 @@
 """Channel model: decodability sets, max rates, item costs.
 
-Decodability and max rates are read from ProblemInstance, the one place
-that derives them from SNR.
+Decodability and max rates are read from ProblemInstance.top_rate, the one
+per-user decodability the package derives from SNR; a user decodes rate m
+exactly when m <= top_rate.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from conftest import random_mcs_table, users_instance
 
 
 def decodable_row(snr_db: float, table: McsTable = DEFAULT_MCS_TABLE) -> list[bool]:
-    return users_instance([snr_db], table).decodable[0].tolist()
+    top = users_instance([snr_db], table).top_rate[0]
+    return [m <= top for m in range(table.n_rates)]
 
 
 def test_default_table_shape():
@@ -83,15 +85,17 @@ def test_item_cost_bad_index():
 
 def test_decodable_set_is_prefix_random():
     rng = np.random.default_rng(7)
-    for _ in range(200):
+    for i in range(200):
         table = random_mcs_table(rng, max_rates=6)
-        snr = float(rng.uniform(-20.0, 50.0))
-        inst = users_instance([snr], table)
-        dec = inst.decodable[0]
-        assert dec.tolist() == [snr >= t for t in table.thresholds_db]
-        ones = int(dec.sum())
-        assert dec.tolist() == [True] * ones + [False] * (table.n_rates - ones)
-        assert inst.top_rate[0] == ones - 1
+        # an SNR exactly on a threshold decodes its rate; the float just
+        # below it does not
+        edge = table.thresholds_db[i % table.n_rates]
+        for snr in (float(rng.uniform(-20.0, 50.0)), edge,
+                    float(np.nextafter(edge, -np.inf))):
+            dec = decodable_row(snr, table)
+            assert dec == [snr >= t for t in table.thresholds_db]
+            ones = sum(dec)
+            assert dec == [True] * ones + [False] * (table.n_rates - ones)
 
 
 def test_item_cost_strictly_decreasing_in_rate():
@@ -107,11 +111,11 @@ def test_max_data_rate_monotone_in_snr():
 
 
 def test_user_channel_prefix_of_ones():
-    inst = users_instance([17.0], DEFAULT_MCS_TABLE)
-    alpha = inst.decodable[0].tolist()
+    alpha = decodable_row(17.0)
+    assert alpha == [17.0 >= t for t in DEFAULT_MCS_TABLE.thresholds_db]
     ones = sum(alpha)
+    assert 0 < ones < 14
     assert alpha == [True] * ones + [False] * (14 - ones)
-    assert inst.top_rate[0] == ones - 1
 
 
 def test_table_json_round_trip():

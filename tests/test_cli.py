@@ -80,6 +80,7 @@ def test_solve_unknown_solver(tmp_path, capsys):
     path = write_fig1(tmp_path)
     assert run(["solve", path, "--solver", "nope"]) == 1
     err = capsys.readouterr().err
+    assert err.startswith("error: unknown solver 'nope'")
     assert "available" in err and "birdcast" in err
 
 
@@ -685,6 +686,24 @@ def test_sweep_rejects_an_unknown_solver(tmp_path, capsys):
     assert run(["sweep", "--spec", write_spec(tmp_path, spec),
                 "--out", str(tmp_path / "x.csv")]) == 1
     assert "unknown solvers in spec: ['oracle']" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("solvers,message", [
+    (5, "solvers: a list, not int"),
+    # a string would be read one character at a time
+    ("unicast", "solvers: a list, not str"),
+    ([["unicast"]], "solvers: names only, not ['unicast']"),
+    ([5], "solvers: names only, not 5"),
+])
+def test_sweep_rejects_solvers_that_are_no_list_of_names(tmp_path, capsys,
+                                                         solvers, message):
+    spec = {"variable": "budget", "values": [0.002],
+            "params": {"n_users": 3, "grid_h": 2, "grid_w": 10},
+            "solvers": solvers}
+    assert run(["sweep", "--spec", write_spec(tmp_path, spec),
+                "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "x.csv").exists()
 
 

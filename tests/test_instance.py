@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from birdcast import (
-    CoverageState,
     McsTable,
     MulticastPlan,
     ProblemInstance,
@@ -17,7 +16,6 @@ from birdcast import (
     accelerated_greedy,
     evaluate_plan,
     fig1_instance,
-    marginal_gain,
     plan_from_selection,
     selection_cost,
     selection_from_plan,
@@ -25,15 +23,17 @@ from birdcast import (
 )
 
 from conftest import MALFORMED_INSTANCE_EDITS, legacy_dense_doc, random_instance
+from reference import CoverageState, decodable, marginal_gain
 
 
 def brute_utility(inst: ProblemInstance, items) -> float:
     """Definitional recomputation: a user counts a grid when any selected
     item on that grid uses a rate the user decodes."""
+    dec = decodable(inst)
     total = 0.0
     for n in range(inst.n_users):
         for l in range(inst.n_grids):
-            if any(li == l and inst.decodable[n, m] for li, m in items):
+            if any(li == l and dec[n, m] for li, m in items):
                 total += inst.moi[n, l]
     return total
 
@@ -412,7 +412,7 @@ def test_derived_fields_are_read_only_and_follow_replace():
     fresh = ProblemInstance(inst.moi, snr, inst.mcs, inst.grid_bytes,
                             inst.bandwidth_hz, inst.budget_s)
     assert not np.array_equal(changed.top_rate, inst.top_rate)
-    for name in ("decodable", "item_cost_s", "top_rate", "rate_class_table"):
+    for name in ("item_cost_s", "top_rate", "rate_class_table"):
         assert np.array_equal(getattr(changed, name), getattr(fresh, name))
 
 
@@ -453,7 +453,7 @@ def test_instance_json_round_trip():
     assert np.array_equal(again.moi, inst.moi)
     assert again.snr_db == inst.snr_db
     assert again.mcs == inst.mcs
-    assert np.array_equal(again.decodable, inst.decodable)
+    assert np.array_equal(again.top_rate, inst.top_rate)
     assert again.budget_s == inst.budget_s
 
 

@@ -12,7 +12,6 @@ from birdcast import (
     Selection,
     accelerated_greedy,
     broadcast_solve,
-    brute_force_assignments,
     dp_solve,
     exact_solve,
     kmeanspp_solve,
@@ -20,14 +19,13 @@ from birdcast import (
     marginal_util_solve,
     refined_greedy,
     unicast_solve,
-    unrestricted_opt,
     utility,
-    verify_equivalence,
 )
 
 from birdcast.oracle import ENUMERATION_CAP, _bound_rtol
 
 from conftest import random_full_scale_instance, random_instance
+from reference import brute_force_assignments, unrestricted_opt, verify_equivalence
 
 
 def test_trivial_single_item():

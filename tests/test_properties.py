@@ -18,7 +18,6 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from birdcast import (  # noqa: E402
-    CoverageState,
     McsTable,
     MulticastPlan,
     ProblemInstance,
@@ -29,7 +28,6 @@ from birdcast import (  # noqa: E402
     lp_bound,
     plan_from_selection,
     refined_greedy,
-    remove_redundant,
     selection_cost,
     selection_from_plan,
     utility,
@@ -44,6 +42,7 @@ from birdcast.instance import (  # noqa: E402
 )
 from birdcast.oracle import _bound_rtol  # noqa: E402
 from birdcast.solvers import _argmax_pass, _lazy_pass  # noqa: E402
+from reference import CoverageState, decodable, remove_redundant  # noqa: E402
 
 # few distinct weights and rates, so that equal ratios, and the tie-breaks
 # both greedy solvers must share, come up often
@@ -124,7 +123,8 @@ def test_canonical_plan_matches_the_per_group_reference(case):
     masks = np.zeros((inst.n_rates, inst.n_grids), dtype=bool)
     for l, m in sel.items:
         masks[m, l] = True
-    groups = [np.flatnonzero(inst.decodable[:, k]) for k in range(inst.n_rates)]
+    dec = decodable(inst)
+    groups = [np.flatnonzero(dec[:, k]) for k in range(inst.n_rates)]
     ref = _group_plan(inst, groups, masks, range(inst.n_rates))
     new = _canonical_plan(inst, masks, 0.0)
     assert new.groups == ref.groups

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from birdcast import (
-    CoverageState,
     GenParams,
     McsTable,
     ProblemInstance,
@@ -18,15 +17,14 @@ from birdcast import (
     evaluate_plan,
     exact_solve,
     generate,
-    marginal_gain,
     marginal_util_solve,
     refined_greedy,
-    remove_redundant,
     selection_cost,
     utility,
 )
 
 from conftest import random_instance
+from reference import CoverageState, marginal_gain, remove_redundant
 
 APPROX_BOUND = 1.0 - 1.0 / np.sqrt(np.e)
 
