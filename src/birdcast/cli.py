@@ -228,6 +228,8 @@ def cmd_sweep(args) -> int:
         raise ValueError("values must be a non-empty list of positive, "
                          "finite numbers")
     solver_ids = _array(spec.get("solvers", sorted(SOLVERS)), "solvers")
+    if not solver_ids:
+        raise ValueError("solvers: a non-empty list of names")
     for solver_id in solver_ids:
         if not isinstance(solver_id, str):
             raise ValueError(f"solvers: names only, not {solver_id!r}")

@@ -10,17 +10,21 @@ monotone submodular objectives.
 
 accelerated_greedy computes the same solution with far fewer gain
 evaluations: cached marginal-utility ratios are upper bounds on the
-current ones (diminishing returns), so a max-priority queue re-evaluates
-only the most promising candidate per step, and items offering a grid at
-a faster rate than one already accepted for that grid are discarded
-outright since their gain is zero from then on.
+current ones (diminishing returns), so only the most promising candidate
+is re-evaluated per step. The candidates are sorted once by cached ratio
+and read as a stream; one whose fresh ratio loses to the best left waits
+in a small heap of re-evaluated candidates, and each step takes the better
+of the stream's head and that heap's top. Items offering a grid at a
+faster rate than one already accepted for that grid are discarded
+outright since their gain is zero from then on, and a pass ends once the
+budget left cannot pay for the cheapest rate.
 
 Both run the same two-pass driver, whose only state is rate[l], the
 slowest rate selected for grid l (M when none is). Decodability is nested,
 so that rate alone decides grid l's coverage, and the gain of item (l, m)
 is S[l, m] - S[l, rate[l]] (clamped at 0) on the instance's rate-class
 table S. The solvers differ only in how a pass picks the next item: a
-dense argmax over the L x M ratio matrix, or a lazy heap. Both read the
+dense argmax over the L x M ratio matrix, or the lazy stream. Both read the
 same float gains, so exact ratio ties resolve the same way, and a cached
 ratio is a true upper bound on the fresh one (S rows are non-increasing).
 Ties between equal ratios prefer the lower grid index, then the lower
@@ -124,18 +128,21 @@ def _argmax_pass(table: np.ndarray, costs: np.ndarray, rate: list[int],
 
 def _lazy_pass(table: np.ndarray, costs: np.ndarray, rate: list[int],
                budget_left: float) -> tuple[float, int, list[Item]]:
-    """One lazy-evaluation pass over a heap of cached ratios.
+    """One lazy-evaluation pass over a sorted stream of cached ratios.
 
-    The heap starts from fresh gains of the positive, affordable items;
-    every item but each grid's current (l, rate[l]) counts as one
-    evaluation. A popped candidate is re-evaluated once and accepted
-    immediately when its fresh ratio still beats the best cached bound
-    left in the queue; otherwise it goes back with the fresh value, and
-    the same heapreplace yields the next candidate. Candidates whose grid
-    already carries an equal-or-slower rate, or that the budget left
-    cannot pay for, are dropped on sight. The stdlib min-heap holds
-    (neg ratio, grid, rate), so it pops the largest ratio first and, among
-    equal ratios, the lower grid, then the lower rate.
+    Every candidate is keyed (neg ratio, grid, rate), so the smallest key
+    has the largest ratio and, among equal ratios, the lower grid, then
+    the lower rate. The keys of the positive, affordable items start as a
+    stream sorted once from fresh gains; every item but each grid's
+    current (l, rate[l]) counts as one evaluation. The next candidate is
+    the smaller of the stream's head and the top of a small heap that
+    holds only re-evaluated keys. It is re-evaluated once and accepted
+    immediately when its fresh key still beats the best one left in
+    either; otherwise its fresh key goes onto the heap. Candidates whose
+    grid already carries an equal-or-slower rate, or that the budget left
+    cannot pay for, are dropped on sight, and the pass ends once the
+    budget left is below the cheapest rate's cost, since the budget only
+    shrinks and every candidate left would be dropped unevaluated.
     Returns the budget left, the gain evaluations and the items picked.
     """
     rate_idx = np.asarray(rate)
@@ -147,30 +154,39 @@ def _lazy_pass(table: np.ndarray, costs: np.ndarray, rate: list[int],
         return budget_left, evals, picks
     ls, ms = np.divmod(np.flatnonzero(valid), costs.size)
     neg = -(gains[ls, ms] / costs[ms])
-    # the items come grid-major, so a stable sort on neg puts them in
-    # heap-key order, and a sorted list already is a heap
-    order = np.argsort(neg, kind="stable")
-    grid_list = ls[order].tolist()
-    heap = list(zip(neg[order].tolist(), grid_list, ms[order].tolist()))
-    grids = sorted(set(grid_list))
-    rows = dict(zip(grids, table[grids].tolist()))  # only rows a pop reads
+    # the items come grid-major, so a stable sort on neg puts them in key
+    # order; reversed, list.pop() reads the stream from its smallest key
+    order = np.argsort(neg, kind="stable")[::-1]
+    stream = list(zip(neg[order].tolist(), ls[order].tolist(),
+                      ms[order].tolist()))
+    reheap: list[tuple[float, int, int]] = []
+    rows: dict[int, list[float]] = {}  # read when a grid is first evaluated
     cost_list = costs.tolist()
-    heappop, heapreplace = heapq.heappop, heapq.heapreplace
-    while heap and budget_left > 0:
-        _, l, m = heappop(heap)
-        while m < rate[l] and cost_list[m] <= budget_left:
-            row = rows[l]
-            # the key holds the negated fresh ratio; a - b is exactly -(b - a)
-            key = ((row[rate[l]] - row[m]) / cost_list[m], l, m)
-            evals += 1
-            if heap and heap[0] < key:
-                _, l, m = heapreplace(heap, key)
-                continue
-            if key[0] >= 0.0:
-                return budget_left, evals, picks
-            picks.append((l, m))
-            rate[l] = m
-            budget_left -= cost_list[m]
+    cheapest = min(cost_list)
+    heappop, heappush = heapq.heappop, heapq.heappush
+    while stream or reheap:
+        if reheap and (not stream or reheap[0] < stream[-1]):
+            _, l, m = heappop(reheap)
+        else:
+            _, l, m = stream.pop()
+        cost = cost_list[m]
+        if m >= rate[l] or cost > budget_left:
+            continue
+        row = rows.get(l)
+        if row is None:
+            row = rows[l] = table[l].tolist()
+        # the key holds the negated fresh ratio; a - b is exactly -(b - a)
+        key = ((row[rate[l]] - row[m]) / cost, l, m)
+        evals += 1
+        if (stream and stream[-1] < key) or (reheap and reheap[0] < key):
+            heappush(reheap, key)
+            continue
+        if key[0] >= 0.0:
+            break
+        picks.append((l, m))
+        rate[l] = m
+        budget_left -= cost
+        if budget_left < cheapest:
             break
     return budget_left, evals, picks
 

@@ -695,6 +695,8 @@ def test_sweep_rejects_an_unknown_solver(tmp_path, capsys):
     ("unicast", "solvers: a list, not str"),
     ([["unicast"]], "solvers: names only, not ['unicast']"),
     ([5], "solvers: names only, not 5"),
+    # would run nothing and write a header-only CSV
+    ([], "solvers: a non-empty list of names"),
 ])
 def test_sweep_rejects_solvers_that_are_no_list_of_names(tmp_path, capsys,
                                                          solvers, message):

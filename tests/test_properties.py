@@ -18,6 +18,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from birdcast import (  # noqa: E402
+    GenParams,
     McsTable,
     MulticastPlan,
     ProblemInstance,
@@ -25,6 +26,7 @@ from birdcast import (  # noqa: E402
     accelerated_greedy,
     evaluate_plan,
     exact_solve,
+    generate,
     lp_bound,
     plan_from_selection,
     refined_greedy,
@@ -264,9 +266,49 @@ def push_pop_lazy_pass(table, costs, rate, budget_left):
     return budget_left, evals, picks
 
 
+def rsu_frame_starts():
+    """A pass-1 and a pass-2 start on a scene of the per-frame shape (N=24,
+    L=250, 5 ms budget): the budget binds while hundreds of candidates
+    remain, which random draws seldom produce."""
+    _, inst = generate(GenParams(n_users=24, budget_s=0.005, seed=0))
+    table, costs = inst.rate_class_table, inst.item_cost_s
+    rate = [inst.n_rates] * inst.n_grids
+    budget_left, _, picks = push_pop_lazy_pass(table, costs, rate,
+                                               inst.budget_s)
+    reclaimed = float(sum(costs[m] for l, m in sorted(picks) if rate[l] != m))
+    return ((inst, [inst.n_rates] * inst.n_grids, inst.budget_s),
+            (inst, rate, budget_left + reclaimed))
+
+
+PASS_1_START, PASS_2_START = rsu_frame_starts()
+
+# two grids worth the same; after the first pick the budget left equals
+# the cheapest rate's cost exactly, so the second grid must still be sent
+_TWO_GRIDS = ProblemInstance(
+    moi=np.ones((1, 2)), snr_db=(4.0,),
+    mcs=McsTable(rates=(1.0, 2.0), thresholds_db=(0.0, 3.0)),
+    grid_bytes=1000.0, bandwidth_hz=1e6, budget_s=1.0)
+EXACT_BUDGET_START = (_TWO_GRIDS, [2, 2],
+                      2.0 * float(_TWO_GRIDS.item_cost_s.min()))
+
+# after (1, 1) is sent, (1, 0)'s fresh ratio exactly ties (0, 0), the
+# stream's head, which must go first as the lower grid
+TIE_START = (
+    ProblemInstance(moi=np.array([[0.0, 1.5], [1.0, 1.0]]), snr_db=(4.0, 1.0),
+                    mcs=McsTable(rates=(1.0, 2.0), thresholds_db=(0.0, 3.0)),
+                    grid_bytes=1000.0, bandwidth_hz=1e6, budget_s=1.0),
+    [2, 2],
+    1.0,
+)
+
+
 @PROPERTY_SETTINGS
 @hypothesis.given(pass_starts())
 @hypothesis.example(ONE_ITEM_START)
+@hypothesis.example(PASS_1_START)
+@hypothesis.example(PASS_2_START)
+@hypothesis.example(EXACT_BUDGET_START)
+@hypothesis.example(TIE_START)
 def test_lazy_pass_matches_the_push_pop_reference(start):
     inst, rate, budget = start
     table, costs = inst.rate_class_table, inst.item_cost_s
