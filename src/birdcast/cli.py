@@ -8,8 +8,8 @@ schemes' utilities on it).
 
 Exit codes: 0 success; 1 usage error or invalid input, such as an
 instance file that is not valid JSON, lacks a key or holds an invalid
-value; 2 runtime failure, such as an unreadable file or an instance too
-large for the oracle's enumeration cap.
+value; 2 runtime failure, such as an unreadable file or an instance whose
+exact search needs more nodes than the oracle's cap, ENUMERATION_CAP.
 """
 
 from __future__ import annotations
@@ -408,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
     except EnumerationCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyError as exc:

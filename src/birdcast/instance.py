@@ -154,9 +154,10 @@ class ProblemInstance:
                 raise ValueError(f"{key} must be a non-negative integer")
         fmt = d.get("format")
         if fmt is None:
-            moi = np.asarray(d["moi"], dtype=np.float64)
-            if moi.ndim == 2:  # any other shape fails in __post_init__
-                _numbers([v for row in d["moi"] for v in row], "moi")
+            rows = [_numbers(row, "moi") for row in _array(d["moi"], "moi")]
+            if len(set(map(len, rows))) > 1:
+                raise ValueError("moi: rows of unequal length")
+            moi = np.asarray(rows, dtype=np.float64)
         elif fmt == INSTANCE_FORMAT:
             moi = _moi_from_triplets(d["moi"], d["n_users"], d["n_grids"])
         else:

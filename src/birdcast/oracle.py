@@ -1,4 +1,5 @@
-"""Exact solver for small instances and an upper bound on the optimum.
+"""Exact solver, guarded on the nodes it explores, and an upper bound on
+the optimum.
 
 Because a user's coverage of a grid depends only on the slowest rate
 selected for that grid, and a faster duplicate rate on the same grid can
@@ -21,12 +22,12 @@ import numpy as np
 
 from .instance import ProblemInstance, Selection, utility
 
-# the largest assignment space (M+1)^L that exact_solve searches
-ENUMERATION_CAP = 2 ** 22
+# the most search nodes exact_solve explores before it gives up
+ENUMERATION_CAP = 2 ** 18
 
 
 class EnumerationCapExceeded(ValueError):
-    """The instance's assignment space is too large for exact search."""
+    """The exact search needs more nodes than ENUMERATION_CAP."""
 
 
 @dataclass(frozen=True)
@@ -41,15 +42,6 @@ class OracleResult:
             "opt_selection": self.opt_selection.to_json(),
             "nodes_explored": self.nodes_explored,
         }
-
-
-def _check_cap(inst: ProblemInstance) -> None:
-    # (M+1)^L can run to thousands of digits, more than Python will format
-    if (inst.n_rates + 1) ** inst.n_grids > ENUMERATION_CAP:
-        raise EnumerationCapExceeded(
-            f"assignment space (M+1)^L with M={inst.n_rates}, "
-            f"L={inst.n_grids} exceeds the cap {ENUMERATION_CAP}; "
-            "the oracle only handles small instances")
 
 
 # (slope, search position of the grid, cost, value) of one hull increment
@@ -131,57 +123,63 @@ def _bound_rtol(inst: ProblemInstance) -> float:
 def exact_solve(inst: ProblemInstance) -> OracleResult:
     """True optimum over one-rate-per-grid assignments.
 
-    Branch and bound over the MCKP. It branches only on each grid's Pareto
-    options (see _mckp), so a slower rate that costs more for no more
-    interest is never tried; grids without one are always skipped. Grids
-    are fixed in order of first hull slope; at each, the options are tried
-    from the slowest rate (highest value) to the fastest, then the skip.
-    Every option taken within the budget updates the incumbent, as the
-    assignment that skips all later grids. A node is pruned when its value
-    plus the LP fill of the grids not yet fixed (lp_bound's fill, over the
-    remaining budget) cannot beat the incumbent once the bound is inflated
-    by _bound_rtol, 2(L*M + L) eps: rounding never cuts a branch that is
-    truly better, and a branch that only ties the incumbent is explored.
-    nodes_explored counts the nodes entered: the root and every branch
-    whose cost fits.
+    Branch and bound over the MCKP, depth first on an explicit stack. It
+    branches only on each grid's Pareto options (see _mckp), so a slower
+    rate that costs more for no more interest is never tried; grids without
+    one are always skipped. Grids are fixed in order of first hull slope;
+    at each, the options are tried from the slowest rate (highest value) to
+    the fastest, then the skip. Every option taken within the budget
+    updates the incumbent, as the assignment that skips all later grids. A
+    node is pruned when its value plus the LP fill of the grids not yet
+    fixed (lp_bound's fill, over the remaining budget) cannot beat the
+    incumbent once the bound is inflated by _bound_rtol, 2(L*M + L) eps:
+    rounding never cuts a branch that is truly better, and a branch that
+    only ties the incumbent is explored. nodes_explored counts the nodes
+    entered: the root and every branch whose cost fits. Past
+    ENUMERATION_CAP nodes the search raises EnumerationCapExceeded.
 
     Among assignments of equal value (float sums in search order), the
     lexicographically smallest sorted item list is kept; it never holds an
     option that a cheaper rate of the same grid matches in value.
     """
-    _check_cap(inst)
     options, increments = _mckp(inst)
     budget = inst.budget_s
     inflate = 1.0 + _bound_rtol(inst)
     best_value = 0.0
     best_items: list[tuple[int, int]] = []
     nodes = 0
-    stack: list[tuple[int, int]] = []
-
-    def search(pos: int, value: float, cost: float) -> None:
-        nonlocal best_value, best_items, nodes
+    path: list[tuple[int, int]] = []  # the items taken above the node
+    # (position, value, cost, items taken above the parent, item or None);
+    # a parent pushes its skip first, then its options fastest first, so
+    # they pop in the order slowest rate first, skip last
+    stack = [(0, 0.0, 0.0, 0, None)]
+    while stack:
+        pos, value, cost, depth, item = stack.pop()
+        del path[depth:]
+        if item is not None:
+            path.append(item)
+            if value >= best_value:
+                items = sorted(path)
+                if value > best_value or items < best_items:
+                    best_value, best_items = value, items
         nodes += 1
+        if nodes > ENUMERATION_CAP:
+            raise EnumerationCapExceeded(
+                f"exact search with M={inst.n_rates}, L={inst.n_grids} "
+                f"explores more than the cap of {ENUMERATION_CAP} nodes")
         if pos == len(options):
-            return
+            continue
         bound = value + _lp_fill(increments, budget - cost, pos)
         if bound * inflate <= best_value:
-            return
+            continue
         l, grid_options = options[pos]
-        for m, item_cost, item_value in grid_options:
-            new_cost = cost + item_cost
-            if new_cost > budget:
-                continue
-            stack.append((l, m))
-            new_value = value + item_value
-            if new_value >= best_value:
-                items = sorted(stack)
-                if new_value > best_value or items < best_items:
-                    best_value, best_items = new_value, items
-            search(pos + 1, new_value, new_cost)
-            stack.pop()
-        search(pos + 1, value, cost)  # skip this grid
+        depth = len(path)
+        stack.append((pos + 1, value, cost, depth, None))
+        for m, item_cost, item_value in reversed(grid_options):
+            if cost + item_cost <= budget:
+                stack.append((pos + 1, value + item_value, cost + item_cost,
+                              depth, (l, m)))
 
-    search(0, 0.0, 0.0)
     opt_sel = Selection(frozenset(best_items))
     # report through the canonical evaluator so equal coverage yields
     # bit-identical values across solvers and enumerators

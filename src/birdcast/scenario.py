@@ -102,6 +102,8 @@ class GenParams:
     mcs: McsTable = field(default=DEFAULT_MCS_TABLE)
 
     def __post_init__(self) -> None:
+        if len(self.extent) != 2:  # the map's two sides
+            raise ValueError(f"extent: two numbers, not {len(self.extent)}")
         named = [(f.name, getattr(self, f.name)) for f in fields(self)]
         named += [("extent", v) for v in self.extent]
         infinite = sorted({name for name, v in named

@@ -156,6 +156,18 @@ def _dense_no_grids(doc: dict) -> None:
     doc["moi"] = [[] for _ in range(doc["n_users"])]
 
 
+def _dense_moi(moi):
+    """Edit that turns the document dense and sets its moi to moi."""
+    def edit(doc: dict) -> None:
+        _to_dense(doc)
+        doc["moi"] = moi
+    return edit
+
+
+def _ragged_dense(doc: dict) -> None:
+    _to_dense(doc)[0].pop()
+
+
 # edits that each turn a valid format-2 instance document (with at least
 # two nonzero weights, the second off grid 1) into one from_json must reject
 MALFORMED_INSTANCE_EDITS = {
@@ -177,6 +189,9 @@ MALFORMED_INSTANCE_EDITS = {
     "false_mcs_threshold": _false_threshold,
     "no_grids": _no_grids,
     "dense_no_grids": _dense_no_grids,
+    "dense_object_moi": _dense_moi({"x": 1}),
+    "dense_string_moi": _dense_moi("abc"),
+    "dense_ragged_moi": _ragged_dense,
     # a scalar where a list or an object belongs; iterating or indexing
     # it would raise TypeError
     "scalar_moi": _set(5, "moi"),

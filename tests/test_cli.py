@@ -20,6 +20,7 @@ from birdcast import (
     broadcast_solve,
     fig1_instance,
 )
+from birdcast import oracle
 from birdcast.cli import CSV_COLUMNS, SOLVERS, main
 
 from conftest import (
@@ -94,13 +95,19 @@ def test_solve_rejects_infinite_bandwidth(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_solve_oracle_over_cap(tmp_path, capsys):
+def test_solve_oracle_over_cap(tmp_path, capsys, monkeypatch):
+    # the paper default solves; a node limit below what it needs exits 2
     assert run(["gen", "--seed", "1", "--out", str(tmp_path / "big")]) == 0
     capsys.readouterr()
-    code = run(["solve", str(tmp_path / "big" / "instance.json"),
-                "--solver", "oracle"])
-    assert code == 2
-    assert "cap" in capsys.readouterr().err
+    args = ["solve", str(tmp_path / "big" / "instance.json"),
+            "--solver", "oracle"]
+    assert run(args) == 0
+    needed = json.loads(capsys.readouterr().out)["nodes_explored"]
+    monkeypatch.setattr(oracle, "ENUMERATION_CAP", needed - 1)
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"M=14, L=250 explores more than the cap of {needed - 1} nodes" in err
 
 
 def test_solve_oracle_on_fig1(tmp_path, capsys):
@@ -328,12 +335,14 @@ def test_instance_file_missing_a_key_is_invalid_input(tmp_path, capsys):
     assert "snr_db" in capsys.readouterr().err
 
 
-def test_oracle_cap_far_beyond_int_formatting_limit(tmp_path, capsys):
-    # (M+1)^L has about 4,700 digits here, past Python's 4,300-digit limit
-    # for converting an int to a string
+def test_oracle_cap_far_beyond_int_formatting_limit(tmp_path, capsys,
+                                                   monkeypatch):
+    # the message names M and L, not (M+1)^L, which has about 4,700 digits
+    # here; the real cap trips only after seconds, so a small one stands in
     inst = random_full_scale_instance(np.random.default_rng(0), 2, 4000)
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(inst.to_json()))
+    monkeypatch.setattr(oracle, "ENUMERATION_CAP", 1000)
     assert run(["solve", str(path), "--solver", "oracle"]) == 2
     err = capsys.readouterr().err
     assert "M=14, L=4000" in err and "cap" in err
@@ -589,6 +598,9 @@ def test_sweep_rejects_a_seed_that_is_no_integer(tmp_path, capsys, seed):
     ({"mcs": [{"rate": True, "threshold_db": 0.0}]}, "mcs_table rate"),
     ({"mcs": 5}, "mcs_table"),
     ({"hvn_height": 12.0}, "hvn_height"),
+    # generate unpacks the map's two sides
+    ({"extent": [1.0, 2.0, 3.0]}, "extent"),
+    ({"extent": []}, "extent"),
 ])
 def test_generator_parameter_of_the_wrong_type_is_invalid_input(
         tmp_path, capsys, params, field):

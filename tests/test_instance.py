@@ -508,6 +508,17 @@ def test_malformed_moi_triplets_rejected(edit):
         ProblemInstance.from_json(doc)
 
 
+@pytest.mark.parametrize("edit", ["dense_object_moi", "dense_string_moi",
+                                  "dense_ragged_moi"])
+def test_malformed_dense_moi_names_the_field(edit):
+    # numpy would read the rows first: a JSON object raised TypeError, and a
+    # string or ragged rows gave messages that named no field
+    doc = fig1_instance().to_json()
+    MALFORMED_INSTANCE_EDITS[edit](doc)
+    with pytest.raises(ValueError, match="^moi: "):
+        ProblemInstance.from_json(doc)
+
+
 def test_selection_json_round_trip():
     sel = Selection.from_pairs([(3, 1), (0, 0)])
     assert Selection.from_json(sel.to_json()) == sel

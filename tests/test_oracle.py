@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from birdcast import (
     EnumerationCapExceeded,
+    GenParams,
     McsTable,
     ProblemInstance,
     Selection,
@@ -14,15 +17,20 @@ from birdcast import (
     broadcast_solve,
     dp_solve,
     exact_solve,
+    generate,
     kmeanspp_solve,
     lp_bound,
     marginal_util_solve,
     refined_greedy,
+    selection_cost,
     unicast_solve,
     utility,
 )
 
-from birdcast.oracle import ENUMERATION_CAP, _bound_rtol
+from birdcast import oracle
+from birdcast.cli import SOLVERS
+from birdcast.instance import is_budget_feasible
+from birdcast.oracle import _bound_rtol
 
 from conftest import random_full_scale_instance, random_instance
 from reference import brute_force_assignments, unrestricted_opt, verify_equivalence
@@ -90,11 +98,16 @@ def grids_instance(n_grids: int, n_rates: int) -> ProblemInstance:
                            budget_s=0.01 * n_grids)
 
 
-def test_caps_solve_at_their_bound_and_reject_past_it():
-    # exact_solve: (M+1)^L = 4^11 = 2^22 is the cap itself
-    assert exact_solve(grids_instance(11, 3)).nodes_explored > 0
-    with pytest.raises(EnumerationCapExceeded):
-        exact_solve(grids_instance(12, 3))
+def test_caps_solve_at_their_bound_and_reject_past_it(monkeypatch):
+    # exact_solve: a node limit equal to the nodes the search needs
+    inst = grids_instance(11, 3)
+    needed = exact_solve(inst).nodes_explored
+    monkeypatch.setattr(oracle, "ENUMERATION_CAP", needed)
+    assert exact_solve(inst).nodes_explored == needed
+    monkeypatch.setattr(oracle, "ENUMERATION_CAP", needed - 1)
+    with pytest.raises(EnumerationCapExceeded, match=f"M=3, L=11 explores "
+                       f"more than the cap of {needed - 1} nodes"):
+        exact_solve(inst)
     # brute_force_assignments: 4^6 = 2^12
     assert brute_force_assignments(grids_instance(6, 3)).nodes_explored == 4 ** 6
     with pytest.raises(EnumerationCapExceeded):
@@ -105,10 +118,27 @@ def test_caps_solve_at_their_bound_and_reject_past_it():
         unrestricted_opt(grids_instance(17, 1))
 
 
-def test_cap_message_names_sizes_not_the_product():
+def test_cap_message_names_sizes_not_the_product(monkeypatch):
     inst = random_full_scale_instance(np.random.default_rng(0), 2, 4000)
-    with pytest.raises(EnumerationCapExceeded, match="M=14, L=4000"):
+    monkeypatch.setattr(oracle, "ENUMERATION_CAP", 10)
+    with pytest.raises(EnumerationCapExceeded,
+                       match="M=14, L=4000 explores more than the cap of 10 nodes"):
         exact_solve(inst)
+
+
+def test_deep_search_needs_no_recursion():
+    # every one of 1,024 grids has an option and the budget pays for all,
+    # so the search runs one path 1,024 grids deep, past Python's default
+    # recursion limit, and prunes each skip on entry
+    n_grids = 1024
+    table = McsTable(rates=(1.0,), thresholds_db=(0.0,))
+    moi = np.random.default_rng(60).uniform(0.5, 1.0, (1, n_grids))
+    inst = ProblemInstance(moi=moi, snr_db=(3.0,), mcs=table,
+                           grid_bytes=125.0, bandwidth_hz=1000.0,
+                           budget_s=float(n_grids))
+    res = exact_solve(inst)
+    assert res.opt_selection.items == {(l, 0) for l in range(n_grids)}
+    assert res.nodes_explored == 2 * n_grids + 1
 
 
 def test_pruned_equals_unpruned():
@@ -153,6 +183,33 @@ def test_opt_selection_is_feasible():
         assert utility(inst, res.opt_selection) == res.opt_utility
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n_users", [24, 32])
+def test_optimum_certifies_every_solver_at_paper_scale(n_users, seed):
+    # the paper's scene size with a binding 5 ms budget: the optimum lies
+    # under the LP bound and over every solver, and both paper solvers
+    # keep their (1 - 1/sqrt(e)) guarantee
+    _, inst = generate(GenParams(n_users=n_users, budget_s=0.005, seed=seed))
+    opt = exact_solve(inst).opt_utility
+    slack = 1.0 + _bound_rtol(inst)
+    assert opt <= lp_bound(inst) * slack
+    for solver_id, solver in SOLVERS.items():
+        assert solver(inst).utility <= opt * slack, solver_id
+    for solver in (refined_greedy, accelerated_greedy):
+        assert solver(inst).utility >= (1.0 - 1.0 / math.sqrt(math.e)) * opt
+
+
+def test_optimum_at_n96_matches_milp():
+    # N=96 on 40x25 grids, 5 ms budget: HiGHS (scipy.optimize.milp) gives
+    # 131.015790 for this scene
+    _, inst = generate(GenParams(n_users=96, grid_h=40, grid_w=25,
+                                 budget_s=0.005, seed=0))
+    res = exact_solve(inst)
+    assert res.opt_utility == pytest.approx(131.015790, rel=1e-6)
+    assert is_budget_feasible(inst, selection_cost(inst, res.opt_selection))
+    assert utility(inst, res.opt_selection) == res.opt_utility
+
+
 def test_verify_equivalence_clean():
     rng = np.random.default_rng(55)
     for _ in range(5):
@@ -195,9 +252,9 @@ def test_exact_matches_milp_beyond_brute_force():
     checked = 0
     while checked < 40:
         inst = random_instance(rng, max_users=8, max_grids=13, max_rates=4)
-        # too big for brute_force_assignments, within exact_solve's cap
+        # too big for brute_force_assignments, within (M+1)^L <= 2^22
         size = (inst.n_rates + 1) ** inst.n_grids
-        if not 2 ** 12 < size <= ENUMERATION_CAP:
+        if not 2 ** 12 < size <= 2 ** 22:
             continue
         expected = _milp_opt(optimize, inst)
         assert exact_solve(inst).opt_utility == pytest.approx(expected, rel=1e-9)

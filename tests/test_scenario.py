@@ -127,6 +127,8 @@ def test_genparams_validation():
     ({"eta": 1.5}, "eta"),
     ({"bandwidth_hz": 0.0}, "bandwidth_hz"),
     ({"seed": -1}, "seed"),
+    ({"extent": (1.0, 2.0, 3.0)}, "extent: two numbers"),
+    ({"extent": ()}, "extent: two numbers"),
 ])
 def test_genparams_range_checks(fields, message):
     with pytest.raises(ValueError, match=message):
