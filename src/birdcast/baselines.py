@@ -301,33 +301,47 @@ def _segment_values(inst: ProblemInstance, ordered: np.ndarray,
     pays for at the run's rate and positive the grids of positive weight;
     entries with j < i are -inf. The users are sorted by top rate,
     descending, so a run's rate, its slowest member's, is its last
-    member's. The runs that start at user i are valued in one pass over
-    an (n - i) x L array, so memory stays O(n L + K n^2).
+    member's.
+
+    A run's top grids all have positive weight, so only the A active
+    grids, those of positive weight for some sorted user, are ranked and
+    summed (A may be 0): the runs that start at user i are valued in one
+    pass over an (n - i) x A array, so the table costs O(n^2 A log A) time
+    and O(n L + K n^2) memory.
 
     With floor > 0 the second table repeats values but is -inf wherever
     the run's chosen grids serve some member less than `floor` of their
-    total interest; it is None otherwise.
+    total interest; it is None otherwise. Its share product costs
+    O(n^3 K A) time and O(K n (n + A)) memory per start user. Each
+    member's total and the exact recheck near the floor read the member's
+    full row of L grids.
     """
     n = ordered.size
     n_grids = inst.n_grids
+    # fit[k, u]: the grids budgets[k] pays for at sorted user u's rate
     fit = np.array([[min(n_grids, int(b // c)) if c > 0 else n_grids
                      for c in inst.item_cost_s.tolist()] for b in budgets],
-                   dtype=np.int64)
+                   dtype=np.int64)[:, inst.top_rate[ordered]]
     weights = inst.moi[ordered]
-    prefix = np.zeros((n + 1, n_grids))
-    np.cumsum(weights, axis=0, out=prefix[1:])
     totals = weights.sum(axis=1)
     denom = np.maximum(totals, 1e-300)
+    cols = np.flatnonzero((weights > 0.0).any(axis=0))
+    n_cols = cols.size
+    active = weights[:, cols]
+    prefix = np.zeros((n + 1, n_cols))
+    np.cumsum(active, axis=0, out=prefix[1:])
     slack = 4 * n_grids * np.finfo(float).eps * floor + np.finfo(float).tiny
     values = np.full((len(budgets), n, n), -np.inf)
     fair = values.copy() if floor > 0.0 else None
+    # counted[u, r]: run r holds member u, whose share the floor checks
+    counted = np.triu(np.ones((n, n), dtype=bool)) & (totals > 0.0)[:, None]
     for i in range(n):
         w = prefix[i + 1:] - prefix[i]  # row r: the run i..i+r
-        cum = np.cumsum(np.sort(w, axis=1)[:, ::-1], axis=1)
-        rate = inst.top_rate[ordered[i:]]
-        n_top = np.minimum(fit[:, rate], (w > 0.0).sum(axis=1))
-        top = cum[np.arange(n - i), np.maximum(n_top - 1, 0)]
-        values[:, i, i:] = np.where(n_top > 0, top, 0.0)
+        # cum[r, p]: the run's p largest active weights, cum[r, 0] = 0
+        cum = np.zeros((n - i, n_cols + 1))
+        np.cumsum(np.sort(w, axis=1)[:, ::-1], axis=1, out=cum[:, 1:])
+        n_top = np.minimum(fit[:, i:], (w > 0.0).sum(axis=1))
+        values[:, i, i:] = cum[np.arange(n - i), n_top]
         if fair is None:
             continue
         order = np.argsort(-w, axis=1, kind="stable")
@@ -337,17 +351,17 @@ def _segment_values(inst: ProblemInstance, ordered: np.ndarray,
         # to within about L ulp, so only shares that close to the floor
         # need the exact per-run sum.
         rank = np.empty_like(order)
-        np.put_along_axis(rank, order, np.arange(n_grids), axis=1)
+        np.put_along_axis(rank, order, np.arange(n_cols), axis=1)
         picked = rank[:, None, :] < n_top.T[:, :, None]
-        served = weights[i:] @ picked.reshape(-1, n_grids).T
+        # the row count is spelled out: reshape(-1, 0) has no answer
+        served = active[i:] @ picked.reshape(n_top.size, n_cols).T
         share = served.reshape(n - i, n - i, -1) / denom[i:, None, None]
-        counted = (np.triu(np.ones((n - i, n - i), dtype=bool))
-                   & (totals[i:] > 0.0)[:, None])[:, :, None]
-        reject = ((share < floor) & counted).any(axis=0)
-        near = ((np.abs(share - floor) <= slack) & counted).any(axis=0)
+        in_run = counted[i:, i:, None]
+        reject = ((share < floor) & in_run).any(axis=0)
+        near = ((np.abs(share - floor) <= slack) & in_run).any(axis=0)
         for r, k in zip(*np.nonzero(near)):
             reject[r, k] = _below_floor(weights[i:i + r + 1],
-                                        order[r, :n_top[k, r]], floor)
+                                        cols[order[r, :n_top[k, r]]], floor)
         fair[:, i, i:] = np.where(reject.T, -np.inf, values[:, i, i:])
     return values, fair
 
@@ -402,7 +416,8 @@ def dp_solve(inst: ProblemInstance, fair: bool = False) -> SolveResult:
 
     Users are sorted by achievable rate (descending); candidate groups are
     contiguous runs valued by their stand-alone greedy utility under an
-    equal budget split, and the best partition into each group count up
+    equal budget split (_segment_values, which ranks only the grids some
+    decodable user wants), and the best partition into each group count up
     to _DP_MAX_GROUPS is found by the classic boundary recurrence. Each of
     those partitions then shares the full budget in the joint greedy, and
     _best_of keeps the first of highest utility. With fair=True a

@@ -280,6 +280,7 @@ class MulticastPlan:
 
     @classmethod
     def from_json(cls, d: dict) -> "MulticastPlan":
+        _object(d, "plan document")
         masks = np.asarray([_numbers(row, "plan masks", integers=True)
                             for row in _array(d["masks"], "plan masks")])
         if masks.size and (masks.min() < 0 or masks.max() > 1):

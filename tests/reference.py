@@ -2,10 +2,11 @@
 
 Direct, unoptimized definitions that the package's fast paths are checked
 against: per-user coverage and marginal gains, duplicate-rate removal,
-unpruned enumerations of the optimum and random round trips through both
-plan mappings. Decodability is derived here from snr_db and the MCS
-thresholds, never from ProblemInstance.top_rate or rate_class_table, so
-the checks compare the package with an independent model.
+unpruned enumerations of the optimum, the DP baselines' run valuations
+and random round trips through both plan mappings. Decodability is
+derived here from snr_db and the MCS thresholds, never from
+ProblemInstance.top_rate or rate_class_table, so the checks compare the
+package with an independent model.
 """
 
 from __future__ import annotations
@@ -170,6 +171,59 @@ def unrestricted_opt(inst: ProblemInstance) -> float:
             best_combo = combo
     items = [(l, m) for l, (_, _, m) in enumerate(best_combo) if m is not None]
     return utility(inst, Selection(frozenset(items)))
+
+
+def dp_user_order(inst: ProblemInstance) -> np.ndarray:
+    """The users that decode some rate, by top rate descending, then by
+    index: the order whose contiguous runs the DP baselines value."""
+    dec = decodable(inst)
+    top = dec.sum(axis=1) - 1
+    return np.asarray(sorted(np.flatnonzero(top >= 0).tolist(),
+                             key=lambda n: (-top[n], n)), dtype=np.intp)
+
+
+def run_tables(inst: ProblemInstance, ordered: np.ndarray,
+               budgets: list[float], floor: float
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """values[k, i, j] and fair[k, i, j] of the runs ordered[i..j], each
+    run valued on its own over all L grids.
+
+    The run's grid weights are differences of per-user prefix sums, as
+    the DP sums them. Its rate is its slowest member's top rate, n_top
+    the grids budgets[k] pays for at that rate, but no more than have
+    positive weight, and its value the sequential sum of the n_top
+    largest weights (stable order, so ties go to the lower grid). fair
+    repeats the value, but -inf when those grids serve some member less
+    than `floor` of the member's total over all L grids; j < i is -inf
+    in both.
+    """
+    n = ordered.size
+    top = decodable(inst).sum(axis=1) - 1
+    weights = inst.moi[ordered]
+    prefix = np.zeros((n + 1, inst.n_grids))
+    np.cumsum(weights, axis=0, out=prefix[1:])
+    values = np.full((len(budgets), n, n), -np.inf)
+    fair = values.copy()
+    for i in range(n):
+        for j in range(i, n):
+            w = prefix[j + 1] - prefix[i]
+            order = np.argsort(-w, kind="stable")
+            cost = float(inst.item_cost_s[min(top[ordered[i:j + 1]])])
+            members = weights[i:j + 1]
+            totals = members.sum(axis=1)
+            for k, budget in enumerate(budgets):
+                fit = int(budget // cost) if cost > 0 else inst.n_grids
+                n_top = min(fit, inst.n_grids, int((w > 0.0).sum()))
+                value = 0.0
+                for grid in order[:n_top].tolist():
+                    value += float(w[grid])
+                values[k, i, j] = value
+                served = members[:, order[:n_top]].sum(axis=1)
+                fair_to_all = all(
+                    total <= 0.0 or got / total >= floor
+                    for got, total in zip(served.tolist(), totals.tolist()))
+                fair[k, i, j] = value if fair_to_all else -np.inf
+    return values, fair
 
 
 @dataclass(frozen=True)

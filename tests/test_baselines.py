@@ -26,7 +26,9 @@ from birdcast import (
 from birdcast import baselines
 from birdcast.scenario import fig1_instance
 
-from conftest import random_full_scale_instance, random_instance
+from conftest import (random_full_scale_instance, random_instance,
+                      random_mcs_table)
+from reference import dp_user_order, run_tables
 
 ALL_BASELINES = (broadcast_solve, unicast_solve, marginal_util_solve,
                  kmeanspp_solve, lambda i: dp_solve(i),
@@ -236,11 +238,10 @@ def test_dp_fair_never_above_unconstrained():
         assert dp_solve(inst, fair=True).utility <= dp_solve(inst).utility + 1e-12
 
 
-def test_dp_fair_admits_a_member_served_exactly_the_floor(monkeypatch):
-    # the floor is the weakest member's share exactly as the fairness rule
-    # computes it; a sum over the same grids in another order reads this
-    # share 1 ulp lower, which must not reject the group
-    moi = np.random.default_rng(0).uniform(0.0, 1.0, (2, 40))
+def assert_admits_exactly_the_floor(monkeypatch, moi: np.ndarray) -> None:
+    """One group of two users may take 20 grids: dp_fair admits it at a
+    floor of exactly its weakest member's share, as the fairness rule sums
+    it over full rows, and rejects it one ulp above."""
     inst = ProblemInstance(moi=moi, snr_db=(0.0, 0.0),
                            mcs=McsTable(rates=(1.0,), thresholds_db=(0.0,)),
                            grid_bytes=1000.0, bandwidth_hz=1e6,
@@ -253,6 +254,83 @@ def test_dp_fair_admits_a_member_served_exactly_the_floor(monkeypatch):
     monkeypatch.setattr(baselines, "_FAIRNESS_FLOOR",
                         float(np.nextafter(floor, 1.0)))
     assert dp_solve(inst, fair=True).meta["fair_infeasible"]
+
+
+def test_dp_fair_admits_a_member_served_exactly_the_floor(monkeypatch):
+    # the floor is the weakest member's share exactly as the fairness rule
+    # computes it; a sum over the same grids in another order reads this
+    # share 1 ulp lower, which must not reject the group
+    moi = np.random.default_rng(0).uniform(0.0, 1.0, (2, 40))
+    assert_admits_exactly_the_floor(monkeypatch, moi)
+
+
+def test_dp_fair_floor_reads_full_rows_between_unwanted_grids(monkeypatch):
+    # every other grid is wanted by nobody; a member's total summed over
+    # the wanted grids only is another summation order than over its full
+    # row, so the rule must still read full rows
+    moi = np.zeros((2, 80))
+    moi[:, 1::2] = np.random.default_rng(0).uniform(0.0, 1.0, (2, 40))
+    assert_admits_exactly_the_floor(monkeypatch, moi)
+
+
+def test_dp_with_no_wanted_grid_sends_nothing():
+    # user 1 wants grid 2 but decodes no rate; the users who decode want
+    # no grid, so no run has a grid to rank
+    table = McsTable(rates=(1.0, 2.0), thresholds_db=(0.0, 10.0))
+    moi = np.zeros((3, 5))
+    moi[1, 2] = 0.7
+    inst = ProblemInstance(moi=moi, snr_db=(12.0, -3.0, 4.0), mcs=table,
+                           grid_bytes=1000.0, bandwidth_hz=1e6, budget_s=0.02)
+    for fair in (False, True):
+        doc = dp_solve(inst, fair=fair).to_json()
+        del doc["wall_time_s"]
+        assert doc == {"selection": [],
+                       "plan": {"groups": [[0, 2]], "masks": [[0] * 5],
+                                "rate_bps": [1e6]},
+                       "utility": 0.0, "latency_s": 0.0,
+                       "gain_evaluations": 21,
+                       "meta": {"k": 1, "fair": fair}}
+
+
+def unwanted_grids_instance(rng: np.random.Generator) -> ProblemInstance:
+    """Random instance with all-zero grid columns among the wanted ones,
+    users who want nothing, users who decode no rate and, on every other
+    draw, weights in quarters, so that weights and shares tie."""
+    table = random_mcs_table(rng, max_rates=4)
+    n_users = int(rng.integers(1, 13))
+    n_grids = int(rng.integers(1, 41))
+    lo, hi = table.thresholds_db[0], table.thresholds_db[-1]
+    snr = rng.uniform(lo - 5.0, hi + 5.0, size=n_users)
+    if rng.random() < 0.5:
+        moi = rng.integers(0, 5, size=(n_users, n_grids)) / 4.0
+    else:
+        moi = rng.uniform(0.0, 1.0, size=(n_users, n_grids))
+    moi[:, rng.random(n_grids) < 0.4] = 0.0
+    moi[rng.random(n_users) < 0.2] = 0.0
+    cheapest = 8.0 * 1600.0 / (1e8 * table.rates[-1])  # a grid, fastest rate
+    budget = float(cheapest * rng.uniform(0.5, 2.0 * n_grids))
+    return ProblemInstance(moi=moi, snr_db=tuple(snr), mcs=table,
+                           grid_bytes=1600.0, bandwidth_hz=1e8, budget_s=budget)
+
+
+@pytest.mark.parametrize("floor", [0.0, baselines._FAIRNESS_FLOOR])
+def test_segment_values_match_the_reference_run_tables(floor):
+    rng = np.random.default_rng(71)
+    for _ in range(80):
+        inst = unwanted_grids_instance(rng)
+        ordered = dp_user_order(inst)
+        if not ordered.size:
+            continue  # dp_solve returns before it values any run
+        n_groups = min(baselines._DP_MAX_GROUPS, ordered.size)
+        budgets = [inst.budget_s / k for k in range(1, n_groups + 1)]
+        values, fair = baselines._segment_values(inst, ordered, budgets, floor)
+        want_values, want_fair = run_tables(inst, ordered, budgets, floor)
+        assert values.tobytes() == want_values.tobytes()
+        if floor == 0.0:
+            assert fair is None
+            assert want_fair.tobytes() == want_values.tobytes()
+        else:
+            assert fair.tobytes() == want_fair.tobytes()
 
 
 def test_dp_groups_contiguous_in_sorted_rate_order():
@@ -471,7 +549,8 @@ def test_partition_baseline_plans_are_bit_stable(name):
 
 
 def test_dp_memory_stays_linear_in_users():
-    # one (n - i) x L pass per start user, never an array per segment
+    # one (n - i) x A pass per start user (A <= L wanted grids), never an
+    # array per segment
     inst = random_full_scale_instance(np.random.default_rng(0), 64, 2000)
     tracemalloc.start()
     try:

@@ -318,6 +318,12 @@ def test_plan_document_that_is_no_plan_rejected(edit):
         MulticastPlan.from_json(doc)
 
 
+@pytest.mark.parametrize("doc", [5, "abc", [1, 2, 3]])
+def test_plan_document_that_is_no_object_rejected(doc):
+    with pytest.raises(ValueError, match="plan document"):
+        MulticastPlan.from_json(doc)
+
+
 def test_plan_rejects_disagreeing_group_counts_and_flat_masks():
     with pytest.raises(ValueError, match="agree on K"):
         MulticastPlan(groups=((0,), (1,)), masks=np.ones((1, 2), dtype=bool),
