@@ -219,6 +219,7 @@ def cmd_sweep(args) -> int:
     import concurrent.futures
     import csv
 
+    jobs = _count(args.jobs, "--jobs")
     spec = _object(json.loads(Path(args.spec).read_text()), "spec")
     variable = spec["variable"]
     if variable not in SWEEP_VARIABLES:
@@ -245,8 +246,8 @@ def cmd_sweep(args) -> int:
         for value in values
         for rep in range(reps)
     ]
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    if jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             cell_rows = list(pool.map(_run_sweep_cell, cells))
     else:
         cell_rows = [_run_sweep_cell(cell) for cell in cells]

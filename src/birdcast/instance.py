@@ -22,8 +22,8 @@ from .channel import McsTable, _all_numbers, _array, _numbers, _object, item_cos
 # equivalences are compared exactly.
 FEASIBILITY_RTOL = 1e-9
 
-# Version of the instance document ProblemInstance.to_json writes. Documents
-# without a "format" key are the older dense layout, which is still read.
+# Version of the instance document ProblemInstance.to_json writes, and the
+# only one ProblemInstance.from_json reads.
 INSTANCE_FORMAT = 2
 
 Item = tuple[int, int]
@@ -146,29 +146,22 @@ class ProblemInstance:
 
     @classmethod
     def from_json(cls, d: dict) -> "ProblemInstance":
-        """Read a format-2 document, or a dense one (no "format" key) whose
-        moi is a list of N rows."""
+        """Read a format-2 document, the one to_json writes."""
         _object(d, "instance document")
+        fmt = d.get("format")
+        if fmt != INSTANCE_FORMAT:
+            raise ValueError(
+                f"format: instance format {INSTANCE_FORMAT} only, not {fmt!r}; "
+                "the older dense layout, which has no format key, is no "
+                "longer read")
         for key in ("n_users", "n_grids"):
             if not _all_numbers([d[key]], integers=True) or d[key] < 0:
                 raise ValueError(f"{key} must be a non-negative integer")
-        fmt = d.get("format")
-        if fmt is None:
-            rows = [_numbers(row, "moi") for row in _array(d["moi"], "moi")]
-            if len(set(map(len, rows))) > 1:
-                raise ValueError("moi: rows of unequal length")
-            moi = np.asarray(rows, dtype=np.float64)
-        elif fmt == INSTANCE_FORMAT:
-            moi = _moi_from_triplets(d["moi"], d["n_users"], d["n_grids"])
-        else:
-            raise ValueError(f"unknown instance format {fmt!r}")
-        inst = cls(moi, tuple(_numbers(d["snr_db"], "snr_db")),
+        return cls(_moi_from_triplets(d["moi"], d["n_users"], d["n_grids"]),
+                   tuple(_numbers(d["snr_db"], "snr_db")),
                    McsTable.from_json(d["mcs_table"]),
                    *_numbers([d["grid_bytes"], d["bandwidth_hz"], d["budget_s"]],
                              "grid_bytes, bandwidth_hz and budget_s"))
-        if inst.n_users != d["n_users"] or inst.n_grids != d["n_grids"]:
-            raise ValueError("instance JSON dimensions are inconsistent")
-        return inst
 
 
 def _moi_from_triplets(triplets: dict, n_users: int,

@@ -112,6 +112,10 @@ class GenParams:
             raise ValueError(f"{', '.join(infinite)} must be finite")
         if self.n_users < 1:
             raise ValueError("n_users must be >= 1")
+        for name in ("n_objects", "n_occluders"):
+            count = getattr(self, name)
+            if count < 0:
+                raise ValueError(f"{name}: a count >= 0, not {count}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.grid_h < 1 or self.grid_w < 1:
@@ -199,8 +203,8 @@ def generate(params: GenParams) -> tuple[Scene, ProblemInstance]:
     user_xy = rng.uniform((0.0, 0.0), (ex, ey), size=(params.n_users, 2))
     headings = np.array([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])
     user_heading = headings[rng.integers(0, 4, size=params.n_users)]
-    objects = rng.uniform((0.0, 0.0), (ex, ey), size=(params.n_objects, 2)) \
-        if params.n_objects else np.zeros((0, 2))
+    # a draw of no objects leaves the generator's state as it was
+    objects = rng.uniform((0.0, 0.0), (ex, ey), size=(params.n_objects, 2))
     occluders = []
     for _ in range(params.n_occluders):
         cx, cy = rng.uniform((0.0, 0.0), (ex, ey))
@@ -210,15 +214,13 @@ def generate(params: GenParams) -> tuple[Scene, ProblemInstance]:
                           cy - depth / 2, cy + depth / 2))
 
     cells = _cell_centers(params)
-    if params.n_objects:
-        d2 = ((cells[:, None, :] - objects[None, :, :]) ** 2).sum(axis=2)
-        bumps = np.exp(-d2 / (2.0 * OBJECT_SIGMA_M ** 2))
-        q_hvn_flat = np.clip(bumps.max(axis=1), 0.0, 1.0)
-        feature_flat = bumps.sum(axis=1)
-    else:
-        q_hvn_flat = np.zeros(len(cells))
-        feature_flat = np.zeros(len(cells))
-    feature_flat = feature_flat + FEATURE_NOISE * rng.standard_normal(len(cells))
+    d2 = ((cells[:, None, :] - objects[None, :, :]) ** 2).sum(axis=2)
+    bumps = np.exp(-d2 / (2.0 * OBJECT_SIGMA_M ** 2))  # L x n_objects
+    # bumps are non-negative, so initial=0.0 changes nothing but the
+    # all-zero map of a scene without objects
+    q_hvn_flat = np.clip(bumps.max(axis=1, initial=0.0), 0.0, 1.0)
+    feature_flat = bumps.sum(axis=1) \
+        + FEATURE_NOISE * rng.standard_normal(len(cells))
     q_hvn = GridMap(q_hvn_flat.reshape(h, w))
     compressed = GridMap(feature_flat.reshape(h, w))
 

@@ -129,43 +129,19 @@ def _false_threshold(doc: dict) -> None:
     doc["mcs_table"][0]["threshold_db"] = False  # would read as 0.0
 
 
-def _to_dense(doc: dict) -> list[list]:
-    """Turn a format-2 document into the older dense layout in place and
-    return its moi rows."""
-    rows = [[0.0] * doc["n_grids"] for _ in range(doc["n_users"])]
-    triplets = doc.pop("moi")
-    for n, l, v in zip(triplets["user"], triplets["grid"], triplets["value"]):
-        rows[n][l] = v
-    del doc["format"]
-    doc["moi"] = rows
-    return rows
-
-
-def _true_dense_weight(doc: dict) -> None:
-    _to_dense(doc)[1][1] = True
-
-
 def _no_grids(doc: dict) -> None:
     doc["n_grids"] = 0
     doc["moi"] = {"user": [], "grid": [], "value": []}
 
 
-def _dense_no_grids(doc: dict) -> None:
-    _to_dense(doc)
-    doc["n_grids"] = 0
-    doc["moi"] = [[] for _ in range(doc["n_users"])]
+def _no_format(doc: dict) -> None:
+    del doc["format"]
 
 
-def _dense_moi(moi):
-    """Edit that turns the document dense and sets its moi to moi."""
-    def edit(doc: dict) -> None:
-        _to_dense(doc)
-        doc["moi"] = moi
-    return edit
-
-
-def _ragged_dense(doc: dict) -> None:
-    _to_dense(doc)[0].pop()
+def _dense_layout(doc: dict) -> None:
+    dense = legacy_dense_doc(ProblemInstance.from_json(doc))
+    doc.clear()
+    doc.update(dense)
 
 
 # edits that each turn a valid format-2 instance document (with at least
@@ -178,20 +154,18 @@ MALFORMED_INSTANCE_EDITS = {
     "repeated_pair": _repeated_pair,
     "unequal_lengths": _short_values,
     "unknown_format": _unknown_format,
+    "no_format": _no_format,
+    # the layout older versions wrote, which is no longer read
+    "dense_layout": _dense_layout,
     # a JSON true, which float() and numpy would read as 1.0
     "true_budget": _set(True, "budget_s"),
     "true_grid_bytes": _set(True, "grid_bytes"),
     "true_bandwidth": _set(True, "bandwidth_hz"),
     "true_snr": _set(True, "snr_db", 0),
     "true_weight": _set(True, "moi", "value", 0),
-    "true_dense_weight": _true_dense_weight,
     "true_mcs_rate": _set(True, "mcs_table", 0, "rate"),
     "false_mcs_threshold": _false_threshold,
     "no_grids": _no_grids,
-    "dense_no_grids": _dense_no_grids,
-    "dense_object_moi": _dense_moi({"x": 1}),
-    "dense_string_moi": _dense_moi("abc"),
-    "dense_ragged_moi": _ragged_dense,
     # a scalar where a list or an object belongs; iterating or indexing
     # it would raise TypeError
     "scalar_moi": _set(5, "moi"),

@@ -25,7 +25,6 @@ from birdcast.cli import CSV_COLUMNS, SOLVERS, main
 
 from conftest import (
     MALFORMED_INSTANCE_EDITS,
-    legacy_dense_doc,
     random_full_scale_instance,
 )
 
@@ -254,24 +253,6 @@ def test_gen_writes_compact_sparse_instance_with_version(tmp_path, capsys):
     assert doc["provenance"]["version"] == __version__ == "0.1.0"
 
 
-def test_solve_prints_the_same_schedule_from_dense_and_sparse_files(
-        tmp_path, capsys):
-    assert run(["gen", "--seed", "4", "--n-users", "12", "--grid-h", "4",
-                "--budget-ms", "5", "--out", str(tmp_path)]) == 0
-    sparse = tmp_path / "instance.json"
-    dense = tmp_path / "dense.json"
-    inst = ProblemInstance.from_json(json.loads(sparse.read_text()))
-    dense.write_text(json.dumps(legacy_dense_doc(inst)))
-    capsys.readouterr()
-    for solver_id in sorted(SOLVERS):
-        printed = []
-        for path in (sparse, dense):
-            assert run(["solve", str(path), "--solver", solver_id]) == 0
-            doc = json.loads(capsys.readouterr().out)
-            printed.append((doc["utility"], doc["selection"], doc["plan"]))
-        assert printed[0] == printed[1], solver_id
-
-
 @pytest.mark.parametrize("edit", sorted(MALFORMED_INSTANCE_EDITS))
 def test_malformed_instance_file_is_invalid_input(tmp_path, capsys, edit):
     doc = fig1_instance().to_json()
@@ -374,6 +355,17 @@ def test_sweep_parallel_jobs_match_serial(tmp_path, capsys):
     strip = lambda rows: [
         {k: v for k, v in r.items() if k != "wall_time_s"} for r in rows]
     assert strip(rows_a) == strip(rows_b)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_sweep_rejects_a_job_count_below_one(tmp_path, capsys, jobs):
+    spec = {"variable": "budget", "values": [0.002],
+            "params": {"n_users": 3, "grid_h": 2, "grid_w": 10},
+            "solvers": ["unicast"]}
+    assert run(["sweep", "--spec", write_spec(tmp_path, spec), "--jobs", jobs,
+                "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: --jobs")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_grid_sweep_shows_diminishing_returns():
@@ -601,6 +593,10 @@ def test_sweep_rejects_a_seed_that_is_no_integer(tmp_path, capsys, seed):
     # generate unpacks the map's two sides
     ({"extent": [1.0, 2.0, 3.0]}, "extent"),
     ({"extent": []}, "extent"),
+    # a negative count: no occluders at all, or numpy's "negative
+    # dimensions are not allowed", which names no field
+    ({"n_occluders": -3}, "n_occluders"),
+    ({"n_objects": -3}, "n_objects"),
 ])
 def test_generator_parameter_of_the_wrong_type_is_invalid_input(
         tmp_path, capsys, params, field):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -496,14 +497,22 @@ def test_instance_file_stores_row_major_triplets():
     assert np.signbit(doc["moi"]["value"][1])
 
 
-def test_legacy_dense_instance_file_loads_the_same_instance():
+def test_legacy_dense_instance_file_loads_the_same_instance(tmp_path,
+                                                            monkeypatch):
+    # the dense layout is read only through README's script, which
+    # converts a dense old.json to a format-2 instance.json
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [b.split("```")[0] for b in readme.split("```python\n")[1:]]
+    [script] = [b for b in blocks if '"old.json"' in b]
+    monkeypatch.chdir(tmp_path)
     rng = np.random.default_rng(28)
     for _ in range(5):
         inst = random_instance(rng)
-        doc = json.loads(json.dumps(legacy_dense_doc(inst)))
-        again = ProblemInstance.from_json(doc)
-        assert again.moi.tobytes() == inst.moi.tobytes()
-        assert again.to_json() == inst.to_json()
+        Path("old.json").write_text(json.dumps(legacy_dense_doc(inst)))
+        namespace = {}
+        exec(script, namespace)
+        assert namespace["inst"].moi.tobytes() == inst.moi.tobytes()
+        assert json.loads(Path("instance.json").read_text()) == inst.to_json()
 
 
 @pytest.mark.parametrize("edit", sorted(MALFORMED_INSTANCE_EDITS))
@@ -514,14 +523,12 @@ def test_malformed_moi_triplets_rejected(edit):
         ProblemInstance.from_json(doc)
 
 
-@pytest.mark.parametrize("edit", ["dense_object_moi", "dense_string_moi",
-                                  "dense_ragged_moi"])
-def test_malformed_dense_moi_names_the_field(edit):
-    # numpy would read the rows first: a JSON object raised TypeError, and a
-    # string or ragged rows gave messages that named no field
+@pytest.mark.parametrize("edit", ["no_format", "dense_layout",
+                                  "unknown_format"])
+def test_instance_document_of_another_format_names_the_field(edit):
     doc = fig1_instance().to_json()
     MALFORMED_INSTANCE_EDITS[edit](doc)
-    with pytest.raises(ValueError, match="^moi: "):
+    with pytest.raises(ValueError, match="^format: "):
         ProblemInstance.from_json(doc)
 
 
@@ -575,13 +582,6 @@ def test_instance_without_grids_rejected():
         instance_with_moi(np.zeros((2, 0)))
     # an instance without users stays valid
     assert instance_with_moi(np.zeros((0, 3))).n_grids == 3
-
-
-def test_dense_document_with_inconsistent_dimensions_rejected():
-    doc = legacy_dense_doc(fig1_instance())
-    doc["n_users"] += 1
-    with pytest.raises(ValueError, match="dimensions are inconsistent"):
-        ProblemInstance.from_json(doc)
 
 
 @pytest.mark.parametrize("n_users", [2.5, -1])

@@ -129,6 +129,8 @@ def test_genparams_validation():
     ({"seed": -1}, "seed"),
     ({"extent": (1.0, 2.0, 3.0)}, "extent: two numbers"),
     ({"extent": ()}, "extent: two numbers"),
+    ({"n_objects": -3}, "n_objects: a count >= 0"),
+    ({"n_occluders": -3}, "n_occluders: a count >= 0"),
 ])
 def test_genparams_range_checks(fields, message):
     with pytest.raises(ValueError, match=message):
