@@ -392,6 +392,11 @@ GOLDEN_BASELINE_INSTANCES = {
     "one_user": lambda: generate(GenParams(n_users=1, seed=0))[1],
     "identical_users": identical_users_instance,
     "fair_infeasible": fair_infeasible_instance,
+    # no grid is wanted
+    "no_objects": lambda: generate(GenParams(n_objects=0, seed=0))[1],
+    # 76 of 250 grids wanted, with a binding budget
+    "sparse_interest": lambda: generate(GenParams(n_objects=2, budget_s=0.005,
+                                                  seed=1))[1],
 }
 # sha256 of the sorted selection, repr(utility), gain_evaluations and the
 # sorted meta of each partition baseline; any change to their schedules or
@@ -417,6 +422,11 @@ GOLDEN_BASELINE_DIGESTS = {
         'a339d200b54d817a7aa81d702b2356fa9d603cd6e18ceb58c5239d4d44b88ab9',
         '36a1f9076f31aa68fb8868f1cf001a8fd4f3e0dc55bb700219cf01e1899364b7',
     ),
+    'no_objects': (
+        '77d5721d800e2026efe3629c9995f35efc364bbbcf1f254dd7f0d630dff28f12',
+        'da7beb00c6e80b92801c1ee417c80cefb5d195052fb4cf1f00db72f9cf85eca6',
+        '6b1eab8109d276eaf7714e3bb9bfb4d653d70a12e3c969eaaeeb258c9b5eedf8',
+    ),
     'one_user': (
         '6839fff67876c5e4bc65db4dd4632ab227a164c5406ff94f1c2e14d7a246535c',
         '6643ba98cd001069dcdfc96b2e9e8abacea9a7376c3848022cc3f79cd7c96d9f',
@@ -426,6 +436,11 @@ GOLDEN_BASELINE_DIGESTS = {
         '0d7b4aa7f6086ee0a74d8355f748aba49c098c9e3295fa0d0c427c3f6db6391c',
         'bec1d1ed4af2128db38cf26ea05772e4fc762e0268a705b66790c9a94afdf4f5',
         '38e2916e05d0a5e73cfbca8b51325048bf01d11ba776a9f88aa92f0184e89c84',
+    ),
+    'sparse_interest': (
+        'a46513b0d3dec07b9c16b38add5661a6c49119ec9e39bba603197f65a839b65d',
+        '14735c512c6485e0cb77af442084c7b994ed8e8c882c5257cb395a3669c9413c',
+        'cbd7b8f1b1f6a0e3faf9df51c9c70620f90bcfd8e82876c5e13b1e6e3f4342dc',
     ),
 }
 
@@ -466,6 +481,10 @@ GOLDEN_GROUP_DIGESTS = {
         '0ff4e8bec93c96311b8d0a57b50835995ed6a4fa860f56a294e73cdf0b90597c',
         'ead51abf52c2f7f161d85010f37638fffc05dafa559077563242b628fb9565f9',
     ),
+    'no_objects': (
+        '53ffd253a71a8c04221f26e0715f28e1c927e607d36b5d8364be79ec72fad07e',
+        '14440f565185cc55fb53e21ada5895fba37947f38a6cbe28997b201abd92c74c',
+    ),
     'one_user': (
         'a9b66c813131b048526259d362cdc142cb78a1fc78c2cf835cc8433d77fb2cbd',
         '1b21c2f5518b8ae16578361a664f84c4dee59db2a54482ff8f071ccac80f7c77',
@@ -473,6 +492,10 @@ GOLDEN_GROUP_DIGESTS = {
     'paper_default': (
         '2a22ba01b102b8aed209b1a0f276a45cb603733be454433bd864c99c1dfbbeef',
         '86cbf0fbcc72f3cb1ff3ac58f7b7be5482f58bc902106be4ab9987ad5b14bb3e',
+    ),
+    'sparse_interest': (
+        '5ce338298b7c88fc724db63d0fea1b1044072383e550db41eefcc1414998b5bf',
+        'eb4f6601d56c2c5f6dd4bedab6c0291d0c9a79cf4dff4e13c3e4f05b49f0b85e',
     ),
 }
 
@@ -519,6 +542,11 @@ GOLDEN_PLAN_DIGESTS = {
         'f73c70bd299b922ab75349f6b0b5a79e81b47b36bb59214f2e845aea4a68e981',
         'f73c70bd299b922ab75349f6b0b5a79e81b47b36bb59214f2e845aea4a68e981',
     ),
+    'no_objects': (
+        '09bcdef39cb5abf1529ce873b5f902eac57a70fcbb5e35438cbb91968963eb1e',
+        '09bcdef39cb5abf1529ce873b5f902eac57a70fcbb5e35438cbb91968963eb1e',
+        '09bcdef39cb5abf1529ce873b5f902eac57a70fcbb5e35438cbb91968963eb1e',
+    ),
     'one_user': (
         '4fad08ff570df808ba24531d6b500c68032c3d0f1437746c0e11c6b6a5304775',
         '4fad08ff570df808ba24531d6b500c68032c3d0f1437746c0e11c6b6a5304775',
@@ -528,6 +556,11 @@ GOLDEN_PLAN_DIGESTS = {
         '7d459bbd64ee53ec2825aea32033bdf46a3fcc46c8f78593c796502b226595d1',
         '7d459bbd64ee53ec2825aea32033bdf46a3fcc46c8f78593c796502b226595d1',
         '7d459bbd64ee53ec2825aea32033bdf46a3fcc46c8f78593c796502b226595d1',
+    ),
+    'sparse_interest': (
+        '7314c065bd578a1df44c3987cac40fefdb3d93784823316d6fd63fd57ae8ef2a',
+        '5eb2ca7be523e6a8f673f84b24f105b42ebcc71d4da40afbb37440e3b59c7160',
+        '80f108e1d96984de4f89506d7c8633f3f4f4904da4c998afc5919b7744f3725b',
     ),
 }
 

@@ -14,6 +14,7 @@ from birdcast import (
     ProblemInstance,
     Selection,
     accelerated_greedy,
+    best_single_item,
     broadcast_solve,
     dp_solve,
     exact_solve,
@@ -208,6 +209,25 @@ def test_optimum_at_n96_matches_milp():
     assert res.opt_utility == pytest.approx(131.015790, rel=1e-6)
     assert is_budget_feasible(inst, selection_cost(inst, res.opt_selection))
     assert utility(inst, res.opt_selection) == res.opt_utility
+
+
+@pytest.mark.parametrize("params, nodes, opt, bound", [
+    (GenParams(n_objects=0, seed=0), 1, "0.0", "0.0"),
+    (GenParams(n_objects=2, budget_s=0.005, seed=1), 147,
+     "1.3081490048452524", "1.3081543799216786"),
+], ids=["no_objects", "sparse_interest"])
+def test_oracle_is_pinned_where_few_grids_are_wanted(params, nodes, opt, bound):
+    # no grid is wanted, and 76 of 250 grids are
+    _, inst = generate(params)
+    res = exact_solve(inst)
+    assert (res.nodes_explored, repr(res.opt_utility)) == (nodes, opt)
+    assert repr(lp_bound(inst)) == bound
+
+
+def test_best_single_item_when_no_grid_is_wanted():
+    # the first item that fits, of no value
+    _, inst = generate(GenParams(n_objects=0, seed=0))
+    assert best_single_item(inst) == ((0, 0), 0.0)
 
 
 def test_verify_equivalence_clean():

@@ -247,6 +247,11 @@ GOLDEN_RATE_VECTOR_INSTANCES = {
                                                     grid_w=1, seed=2))[1],
     "budget_below_every_item": lambda: generate(GenParams(budget_s=1e-6,
                                                           seed=0))[1],
+    # no grid is wanted: every candidate is counted, none is sent
+    "no_objects": lambda: generate(GenParams(n_objects=0, seed=0))[1],
+    # 76 of 250 grids wanted, with a binding budget
+    "sparse_interest": lambda: generate(GenParams(n_objects=2,
+                                                  budget_s=0.005, seed=1))[1],
 }
 # sha256 of the sorted selection, the plan (groups, mask bytes, repr of the
 # rates), repr(utility), repr(latency_s) and gain_evaluations of
@@ -273,6 +278,11 @@ GOLDEN_RATE_VECTOR_DIGESTS = {
         '5bd9d09fff838f4ec3a5e2be74b8e6f93eb56fdb0373ac7e008688b203e6550d',
         'da3ed6e452e175643f6a6bed763374a5d38232ac9c285cd276897f1150345399',
     ),
+    'no_objects': (
+        '7e0c11b1f634452f63c94a3580baef10221ece8537dda0b3fe92a39f2e72bd9c',
+        '7e0c11b1f634452f63c94a3580baef10221ece8537dda0b3fe92a39f2e72bd9c',
+        '7e0c11b1f634452f63c94a3580baef10221ece8537dda0b3fe92a39f2e72bd9c',
+    ),
     'one_user_one_grid': (
         'a858ae9e75f052179bfad3509d78b14c3dd0654390602d852eeff854e3b8b33e',
         'b9d79c21a0ae365744172cac075b04dbb8a941a5ee7761946476297572886f73',
@@ -282,6 +292,11 @@ GOLDEN_RATE_VECTOR_DIGESTS = {
         'c728d8cfa1b58493ed53458e700f9f5ab813bfb99e5135da4c5292beab626fe3',
         '9c3097e95d234d520be9a3286e270ab6b23e0bb499a4d01584abcea73e8d51a9',
         '453ea1683b7242063ba1f7e112fe6b86ebb4afa62cc839a4f74fc4aed077f5f0',
+    ),
+    'sparse_interest': (
+        '87ddbdb80f8ecf8e541cd966be34f44c7c7b4bcf31c20bbb3d16497368332cf5',
+        '1c6da46870a85fceb0050f50d396379e8f74f202bf9c895a11209472cba10e9c',
+        '5df88b768f063b83265e8f9aa5602985628bb73e12a70c28f1c80aa45d3a5d3e',
     ),
 }
 
