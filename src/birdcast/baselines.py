@@ -33,7 +33,13 @@ from .instance import (
     evaluate_plan,
     selection_from_plan,
 )
-from .solvers import SolveResult, _argmax_pass, _result_from_rates
+from .solvers import (
+    SolveResult,
+    _active_table,
+    _argmax_pass,
+    _full_rates,
+    _result_from_rates,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -164,9 +170,11 @@ def marginal_util_solve(inst: ProblemInstance) -> SolveResult:
     been committed — no matter how much budget remains.
     """
     t0 = time.perf_counter()
-    rate = [inst.n_rates] * inst.n_grids
-    _, evals, _ = _argmax_pass(inst.rate_class_table, inst.item_cost_s, rate,
-                               inst.budget_s, grid_exclusive=True)
+    table, unwanted = _active_table(inst)
+    rate = [inst.n_rates] * table.shape[0]
+    _, evals, _ = _argmax_pass(table, inst.item_cost_s, rate, inst.budget_s,
+                               grid_exclusive=True, unwanted=unwanted)
+    rate = _full_rates(inst, rate)
     return _result_from_rates(inst, rate, evals, t0, _rates_utility(inst, rate))
 
 
@@ -181,22 +189,25 @@ def _joint_greedy(inst: ProblemInstance, groups: list[np.ndarray],
     budget only shrinks, so _budget_scan over the positive items in
     descending ratio order makes the step-by-step argmax's choices. That
     holds while every positive weight gives a positive ratio, which fails
-    only for a subnormal weight over a cost above one second. Each step
-    counts the affordable groups times L gain evaluations, and so does the
-    closing step that finds nothing left to send.
+    only for a subnormal weight over a cost above one second. The groups
+    hold users that decode a rate, so only the active grids can have
+    positive weight, and only they are ranked. Each step counts the
+    affordable groups times L gain evaluations, and so does the closing
+    step that finds nothing left to send.
     """
     n_groups = len(groups)
     masks = np.zeros((n_groups, inst.n_grids), dtype=bool)
     if not n_groups:
         return masks, 0
-    uncovered = np.stack([inst.moi[g].sum(axis=0) for g in groups], axis=1)
+    moi = inst.moi.take(inst.active, axis=1)
+    uncovered = np.stack([moi[g].sum(axis=0) for g in groups], axis=1)
     costs = inst.item_cost_s[rate_idx]
     ratios = (uncovered / costs[None, :]).ravel()
     order = np.argsort(-ratios, kind="stable")
     order = order[:int((ratios > 0.0).sum())]
     sent, steps = _budget_scan(costs[order % n_groups], budget_s)
     items = order[sent]
-    masks[items % n_groups, items // n_groups] = True
+    masks[items % n_groups, inst.active[items // n_groups]] = True
     affordable = (costs[None, :] <= steps[:, None]).sum(axis=1)
     return masks, int(affordable.sum()) * inst.n_grids
 
@@ -292,7 +303,8 @@ def _below_floor(members: np.ndarray, chosen: np.ndarray, floor: float) -> bool:
 
 def _segment_values(inst: ProblemInstance, ordered: np.ndarray,
                     budgets: list[float], floor: float) -> tuple[np.ndarray, np.ndarray | None]:
-    """Stand-alone greedy value of every contiguous run of sorted users.
+    """Stand-alone greedy value of every contiguous run of sorted users,
+    `ordered`: every user that decodes a rate.
 
     For sorted users i..j the grid order by summed member weight is the
     same under every budget; only how many grids fit the group's budget
@@ -303,11 +315,11 @@ def _segment_values(inst: ProblemInstance, ordered: np.ndarray,
     descending, so a run's rate, its slowest member's, is its last
     member's.
 
-    A run's top grids all have positive weight, so only the A active
-    grids, those of positive weight for some sorted user, are ranked and
-    summed (A may be 0): the runs that start at user i are valued in one
-    pass over an (n - i) x A array, so the table costs O(n^2 A log A) time
-    and O(n L + K n^2) memory.
+    A run's top grids all have positive weight, so only the instance's A
+    active grids (ProblemInstance.active), the only ones of positive weight
+    for some sorted user, are ranked and summed (A may be 0): the runs that
+    start at user i are valued in one pass over an (n - i) x A array, so
+    the table costs O(n^2 A log A) time and O(n L + K n^2) memory.
 
     With floor > 0 the second table repeats values but is -inf wherever
     the run's chosen grids serve some member less than `floor` of their
@@ -325,9 +337,8 @@ def _segment_values(inst: ProblemInstance, ordered: np.ndarray,
     weights = inst.moi[ordered]
     totals = weights.sum(axis=1)
     denom = np.maximum(totals, 1e-300)
-    cols = np.flatnonzero((weights > 0.0).any(axis=0))
-    n_cols = cols.size
-    active = weights[:, cols]
+    n_cols = inst.active.size
+    active = weights.take(inst.active, axis=1)
     prefix = np.zeros((n + 1, n_cols))
     np.cumsum(active, axis=0, out=prefix[1:])
     slack = 4 * n_grids * np.finfo(float).eps * floor + np.finfo(float).tiny
@@ -361,7 +372,8 @@ def _segment_values(inst: ProblemInstance, ordered: np.ndarray,
         near = ((np.abs(share - floor) <= slack) & in_run).any(axis=0)
         for r, k in zip(*np.nonzero(near)):
             reject[r, k] = _below_floor(weights[i:i + r + 1],
-                                        cols[order[r, :n_top[k, r]]], floor)
+                                        inst.active[order[r, :n_top[k, r]]],
+                                        floor)
         fair[:, i, i:] = np.where(reject.T, -np.inf, values[:, i, i:])
     return values, fair
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -50,19 +51,27 @@ _Increment = tuple[float, int, float, float]
 _GridOptions = tuple[int, list[tuple[int, float, float]]]
 
 
-def _mckp(inst: ProblemInstance) -> tuple[list[_GridOptions], list[_Increment]]:
-    """Pareto options of every grid that has one, in search order, and the
-    increments of their upper convex hulls, in fill order.
+def _mckp(inst: ProblemInstance
+          ) -> tuple[list[_GridOptions], list[_Increment], list[int]]:
+    """Pareto options of every grid that has one, in search order, the
+    increments of their upper convex hulls, in fill order, and for each
+    search position the fill-order index of its grid's first increment.
 
     An option is Pareto when it fits the budget and is worth strictly more
-    than every cheaper option, the skip (0, 0) included. Grids are ordered
-    by their first hull slope, steepest first; increments by slope,
-    steepest first, so each grid's come in hull order.
+    than every cheaper option, the skip (0, 0) included; only the active
+    grids have one. Grids are ordered by their first hull slope, steepest
+    first; increments by slope, steepest first, so each grid's come in
+    hull order. Every increment before position p's first belongs to an
+    earlier position: it is steeper than p's first slope, so its grid's
+    first slope is steeper too, or it ties that slope and comes from an
+    earlier position (the sort is stable).
     """
     costs = inst.item_cost_s.tolist()
     fits = [m for m, cost in enumerate(costs) if cost <= inst.budget_s]
     grids = []
-    for l, row in enumerate(inst.rate_class_table.tolist()):
+    active = inst.active
+    rows = inst.rate_class_table.take(active, axis=0).tolist()
+    for l, row in zip(active.tolist(), rows):
         # cost falls as m rises and S[l, m] never rises, so option m is
         # worth more than every cheaper one exactly when it is worth more
         # than m + 1; S[l, M] = 0 stands for the skip
@@ -86,14 +95,22 @@ def _mckp(inst: ProblemInstance) -> tuple[list[_GridOptions], list[_Increment]]:
                   for pos, (_, _, _, hull) in enumerate(grids)
                   for prev, (cost, value, slope) in zip(hull, hull[1:])]
     increments.sort(key=lambda inc: -inc[0])  # stable: ties by position
-    return [(l, options) for _, l, options, _ in grids], increments
+    # first increments come in position order: that is the order of their
+    # slopes, ties by position
+    firsts: list[int] = []
+    for i, inc in enumerate(increments):
+        if inc[1] == len(firsts):
+            firsts.append(i)
+    return [(l, options) for _, l, options, _ in grids], increments, firsts
 
 
-def _lp_fill(increments: list[_Increment], budget: float, start: int) -> float:
+def _lp_fill(increments: list[_Increment], budget: float, start: int,
+             first: int = 0) -> float:
     """LP optimum over the grids at search positions >= start: whole
-    increments in slope order while they fit, then one in part."""
+    increments in slope order while they fit, then one in part. Every
+    increment before index `first` must be of a position below start."""
     total = 0.0
-    for _, pos, cost, value in increments:
+    for _, pos, cost, value in islice(increments, first, None):
         if pos < start:
             continue
         if cost > budget:
@@ -142,7 +159,7 @@ def exact_solve(inst: ProblemInstance) -> OracleResult:
     lexicographically smallest sorted item list is kept; it never holds an
     option that a cheaper rate of the same grid matches in value.
     """
-    options, increments = _mckp(inst)
+    options, increments, firsts = _mckp(inst)
     budget = inst.budget_s
     inflate = 1.0 + _bound_rtol(inst)
     best_value = 0.0
@@ -169,7 +186,7 @@ def exact_solve(inst: ProblemInstance) -> OracleResult:
                 f"explores more than the cap of {ENUMERATION_CAP} nodes")
         if pos == len(options):
             continue
-        bound = value + _lp_fill(increments, budget - cost, pos)
+        bound = value + _lp_fill(increments, budget - cost, pos, firsts[pos])
         if bound * inflate <= best_value:
             continue
         l, grid_options = options[pos]

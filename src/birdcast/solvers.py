@@ -23,10 +23,15 @@ Both run the same two-pass driver, whose only state is rate[l], the
 slowest rate selected for grid l (M when none is). Decodability is nested,
 so that rate alone decides grid l's coverage, and the gain of item (l, m)
 is S[l, m] - S[l, rate[l]] (clamped at 0) on the instance's rate-class
-table S. The solvers differ only in how a pass picks the next item: a
-dense argmax over the L x M ratio matrix, or the lazy stream. Both read the
-same float gains, so exact ratio ties resolve the same way, and a cached
-ratio is a true upper bound on the fresh one (S rows are non-increasing).
+table S. A grid that no decoding user wants has an all-zero row of S and
+gains nothing, so the passes read only the A rows of the instance's active
+grids (ProblemInstance.active), and the driver maps their rates back
+through that index; a pass still counts the (L - A) M items of the other
+grids as evaluations, as if it had scanned them. The solvers differ only
+in how a pass picks the next item: a dense argmax over the A x M ratio
+matrix, or the lazy stream. Both read the same float gains, so exact ratio
+ties resolve the same way, and a cached ratio is a true upper bound on the
+fresh one (S rows are non-increasing).
 Ties between equal ratios prefer the lower grid index, then the lower
 rate index; with that shared rule the two solvers select identical sets,
 which the tests exploit.
@@ -83,13 +88,14 @@ def _gains(table: np.ndarray, rate: np.ndarray) -> np.ndarray:
 
 
 def _argmax_pass(table: np.ndarray, costs: np.ndarray, rate: list[int],
-                 budget_left: float, grid_exclusive: bool = False
-                 ) -> tuple[float, int, list[Item]]:
+                 budget_left: float, grid_exclusive: bool = False,
+                 unwanted: int = 0) -> tuple[float, int, list[Item]]:
     """One greedy pass; every iteration evaluates all remaining candidates.
 
-    Candidates are every item but each grid's current (l, rate[l]); each
-    step scans the whole L x M ratio matrix, with -inf at non-candidates,
-    and counts every live candidate as one evaluation. The masked matrix
+    Candidates are every item but each grid's current (l, rate[l]), plus
+    `unwanted` items of grids left out of the table, whose gain is 0; each
+    step scans the whole ratio matrix, with -inf at non-candidates, and
+    counts every live candidate as one evaluation. The masked matrix
     and the candidate count persist between steps: a selection rewrites
     only its grid's row, and an unaffordable item only its own entry.
     grid_exclusive drops a grid's other rates permanently once any rate is
@@ -97,14 +103,16 @@ def _argmax_pass(table: np.ndarray, costs: np.ndarray, rate: list[int],
     Returns the budget left, the gain evaluations and the items picked.
     """
     n_rates = costs.size
-    rate_idx = np.asarray(rate)
+    rate_idx = np.asarray(rate, dtype=np.intp)
     candidates = np.arange(n_rates)[None, :] != rate_idx[:, None]
     masked = np.where(candidates, _gains(table, rate_idx) / costs, -np.inf)
-    live = int(candidates.sum())
+    live = int(candidates.sum()) + unwanted
     picks: list[Item] = []
     evals = 0
     while live and budget_left > 0:
         evals += live
+        if live == unwanted:
+            break  # every item left has gain 0
         l, m = divmod(int(np.argmax(masked)), n_rates)
         if masked[l, m] <= 0.0:
             break
@@ -127,28 +135,31 @@ def _argmax_pass(table: np.ndarray, costs: np.ndarray, rate: list[int],
 
 
 def _lazy_pass(table: np.ndarray, costs: np.ndarray, rate: list[int],
-               budget_left: float) -> tuple[float, int, list[Item]]:
+               budget_left: float, unwanted: int = 0
+               ) -> tuple[float, int, list[Item]]:
     """One lazy-evaluation pass over a sorted stream of cached ratios.
 
     Every candidate is keyed (neg ratio, grid, rate), so the smallest key
     has the largest ratio and, among equal ratios, the lower grid, then
     the lower rate. The keys of the positive, affordable items start as a
     stream sorted once from fresh gains; every item but each grid's
-    current (l, rate[l]) counts as one evaluation. The next candidate is
-    the smaller of the stream's head and the top of a small heap that
-    holds only re-evaluated keys. It is re-evaluated once and accepted
-    immediately when its fresh key still beats the best one left in
-    either; otherwise its fresh key goes onto the heap. Candidates whose
+    current (l, rate[l]) counts as one evaluation, and so do the `unwanted`
+    items of grids left out of the table, whose gain is 0. The next
+    candidate is the smaller of the stream's head and the top of a small
+    heap that holds only re-evaluated keys. It is re-evaluated once and
+    accepted immediately when its fresh key still beats the best one left
+    in either; otherwise its fresh key goes onto the heap. Candidates whose
     grid already carries an equal-or-slower rate, or that the budget left
     cannot pay for, are dropped on sight, and the pass ends once the
     budget left is below the cheapest rate's cost, since the budget only
     shrinks and every candidate left would be dropped unevaluated.
     Returns the budget left, the gain evaluations and the items picked.
     """
-    rate_idx = np.asarray(rate)
+    rate_idx = np.asarray(rate, dtype=np.intp)
     gains = _gains(table, rate_idx)
     valid = (gains > 0.0) & (costs <= budget_left)[None, :]
-    evals = gains.size - int(np.count_nonzero(rate_idx < costs.size))
+    evals = (gains.size + unwanted
+             - int(np.count_nonzero(rate_idx < costs.size)))
     picks: list[Item] = []
     if not valid.any():
         return budget_left, evals, picks
@@ -201,9 +212,11 @@ def best_single_item(inst: ProblemInstance) -> tuple[Item | None, float]:
     fits = inst.item_cost_s <= inst.budget_s
     if not fits.any():
         return None, 0.0
-    standalone = inst.rate_class_table[:, :inst.n_rates]
-    flat = int(np.argmax(np.where(fits[None, :], standalone, -np.inf)))
-    item = divmod(flat, inst.n_rates)
+    # costs fall as the rate index rises and rows of S never rise, so the
+    # items that fit are those of rates m >= the slowest one that fits, and
+    # that rate is the first best of every grid
+    m = int(np.argmax(fits))
+    item = (int(np.argmax(inst.rate_class_table[:, m])), m)
     return item, _rates_utility(inst, _single_item_rates(inst, item))
 
 
@@ -239,25 +252,49 @@ def _result_from_rates(inst: ProblemInstance, rate: np.ndarray | list[int],
     )
 
 
+def _active_table(inst: ProblemInstance) -> tuple[np.ndarray, int]:
+    """The rows of S of the instance's active grids, and the number of
+    items of the other grids, which a pass counts without reading. When
+    every grid is active that is S itself, uncopied."""
+    n_idle = inst.n_grids - inst.active.size
+    if not n_idle:
+        return inst.rate_class_table, 0
+    return (inst.rate_class_table.take(inst.active, axis=0),
+            n_idle * inst.n_rates)
+
+
+def _full_rates(inst: ProblemInstance, rate: list[int]) -> np.ndarray:
+    """The rate of every grid, from rate[a], that of grid active[a]."""
+    if len(rate) == inst.n_grids:  # every grid is active
+        return np.asarray(rate)
+    full = np.full(inst.n_grids, inst.n_rates)
+    full[inst.active] = rate
+    return full
+
+
 def _two_pass_greedy(inst: ProblemInstance,
                      run_pass: Callable[..., tuple[float, int, list[Item]]]
                      ) -> SolveResult:
     """Pass 1, duplicate removal, reinvestment pass, single-item check.
 
-    run_pass(S, costs, rate, budget_left) lowers `rate` in place and
-    returns the budget left, its gain evaluations and the items it picked.
-    Pass 1's picks that no longer set their grid's rate are the faster
-    duplicates; their cost funds pass 2.
+    run_pass(S, costs, rate, budget_left, unwanted=...) lowers `rate` in
+    place and returns the budget left, its gain evaluations and the items
+    it picked; both passes run on the active grids' rows of S. Pass 1's
+    picks that no longer set their grid's rate are the faster duplicates;
+    their cost funds pass 2.
     """
     t0 = time.perf_counter()
-    table, costs = inst.rate_class_table, inst.item_cost_s
-    rate = [inst.n_rates] * inst.n_grids
-    budget_left, evals, picks = run_pass(table, costs, rate, inst.budget_s)
+    table, unwanted = _active_table(inst)
+    costs = inst.item_cost_s
+    rate = [inst.n_rates] * table.shape[0]
+    budget_left, evals, picks = run_pass(table, costs, rate, inst.budget_s,
+                                         unwanted=unwanted)
     reclaimed = float(sum(costs[m] for l, m in sorted(picks) if rate[l] != m))
     if reclaimed > 0.0:
-        _, pass_evals, _ = run_pass(table, costs, rate, budget_left + reclaimed)
+        _, pass_evals, _ = run_pass(table, costs, rate,
+                                    budget_left + reclaimed, unwanted=unwanted)
         evals += pass_evals
-    rate = np.asarray(rate)
+    rate = _full_rates(inst, rate)
     value = _rates_utility(inst, rate)
     single, single_value = best_single_item(inst)
     if single is not None and single_value > value:

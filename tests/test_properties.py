@@ -28,6 +28,7 @@ from birdcast import (  # noqa: E402
     exact_solve,
     generate,
     lp_bound,
+    marginal_util_solve,
     plan_from_selection,
     refined_greedy,
     selection_cost,
@@ -318,6 +319,61 @@ def test_lazy_pass_matches_the_push_pop_reference(start):
     assert new_rate == ref_rate
     assert new[1:] == ref[1:]  # evals and picks
     assert np.float64(new[0]).tobytes() == np.float64(ref[0]).tobytes()
+
+
+def two_pass_reference(inst, run_pass):
+    """Selection and gain evaluations of the two-pass driver with a
+    reference pass on the full L x M table, then the single-item check
+    over every item that fits."""
+    table, costs = inst.rate_class_table, inst.item_cost_s
+    rate = [inst.n_rates] * inst.n_grids
+    budget_left, evals, picks = run_pass(table, costs, rate, inst.budget_s)
+    reclaimed = float(sum(costs[m] for l, m in sorted(picks) if rate[l] != m))
+    if reclaimed > 0.0:
+        _, pass_evals, _ = run_pass(table, costs, rate, budget_left + reclaimed)
+        evals += pass_evals
+    sel = Selection.from_pairs((l, m) for l, m in enumerate(rate)
+                               if m < inst.n_rates)
+    singles = [(utility(inst, Selection.from_pairs([(l, m)])), (l, m))
+               for l in range(inst.n_grids) for m in range(inst.n_rates)
+               if costs[m] <= inst.budget_s]
+    if singles:
+        best = max(value for value, _ in singles)
+        if best > utility(inst, sel):
+            sel = Selection.from_pairs([min(e for v, e in singles if v == best)])
+    return sel, evals
+
+
+# no grid is wanted: one user wants grid 1 but decodes no rate
+NO_WANTED_GRID = ProblemInstance(
+    moi=np.array([[0.0, 0.0], [0.0, 1.0]]), snr_db=(4.0, -3.0),
+    mcs=McsTable(rates=(1.0, 2.0), thresholds_db=(0.0, 4.0)),
+    grid_bytes=1000.0, bandwidth_hz=1e6, budget_s=1.0)
+# one rate and one wanted grid: once it is sent, the dense pass still
+# takes one closing step over the unwanted grid's item
+CLOSING_STEP = ProblemInstance(
+    moi=np.array([[1.0, 0.0]]), snr_db=(4.0,),
+    mcs=McsTable(rates=(1.0,), thresholds_db=(0.0,)),
+    grid_bytes=1000.0, bandwidth_hz=1e6, budget_s=1.0)
+
+
+@PROPERTY_SETTINGS
+@hypothesis.given(instances())
+@hypothesis.example(NO_WANTED_GRID)
+@hypothesis.example(CLOSING_STEP)
+def test_solvers_on_the_active_grids_match_the_full_table(inst):
+    for solve, run_pass in ((refined_greedy, dense_argmax_pass),
+                            (accelerated_greedy, push_pop_lazy_pass)):
+        res = solve(inst)
+        assert (res.selection, res.gain_evaluations) == \
+            two_pass_reference(inst, run_pass)
+    rate = [inst.n_rates] * inst.n_grids
+    _, evals, _ = dense_argmax_pass(inst.rate_class_table, inst.item_cost_s,
+                                    rate, inst.budget_s, grid_exclusive=True)
+    res = marginal_util_solve(inst)
+    assert res.selection == Selection.from_pairs(
+        (l, m) for l, m in enumerate(rate) if m < inst.n_rates)
+    assert res.gain_evaluations == evals
 
 
 def build_every_plan_best_of(inst, candidates, evals, t0):
