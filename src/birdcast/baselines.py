@@ -25,7 +25,6 @@ import numpy as np
 
 from .instance import (
     MulticastPlan,
-    PlanEvaluation,
     ProblemInstance,
     _group_plan,
     _rates_utility,
@@ -68,10 +67,10 @@ def _decodable_users(inst: ProblemInstance) -> np.ndarray:
     return np.flatnonzero(inst.top_rate >= 0)
 
 
-def _result(inst: ProblemInstance, plan: MulticastPlan,
-            evaluation: PlanEvaluation, meta: dict, evals: int,
-            t0: float) -> SolveResult:
+def _result(inst: ProblemInstance, plan: MulticastPlan, meta: dict,
+            evals: int, t0: float) -> SolveResult:
     """The one exit of the group baselines: `plan` and its evaluation."""
+    evaluation = evaluate_plan(inst, plan)
     return SolveResult(
         selection=selection_from_plan(inst, plan),
         plan=plan,
@@ -132,8 +131,7 @@ def broadcast_solve(inst: ProblemInstance) -> SolveResult:
     masks = np.zeros((1, inst.n_grids), dtype=bool)
     masks[0, order[sent]] = True
     plan = _group_plan(inst, [users], masks, [rate_idx])
-    return _result(inst, plan, evaluate_plan(inst, plan), meta,
-                   min(sent.size + 1, inst.n_grids), t0)
+    return _result(inst, plan, meta, min(sent.size + 1, inst.n_grids), t0)
 
 
 def unicast_solve(inst: ProblemInstance) -> SolveResult:
@@ -159,7 +157,7 @@ def unicast_solve(inst: ProblemInstance) -> SolveResult:
     served = picked.any(axis=1)
     plan = _group_plan(inst, list(users[served, None]), picked[served],
                        max_idx[served].tolist())
-    return _result(inst, plan, evaluate_plan(inst, plan), {}, rows.size, t0)
+    return _result(inst, plan, {}, rows.size, t0)
 
 
 def marginal_util_solve(inst: ProblemInstance) -> SolveResult:
@@ -179,8 +177,7 @@ def marginal_util_solve(inst: ProblemInstance) -> SolveResult:
 
 
 def _joint_greedy(inst: ProblemInstance, groups: list[np.ndarray],
-                  rate_idx: list[int], budget_s: float
-                  ) -> tuple[np.ndarray, int]:
+                  rate_idx: list[int]) -> tuple[np.ndarray, int]:
     """Greedy (grid, group) allocation for disjoint groups.
 
     Each step sends the affordable item of highest uncovered member weight
@@ -205,7 +202,7 @@ def _joint_greedy(inst: ProblemInstance, groups: list[np.ndarray],
     ratios = (uncovered / costs[None, :]).ravel()
     order = np.argsort(-ratios, kind="stable")
     order = order[:int((ratios > 0.0).sum())]
-    sent, steps = _budget_scan(costs[order % n_groups], budget_s)
+    sent, steps = _budget_scan(costs[order % n_groups], inst.budget_s)
     items = order[sent]
     masks[items % n_groups, inst.active[items // n_groups]] = True
     affordable = (costs[None, :] <= steps[:, None]).sum(axis=1)
@@ -226,7 +223,7 @@ def _best_of(inst: ProblemInstance, candidates: Iterable[_Candidate],
     """
     best = None
     for groups, rate_idx, meta in candidates:
-        masks, pass_evals = _joint_greedy(inst, groups, rate_idx, inst.budget_s)
+        masks, pass_evals = _joint_greedy(inst, groups, rate_idx)
         evals += pass_evals
         covered = np.zeros((inst.n_users, inst.n_grids), dtype=bool)
         for members, mask in zip(groups, masks):
@@ -238,7 +235,7 @@ def _best_of(inst: ProblemInstance, candidates: Iterable[_Candidate],
         return None
     _, groups, masks, rate_idx, meta = best
     plan = _group_plan(inst, groups, masks, rate_idx)
-    return _result(inst, plan, evaluate_plan(inst, plan), meta, evals, t0)
+    return _result(inst, plan, meta, evals, t0)
 
 
 def _kmeanspp_1d(values: np.ndarray, k: int,

@@ -294,13 +294,22 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _sizes(text: str, flag: str) -> list[float]:
+    """The numbers of a comma-separated bench size flag."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag}: comma-separated numbers, not "
+                         f"{text!r}") from None
+
+
 def cmd_bench(args) -> int:
     import contextlib
     import csv
     import statistics
 
-    n_users_list = [int(v) for v in args.n_users.split(",")]
-    n_grids_list = [int(v) for v in args.n_grids.split(",")]
+    n_users_list = _sizes(args.n_users, "--n-users")
+    n_grids_list = _sizes(args.n_grids, "--n-grids")
     _count(args.reps, "--reps")
     base = _read_gen_params(args)
     rows = []
@@ -320,7 +329,7 @@ def cmd_bench(args) -> int:
                     samples[solver_id]["evals"].append(res.gain_evaluations)
             for solver_id, data in samples.items():
                 rows.append([
-                    solver_id, n_users, n_grids,
+                    solver_id, int(n_users), int(n_grids),
                     repr(statistics.median(data["wall"])),
                     repr(float(np.percentile(data["wall"], 95))),
                     int(statistics.median(data["evals"])),

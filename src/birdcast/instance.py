@@ -62,8 +62,10 @@ class ProblemInstance:
     # the active grids, in ascending order: those some user that decodes a
     # rate wants, i.e. rate_class_table[l, 0] > 0. Every other grid has an
     # all-zero row, so no schedule gains from sending it, and a solver may
-    # scan rate_class_table[active] and map its picks back through active.
+    # scan active_table, the A x (M+1) rate_class_table[active], and map
+    # its picks back through active.
     active: np.ndarray = field(init=False, repr=False, compare=False)
+    active_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         moi = np.ascontiguousarray(np.asarray(self.moi, dtype=np.float64))
@@ -97,9 +99,10 @@ class ProblemInstance:
         one_hot = (top[:, None] == np.arange(m)[None, :]).astype(np.float64)
         table = np.zeros((moi.shape[1], m + 1), dtype=np.float64)
         table[:, :m] = np.cumsum((moi.T @ one_hot)[:, ::-1], axis=1)[:, ::-1]
+        active = np.flatnonzero(table[:, 0] > 0.0)
         arrays = {"moi": moi, "item_cost_s": costs, "top_rate": top,
-                  "rate_class_table": table,
-                  "active": np.flatnonzero(table[:, 0] > 0.0)}
+                  "rate_class_table": table, "active": active,
+                  "active_table": table[active]}
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

@@ -69,9 +69,7 @@ def _mckp(inst: ProblemInstance
     costs = inst.item_cost_s.tolist()
     fits = [m for m, cost in enumerate(costs) if cost <= inst.budget_s]
     grids = []
-    active = inst.active
-    rows = inst.rate_class_table.take(active, axis=0).tolist()
-    for l, row in zip(active.tolist(), rows):
+    for l, row in zip(inst.active.tolist(), inst.active_table.tolist()):
         # cost falls as m rises and S[l, m] never rises, so option m is
         # worth more than every cheaper one exactly when it is worth more
         # than m + 1; S[l, M] = 0 stands for the skip

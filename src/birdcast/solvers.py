@@ -24,14 +24,14 @@ slowest rate selected for grid l (M when none is). Decodability is nested,
 so that rate alone decides grid l's coverage, and the gain of item (l, m)
 is S[l, m] - S[l, rate[l]] (clamped at 0) on the instance's rate-class
 table S. A grid that no decoding user wants has an all-zero row of S and
-gains nothing, so the passes read only the A rows of the instance's active
-grids (ProblemInstance.active), and the driver maps their rates back
-through that index; a pass still counts the (L - A) M items of the other
-grids as evaluations, as if it had scanned them. The solvers differ only
-in how a pass picks the next item: a dense argmax over the A x M ratio
-matrix, or the lazy stream. Both read the same float gains, so exact ratio
-ties resolve the same way, and a cached ratio is a true upper bound on the
-fresh one (S rows are non-increasing).
+gains nothing, so the passes read only the A rows of the active grids,
+taken once when the instance is built (ProblemInstance.active_table), and
+the driver maps their rates back through ProblemInstance.active; a pass
+still counts the (L - A) M items of the other grids as evaluations, as if
+it had scanned them. The solvers differ only in how a pass picks the next
+item: a dense argmax over the A x M ratio matrix, or the lazy stream. Both
+read the same float gains, so exact ratio ties resolve the same way, and a
+cached ratio is a true upper bound on the fresh one (S rows never rise).
 Ties between equal ratios prefer the lower grid index, then the lower
 rate index; with that shared rule the two solvers select identical sets,
 which the tests exploit.
@@ -94,19 +94,20 @@ def _argmax_pass(table: np.ndarray, costs: np.ndarray, rate: list[int],
 
     Candidates are every item but each grid's current (l, rate[l]), plus
     `unwanted` items of grids left out of the table, whose gain is 0; each
-    step scans the whole ratio matrix, with -inf at non-candidates, and
-    counts every live candidate as one evaluation. The masked matrix
-    and the candidate count persist between steps: a selection rewrites
-    only its grid's row, and an unaffordable item only its own entry.
+    step scans the whole ratio matrix, -inf exactly at non-candidates
+    (every ratio is >= 0), and counts every live candidate as one
+    evaluation. Matrix and count persist between steps: an item taken or
+    unaffordable gets -inf once, and a selection rewrites its grid's row.
     grid_exclusive drops a grid's other rates permanently once any rate is
     selected for it (the behaviour of the marginal-utility baseline).
     Returns the budget left, the gain evaluations and the items picked.
     """
     n_rates = costs.size
     rate_idx = np.asarray(rate, dtype=np.intp)
-    candidates = np.arange(n_rates)[None, :] != rate_idx[:, None]
-    masked = np.where(candidates, _gains(table, rate_idx) / costs, -np.inf)
-    live = int(candidates.sum()) + unwanted
+    masked = _gains(table, rate_idx) / costs
+    sent = np.flatnonzero(rate_idx < n_rates)
+    masked[sent, rate_idx[sent]] = -np.inf
+    live = masked.size - sent.size + unwanted
     picks: list[Item] = []
     evals = 0
     while live and budget_left > 0:
@@ -116,21 +117,20 @@ def _argmax_pass(table: np.ndarray, costs: np.ndarray, rate: list[int],
         l, m = divmod(int(np.argmax(masked)), n_rates)
         if masked[l, m] <= 0.0:
             break
-        candidates[l, m] = False
+        masked[l, m] = -np.inf
         live -= 1
         if costs[m] > budget_left:
-            masked[l, m] = -np.inf
             continue
         picks.append((l, m))
         rate[l] = m
         budget_left -= costs[m]
+        alive = masked[l] > -np.inf
         if grid_exclusive:
-            live -= int(candidates[l].sum())
-            candidates[l] = False
+            live -= int(np.count_nonzero(alive))
             masked[l] = -np.inf
         else:
             ratios = np.maximum(table[l, :n_rates] - table[l, m], 0.0) / costs
-            masked[l] = np.where(candidates[l], ratios, -np.inf)
+            masked[l] = np.where(alive, ratios, -np.inf)
     return budget_left, evals, picks
 
 
@@ -161,8 +161,6 @@ def _lazy_pass(table: np.ndarray, costs: np.ndarray, rate: list[int],
     evals = (gains.size + unwanted
              - int(np.count_nonzero(rate_idx < costs.size)))
     picks: list[Item] = []
-    if not valid.any():
-        return budget_left, evals, picks
     ls, ms = np.divmod(np.flatnonzero(valid), costs.size)
     neg = -(gains[ls, ms] / costs[ms])
     # the items come grid-major, so a stable sort on neg puts them in key
@@ -253,14 +251,9 @@ def _result_from_rates(inst: ProblemInstance, rate: np.ndarray | list[int],
 
 
 def _active_table(inst: ProblemInstance) -> tuple[np.ndarray, int]:
-    """The rows of S of the instance's active grids, and the number of
-    items of the other grids, which a pass counts without reading. When
-    every grid is active that is S itself, uncopied."""
-    n_idle = inst.n_grids - inst.active.size
-    if not n_idle:
-        return inst.rate_class_table, 0
-    return (inst.rate_class_table.take(inst.active, axis=0),
-            n_idle * inst.n_rates)
+    """ProblemInstance.active_table, and the (L - A) M items of the other
+    grids, which a pass counts without reading."""
+    return inst.active_table, (inst.n_grids - inst.active.size) * inst.n_rates
 
 
 def _full_rates(inst: ProblemInstance, rate: list[int]) -> np.ndarray:

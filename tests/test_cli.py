@@ -687,6 +687,35 @@ def test_bench_rejects_zero_reps(tmp_path, capsys):
     assert not (tmp_path / "b.csv").exists()
 
 
+def test_bench_reads_whole_float_sizes_as_a_sweep_does(tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    assert run(["bench", "--n-users", "3.0", "--n-grids", "25.0,50",
+                "--reps", "1", "--out", str(out)]) == 0
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["n_users"], r["n_grids"]) for r in rows] == [
+        ("3", "25"), ("3", "25"), ("3", "50"), ("3", "50")]
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--n-users", "8.5", "n_users value 8.5 is not a whole number"),
+    ("--n-grids", "25.5", "n_grids value 25.5 is not a whole number"),
+    ("--n-users", "abc", "--n-users: comma-separated numbers, not 'abc'"),
+    ("--n-users", "8,,16", "--n-users: comma-separated numbers, not '8,,16'"),
+    ("--n-grids", "abc", "--n-grids: comma-separated numbers, not 'abc'"),
+])
+def test_bench_rejects_a_size_that_is_no_whole_number(tmp_path, capsys, flag,
+                                                      value, message):
+    sizes = {"--n-users": "3", "--n-grids": "25", flag: value}
+    out = tmp_path / "b.csv"
+    assert run(["bench", *(a for pair in sizes.items() for a in pair),
+                "--reps", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_sweep_rejects_an_unknown_solver(tmp_path, capsys):
     spec = {"variable": "budget", "values": [0.002],
             "params": {"n_users": 3, "grid_h": 2, "grid_w": 10},

@@ -411,7 +411,8 @@ def test_monotonicity_and_submodularity_random():
 def test_derived_fields_are_read_only_and_follow_replace():
     rng = np.random.default_rng(33)
     inst = random_instance(rng, max_rates=4)
-    for name in ("top_rate", "rate_class_table"):
+    for name in ("item_cost_s", "top_rate", "rate_class_table", "active",
+                 "active_table"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(inst, name)[0] = 1
     snr = tuple(rng.uniform(-5.0, 30.0, size=inst.n_users))
@@ -419,8 +420,16 @@ def test_derived_fields_are_read_only_and_follow_replace():
     fresh = ProblemInstance(inst.moi, snr, inst.mcs, inst.grid_bytes,
                             inst.bandwidth_hz, inst.budget_s)
     assert not np.array_equal(changed.top_rate, inst.top_rate)
-    for name in ("item_cost_s", "top_rate", "rate_class_table"):
+    for name in ("item_cost_s", "top_rate", "rate_class_table", "active",
+                 "active_table"):
         assert np.array_equal(getattr(changed, name), getattr(fresh, name))
+    # no user decodes a rate, so no grid is wanted
+    deaf = dataclasses.replace(inst, snr_db=(-100.0,) * inst.n_users)
+    for case in (inst, changed, deaf):
+        expected = case.rate_class_table[case.active]
+        assert case.active_table.shape == expected.shape
+        assert case.active_table.tobytes() == expected.tobytes()
+    assert deaf.active_table.shape == (0, inst.n_rates + 1)
 
 
 def test_rate_class_table_matches_coverage_reference():

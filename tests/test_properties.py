@@ -380,13 +380,13 @@ def build_every_plan_best_of(inst, candidates, evals, t0):
     """Reference best-of: builds and evaluates every candidate's plan."""
     best = None
     for groups, rate_idx, meta in candidates:
-        masks, pass_evals = _joint_greedy(inst, groups, rate_idx, inst.budget_s)
+        masks, pass_evals = _joint_greedy(inst, groups, rate_idx)
         evals += pass_evals
         plan = _group_plan(inst, groups, masks, rate_idx)
-        evaluation = evaluate_plan(inst, plan)
-        if best is None or evaluation.utility > best[1].utility:
-            best = (plan, evaluation, meta)
-    return None if best is None else _result(inst, *best, evals, t0)
+        value = evaluate_plan(inst, plan).utility
+        if best is None or value > best[0]:
+            best = (value, plan, meta)
+    return None if best is None else _result(inst, *best[1:], evals, t0)
 
 
 @st.composite
