@@ -6,13 +6,14 @@ spends the latency budget greedily given that policy; the marginal-utility
 heuristic works on grid-rate items directly but commits to a single rate
 per grid. Broadcast, unicast and the joint greedy that shares the budget
 among fixed groups spend it by one ordered scan (_budget_scan): each item
-in turn is sent if the budget left pays for it. k-means++ and the DP
-propose candidate partitions and leave through one best-of exit
+in turn is sent if the budget left pays for it. Marginal utility scans by
+ratio too, passing over the items of grids it has sent. k-means++ and the
+DP propose candidate partitions and leave through one best-of exit
 (_best_of), which runs the joint greedy on each candidate, scores it on
 its coverage matrix, keeps the first of highest utility and builds only
-that one's plan. Every scheme returns a SolveResult whose utility
-is the objective of its own plan, so free riders outside a scheme's groups
-earn it no credit.
+that one's plan. Every scheme returns a SolveResult whose utility is the
+objective of its own plan, so free riders outside a scheme's groups earn
+it no credit.
 """
 
 from __future__ import annotations
@@ -32,13 +33,7 @@ from .instance import (
     evaluate_plan,
     selection_from_plan,
 )
-from .solvers import (
-    SolveResult,
-    _active_table,
-    _argmax_pass,
-    _full_rates,
-    _result_from_rates,
-)
+from .solvers import SolveResult, _result_from_rates
 
 logger = logging.getLogger(__name__)
 
@@ -164,15 +159,38 @@ def marginal_util_solve(inst: ProblemInstance) -> SolveResult:
     """Single ratio-greedy pass that never revisits a grid.
 
     Once a grid is sent at any rate, its other rates leave the candidate
-    pool for good, so utility stops growing once every worthwhile grid has
-    been committed — no matter how much budget remains.
+    pool for good, so utility stops growing once every worthwhile grid is
+    committed, whatever budget remains. No item's gain changes before its
+    grid is sent, so the step-by-step argmax is one scan of the active
+    grids' positive items by ratio descending (ties to the lower grid, then
+    rate), each sent if its grid is unsent and the budget left pays for it.
+    Gain evaluations count as the argmax's: a step counts the live items of
+    all L x M, the item scanned leaves, and a pick takes out its grid's
+    unscanned items. The scan stops uncounted once the budget left is <= 0;
+    if the positive items run out first, a closing step counts those live.
     """
     t0 = time.perf_counter()
-    table, unwanted = _active_table(inst)
-    rate = [inst.n_rates] * table.shape[0]
-    _, evals, _ = _argmax_pass(table, inst.item_cost_s, rate, inst.budget_s,
-                               grid_exclusive=True, unwanted=unwanted)
-    rate = _full_rates(inst, rate)
+    n_rates, costs = inst.n_rates, inst.item_cost_s.tolist()
+    ratios = (inst.active_table[:, :n_rates] / inst.item_cost_s).ravel()
+    order = np.argsort(-ratios, kind="stable")[:int((ratios > 0.0).sum())]
+    rate = [n_rates] * inst.n_grids
+    unscanned = [n_rates] * inst.n_grids
+    live, evals, budget_left = inst.n_items, 0, inst.budget_s
+    for l, m in zip(inst.active[order // n_rates].tolist(),
+                    (order % n_rates).tolist()):
+        if rate[l] < n_rates:
+            continue  # its grid is sent
+        evals += live
+        live -= 1
+        unscanned[l] -= 1
+        if costs[m] <= budget_left:
+            rate[l] = m
+            live -= unscanned[l]
+            budget_left -= costs[m]
+            if budget_left <= 0:
+                break
+    else:
+        evals += live
     return _result_from_rates(inst, rate, evals, t0, _rates_utility(inst, rate))
 
 

@@ -274,24 +274,37 @@ class MulticastPlan:
         return self.masks.shape[1]
 
     def to_json(self) -> dict:
+        """The mask width is written as n_grids, which a plan of no groups
+        has no mask row to carry."""
         return {
             "groups": [list(g) for g in self.groups],
             "masks": self.masks.astype(np.uint8).tolist(),
+            "n_grids": self.n_grids,
             "rate_bps": list(self.rates_bps),
         }
 
     @classmethod
     def from_json(cls, d: dict) -> "MulticastPlan":
         _object(d, "plan document")
-        masks = np.asarray([_numbers(row, "plan masks", integers=True)
-                            for row in _array(d["masks"], "plan masks")])
+        n_grids = d.get("n_grids")
+        if not _all_numbers([n_grids], integers=True) or n_grids < 0:
+            raise ValueError("plan n_grids must be a non-negative integer")
+        rows = [_numbers(row, "plan masks", integers=True)
+                for row in _array(d["masks"], "plan masks")]
+        if any(len(row) != n_grids for row in rows):
+            raise ValueError(f"plan masks: every row must hold n_grids = "
+                             f"{n_grids} entries")
+        masks = np.asarray(rows).reshape(len(rows), n_grids)
         if masks.size and (masks.min() < 0 or masks.max() > 1):
             raise ValueError("plan masks must hold only 0 and 1")
+        rates = _numbers(d["rate_bps"], "plan rate_bps")
+        if not all(math.isfinite(r) for r in rates):
+            raise ValueError("plan rate_bps must be finite")
         return cls(
             groups=tuple(tuple(_numbers(g, "plan group members", integers=True))
                          for g in _array(d["groups"], "plan groups")),
             masks=masks,
-            rates_bps=tuple(_numbers(d["rate_bps"], "plan rate_bps")),
+            rates_bps=tuple(rates),
         )
 
 

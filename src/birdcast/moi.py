@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _numbers
+from .channel import _all_numbers, _numbers, _object
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,18 @@ class GridMap:
 
     @classmethod
     def from_json(cls, d: dict) -> "GridMap":
-        shape = _numbers([d["h"], d["w"]], "GridMap h and w", integers=True)
-        return cls(np.reshape(_numbers(d["data"], "GridMap data"), shape))
+        """Read the document to_json writes; raises ValueError unless it is
+        an object whose h and w are integers >= 1 and whose data holds
+        h * w numbers."""
+        _object(d, "GridMap document")
+        h, w = d.get("h"), d.get("w")
+        if not _all_numbers([h, w], integers=True) or min(h, w) < 1:
+            raise ValueError("GridMap h and w must be integers >= 1")
+        data = _numbers(d.get("data"), "GridMap data")
+        if len(data) != h * w:
+            raise ValueError(f"GridMap data: {h} x {w} = {h * w} values, "
+                             f"not {len(data)}")
+        return cls(np.reshape(data, (h, w)))
 
 
 def _require_same_shape(a: GridMap, b: GridMap) -> None:

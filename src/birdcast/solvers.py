@@ -88,8 +88,8 @@ def _gains(table: np.ndarray, rate: np.ndarray) -> np.ndarray:
 
 
 def _argmax_pass(table: np.ndarray, costs: np.ndarray, rate: list[int],
-                 budget_left: float, grid_exclusive: bool = False,
-                 unwanted: int = 0) -> tuple[float, int, list[Item]]:
+                 budget_left: float, unwanted: int = 0
+                 ) -> tuple[float, int, list[Item]]:
     """One greedy pass; every iteration evaluates all remaining candidates.
 
     Candidates are every item but each grid's current (l, rate[l]), plus
@@ -98,8 +98,6 @@ def _argmax_pass(table: np.ndarray, costs: np.ndarray, rate: list[int],
     (every ratio is >= 0), and counts every live candidate as one
     evaluation. Matrix and count persist between steps: an item taken or
     unaffordable gets -inf once, and a selection rewrites its grid's row.
-    grid_exclusive drops a grid's other rates permanently once any rate is
-    selected for it (the behaviour of the marginal-utility baseline).
     Returns the budget left, the gain evaluations and the items picked.
     """
     n_rates = costs.size
@@ -124,13 +122,8 @@ def _argmax_pass(table: np.ndarray, costs: np.ndarray, rate: list[int],
         picks.append((l, m))
         rate[l] = m
         budget_left -= costs[m]
-        alive = masked[l] > -np.inf
-        if grid_exclusive:
-            live -= int(np.count_nonzero(alive))
-            masked[l] = -np.inf
-        else:
-            ratios = np.maximum(table[l, :n_rates] - table[l, m], 0.0) / costs
-            masked[l] = np.where(alive, ratios, -np.inf)
+        ratios = np.maximum(table[l, :n_rates] - table[l, m], 0.0) / costs
+        masked[l] = np.where(masked[l] > -np.inf, ratios, -np.inf)
     return budget_left, evals, picks
 
 
@@ -250,21 +243,6 @@ def _result_from_rates(inst: ProblemInstance, rate: np.ndarray | list[int],
     )
 
 
-def _active_table(inst: ProblemInstance) -> tuple[np.ndarray, int]:
-    """ProblemInstance.active_table, and the (L - A) M items of the other
-    grids, which a pass counts without reading."""
-    return inst.active_table, (inst.n_grids - inst.active.size) * inst.n_rates
-
-
-def _full_rates(inst: ProblemInstance, rate: list[int]) -> np.ndarray:
-    """The rate of every grid, from rate[a], that of grid active[a]."""
-    if len(rate) == inst.n_grids:  # every grid is active
-        return np.asarray(rate)
-    full = np.full(inst.n_grids, inst.n_rates)
-    full[inst.active] = rate
-    return full
-
-
 def _two_pass_greedy(inst: ProblemInstance,
                      run_pass: Callable[..., tuple[float, int, list[Item]]]
                      ) -> SolveResult:
@@ -272,13 +250,14 @@ def _two_pass_greedy(inst: ProblemInstance,
 
     run_pass(S, costs, rate, budget_left, unwanted=...) lowers `rate` in
     place and returns the budget left, its gain evaluations and the items
-    it picked; both passes run on the active grids' rows of S. Pass 1's
-    picks that no longer set their grid's rate are the faster duplicates;
-    their cost funds pass 2.
+    it picked; both run on ProblemInstance.active_table, rate[a] being
+    grid active[a]'s, and count the (L - A) M idle items as `unwanted`.
+    Pass 1's picks that no longer set their grid's rate are the faster
+    duplicates; their cost funds pass 2.
     """
     t0 = time.perf_counter()
-    table, unwanted = _active_table(inst)
-    costs = inst.item_cost_s
+    table, costs = inst.active_table, inst.item_cost_s
+    unwanted = (inst.n_grids - inst.active.size) * inst.n_rates
     rate = [inst.n_rates] * table.shape[0]
     budget_left, evals, picks = run_pass(table, costs, rate, inst.budget_s,
                                          unwanted=unwanted)
@@ -287,7 +266,10 @@ def _two_pass_greedy(inst: ProblemInstance,
         _, pass_evals, _ = run_pass(table, costs, rate,
                                     budget_left + reclaimed, unwanted=unwanted)
         evals += pass_evals
-    rate = _full_rates(inst, rate)
+    if len(rate) < inst.n_grids:  # some grid is idle: scatter back
+        rate, active_rate = np.full(inst.n_grids, inst.n_rates), rate
+        rate[inst.active] = active_rate
+    rate = np.asarray(rate)
     value = _rates_utility(inst, rate)
     single, single_value = best_single_item(inst)
     if single is not None and single_value > value:

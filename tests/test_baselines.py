@@ -286,7 +286,7 @@ def test_dp_with_no_wanted_grid_sends_nothing():
         del doc["wall_time_s"]
         assert doc == {"selection": [],
                        "plan": {"groups": [[0, 2]], "masks": [[0] * 5],
-                                "rate_bps": [1e6]},
+                                "n_grids": 5, "rate_bps": [1e6]},
                        "utility": 0.0, "latency_s": 0.0,
                        "gain_evaluations": 21,
                        "meta": {"k": 1, "fair": fair}}

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -288,7 +289,8 @@ def test_plan_member_outside_the_users_rejected(member):
 
 @pytest.mark.parametrize("member", [1.5, True, False])
 def test_plan_document_member_that_is_no_integer_rejected(member):
-    doc = {"groups": [[0, member]], "masks": [[1, 0]], "rate_bps": [1e6]}
+    doc = {"groups": [[0, member]], "masks": [[1, 0]], "n_grids": 2,
+           "rate_bps": [1e6]}
     with pytest.raises(ValueError, match="integers"):
         MulticastPlan.from_json(doc)
 
@@ -310,12 +312,31 @@ def test_selection_document_index_that_is_no_integer_rejected(pair):
     {"masks": 5},
     {"masks": [5]},
     {"groups": 3},
+    # json reads NaN, Infinity and -Infinity
+    {"rate_bps": [math.nan]},
+    {"rate_bps": [math.inf]},
+    {"rate_bps": [-math.inf]},
+    {"n_grids": None},
+    {"n_grids": 2.0},
+    {"n_grids": True},
+    {"n_grids": -1},
+    {"n_grids": 3},
+    {"masks": [[1, 0, 0]]},
+    {"groups": [[0], [1]], "masks": [[1, 0], [1]], "rate_bps": [1e6, 1e6]},
 ])
 def test_plan_document_that_is_no_plan_rejected(edit):
-    # masks take the integers 0 and 1, as to_json writes them, rate_bps
-    # takes numbers, and groups and masks are lists of lists
-    doc = {"groups": [[0]], "masks": [[1, 0]], "rate_bps": [1e6], **edit}
-    with pytest.raises(ValueError, match="masks|rate_bps|groups"):
+    # masks take the integers 0 and 1, as to_json writes them, in rows of
+    # n_grids, a non-negative integer; rate_bps takes finite numbers, and
+    # groups and masks are lists of lists
+    doc = {"groups": [[0]], "masks": [[1, 0]], "n_grids": 2,
+           "rate_bps": [1e6], **edit}
+    with pytest.raises(ValueError, match="masks|rate_bps|groups|n_grids"):
+        MulticastPlan.from_json(json.loads(json.dumps(doc)))
+
+
+def test_plan_document_without_n_grids_rejected():
+    doc = {"groups": [], "masks": [], "rate_bps": []}
+    with pytest.raises(ValueError, match="n_grids"):
         MulticastPlan.from_json(doc)
 
 

@@ -31,6 +31,16 @@ def test_gridmap_rejects_non_finite():
     {"h": 1, "w": 2, "data": [0.5, "1"]},  # numpy reads 1.0
     {"h": True, "w": 2, "data": [0.5, 1.0]},
     {"h": 1.0, "w": 2, "data": [0.5, 1.0]},
+    # numpy's reshape would read a negative side as its unknown dimension
+    {"h": 1, "w": -1, "data": [1, 2, 3, 4]},
+    {"h": -1, "w": 2, "data": [1, 2, 3, 4]},
+    {"h": 0, "w": 2, "data": []},
+    {"h": 2, "w": 2, "data": [1, 2, 3]},
+    {"h": 1, "w": 2, "data": [1, 2, 3]},
+    {"h": 1, "w": 2},
+    {"w": 2, "data": [1, 2]},
+    [1, 2],
+    None,
 ])
 def test_gridmap_document_that_is_no_map_rejected(doc):
     with pytest.raises(ValueError, match="GridMap"):

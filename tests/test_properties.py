@@ -215,14 +215,14 @@ ONE_ITEM_START = (
 
 
 @PROPERTY_SETTINGS
-@hypothesis.given(pass_starts(), st.booleans())
-@hypothesis.example(ONE_ITEM_START, False)
-def test_argmax_pass_matches_the_dense_reference(start, grid_exclusive):
+@hypothesis.given(pass_starts())
+@hypothesis.example(ONE_ITEM_START)
+def test_argmax_pass_matches_the_dense_reference(start):
     inst, rate, budget = start
     table, costs = inst.rate_class_table, inst.item_cost_s
     ref_rate, new_rate = list(rate), list(rate)
-    ref = dense_argmax_pass(table, costs, ref_rate, budget, grid_exclusive)
-    new = _argmax_pass(table, costs, new_rate, budget, grid_exclusive)
+    ref = dense_argmax_pass(table, costs, ref_rate, budget)
+    new = _argmax_pass(table, costs, new_rate, budget)
     assert new_rate == ref_rate
     assert new[1:] == ref[1:]  # evals and picks
     assert np.float64(new[0]).tobytes() == np.float64(ref[0]).tobytes()
@@ -355,12 +355,22 @@ CLOSING_STEP = ProblemInstance(
     moi=np.array([[1.0, 0.0]]), snr_db=(4.0,),
     mcs=McsTable(rates=(1.0,), thresholds_db=(0.0,)),
     grid_bytes=1000.0, bandwidth_hz=1e6, budget_s=1.0)
+# one rate and three wanted grids at 8 ms an item, under a budget of
+# exactly one item's cost, then of two: each pass must stop once the
+# budget is spent exactly, and no sooner
+ONE_ITEM_BUDGET, TWO_ITEM_BUDGET = (
+    ProblemInstance(moi=np.array([[1.0, 0.5, 0.25]]), snr_db=(4.0,),
+                    mcs=McsTable(rates=(1.0,), thresholds_db=(0.0,)),
+                    grid_bytes=1000.0, bandwidth_hz=1e6, budget_s=budget)
+    for budget in (0.008, 0.016))
 
 
 @PROPERTY_SETTINGS
 @hypothesis.given(instances())
 @hypothesis.example(NO_WANTED_GRID)
 @hypothesis.example(CLOSING_STEP)
+@hypothesis.example(ONE_ITEM_BUDGET)
+@hypothesis.example(TWO_ITEM_BUDGET)
 def test_solvers_on_the_active_grids_match_the_full_table(inst):
     for solve, run_pass in ((refined_greedy, dense_argmax_pass),
                             (accelerated_greedy, push_pop_lazy_pass)):
