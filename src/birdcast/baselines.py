@@ -195,7 +195,8 @@ def marginal_util_solve(inst: ProblemInstance) -> SolveResult:
 
 
 def _joint_greedy(inst: ProblemInstance, groups: list[np.ndarray],
-                  rate_idx: list[int]) -> tuple[np.ndarray, int]:
+                  rate_idx: list[int],
+                  moi: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Greedy (grid, group) allocation for disjoint groups.
 
     Each step sends the affordable item of highest uncovered member weight
@@ -206,7 +207,8 @@ def _joint_greedy(inst: ProblemInstance, groups: list[np.ndarray],
     holds while every positive weight gives a positive ratio, which fails
     only for a subnormal weight over a cost above one second. The groups
     hold users that decode a rate, so only the active grids can have
-    positive weight, and only they are ranked. Each step counts the
+    positive weight, and only they are ranked: moi is inst.moi's active
+    columns, taken here unless the caller has them. Each step counts the
     affordable groups times L gain evaluations, and so does the closing
     step that finds nothing left to send.
     """
@@ -214,7 +216,8 @@ def _joint_greedy(inst: ProblemInstance, groups: list[np.ndarray],
     masks = np.zeros((n_groups, inst.n_grids), dtype=bool)
     if not n_groups:
         return masks, 0
-    moi = inst.moi.take(inst.active, axis=1)
+    if moi is None:
+        moi = inst.moi.take(inst.active, axis=1)
     uncovered = np.stack([moi[g].sum(axis=0) for g in groups], axis=1)
     costs = inst.item_cost_s[rate_idx]
     ratios = (uncovered / costs[None, :]).ravel()
@@ -235,18 +238,23 @@ def _best_of(inst: ProblemInstance, candidates: Iterable[_Candidate],
     A candidate is scored by coverage_utility on its N x L coverage, each
     member's row its group's mask (the groups are disjoint): the matrix
     evaluate_plan derives from the plan, so the score is bit-identical to
-    the plan's utility. Only the winner's plan is built and evaluated.
-    evals counts the gain evaluations spent before; every joint greedy
-    adds its own. None when there is no candidate.
+    the plan's utility. The matrix is one row gather: each user's label
+    (group k's members k, everyone else the group count) indexes the masks
+    stacked over one all-false row. The active columns of inst.moi are
+    taken once for every joint greedy. Only the winner's plan is built and
+    evaluated. evals counts the gain evaluations spent before; every joint
+    greedy adds its own. None when there is no candidate.
     """
+    moi = inst.moi.take(inst.active, axis=1)
+    unsent = np.zeros((1, inst.n_grids), dtype=bool)
     best = None
     for groups, rate_idx, meta in candidates:
-        masks, pass_evals = _joint_greedy(inst, groups, rate_idx)
+        masks, pass_evals = _joint_greedy(inst, groups, rate_idx, moi)
         evals += pass_evals
-        covered = np.zeros((inst.n_users, inst.n_grids), dtype=bool)
-        for members, mask in zip(groups, masks):
-            covered[members] = mask
-        value = coverage_utility(inst, covered)
+        label = np.full(inst.n_users, len(groups))
+        for k, members in enumerate(groups):
+            label[members] = k
+        value = coverage_utility(inst, np.concatenate((masks, unsent))[label])
         if best is None or value > best[0]:
             best = (value, groups, masks, rate_idx, meta)
     if best is None:
@@ -260,13 +268,18 @@ def _kmeanspp_1d(values: np.ndarray, k: int,
                  rng: np.random.Generator) -> np.ndarray:
     """Deterministic-by-seed 1-D k-means++ labels (may use < k clusters).
 
-    A Lloyd step moves each centre to its members' mean, one np.bincount
-    pair for all clusters; an empty cluster keeps its centre.
+    Seeding keeps each value's squared distance to its nearest centre,
+    d2, and lowers it by the newest centre's before each draw: a minimum
+    is exact, so every draw's probabilities, and with them the random
+    stream, are those of the minimum over all centres. A Lloyd step moves
+    each centre to its members' mean, one np.bincount pair for all
+    clusters; an empty cluster keeps its centre.
     """
     n = values.size
     centers = [float(values[rng.integers(n)])]
+    d2 = np.full(n, np.inf)
     while len(centers) < k:
-        d2 = np.min((values[:, None] - np.asarray(centers)[None, :]) ** 2, axis=1)
+        np.minimum(d2, (values - centers[-1]) ** 2, out=d2)
         total = float(d2.sum())
         if total <= 0.0:
             break  # fewer distinct values than requested clusters
@@ -338,10 +351,14 @@ def _segment_values(inst: ProblemInstance, ordered: np.ndarray,
 
     With floor > 0 the second table repeats values but is -inf wherever
     the run's chosen grids serve some member less than `floor` of their
-    total interest; it is None otherwise. Its share product costs
-    O(n^3 K A) time and O(K n (n + A)) memory per start user. Each
-    member's total and the exact recheck near the floor read the member's
-    full row of L grids.
+    total interest; it is None otherwise. A run's chosen grids are its
+    top n_top in stable order (ties to the lower grid). They are the
+    grids of weight at least the n_top-th largest, its threshold, unless
+    the next largest ties it and the tie straddles the cut; only such a
+    run is ranked by a stable argsort. n_top = 0 picks nothing. Per start
+    user the share product costs O(n^2 K A) time and O(K n (n + A))
+    memory. Each member's total and the exact recheck near the floor read
+    the member's full row of L grids.
     """
     n = ordered.size
     n_grids = inst.n_grids
@@ -363,66 +380,85 @@ def _segment_values(inst: ProblemInstance, ordered: np.ndarray,
     counted = np.triu(np.ones((n, n), dtype=bool)) & (totals > 0.0)[:, None]
     for i in range(n):
         w = prefix[i + 1:] - prefix[i]  # row r: the run i..i+r
+        runs = np.arange(n - i)
+        asc = np.sort(w, axis=1)
         # cum[r, p]: the run's p largest active weights, cum[r, 0] = 0
         cum = np.zeros((n - i, n_cols + 1))
-        np.cumsum(np.sort(w, axis=1)[:, ::-1], axis=1, out=cum[:, 1:])
+        np.cumsum(asc[:, ::-1], axis=1, out=cum[:, 1:])
         n_top = np.minimum(fit[:, i:], (w > 0.0).sum(axis=1))
-        values[:, i, i:] = cum[np.arange(n - i), n_top]
+        values[:, i, i:] = cum[runs, n_top]
         if fair is None:
             continue
-        order = np.argsort(-w, axis=1, kind="stable")
+        # edge[r]: asc[r] between a -inf and an inf column, so run r's p-th
+        # largest weight is edge[r, n_cols + 1 - p], inf for p = 0
+        edge = np.empty((n - i, n_cols + 2))
+        edge[:, 0], edge[:, -1] = -np.inf, np.inf
+        edge[:, 1:-1] = asc
+        # thr[r, k]: the n_top-th largest weight of run r under budgets[k];
+        # the picks are the weights at least thr unless the next largest
+        # ties it
+        top = n_top.T
+        thr = edge[runs[:, None], n_cols + 1 - top]
+        picked = w[:, None, :] >= thr[:, :, None]
+        straddled = (edge[runs[:, None], n_cols - top] == thr).any(axis=1)
+        for r in np.flatnonzero(straddled):
+            rank = np.empty(n_cols, dtype=np.intp)
+            rank[np.argsort(-w[r], kind="stable")] = np.arange(n_cols)
+            picked[r] = rank < top[r, :, None]
         # share[u, r, k]: the part of user i+u's interest that run i..i+r
         # serves under budgets[k], for every run at once by one product.
         # Two summation orders of the same p <= L non-negative terms agree
         # to within about L ulp, so only shares that close to the floor
         # need the exact per-run sum.
-        rank = np.empty_like(order)
-        np.put_along_axis(rank, order, np.arange(n_cols), axis=1)
-        picked = rank[:, None, :] < n_top.T[:, :, None]
-        # the row count is spelled out: reshape(-1, 0) has no answer
-        served = active[i:] @ picked.reshape(n_top.size, n_cols).T
-        share = served.reshape(n - i, n - i, -1) / denom[i:, None, None]
+        # the row count is spelled out: reshape(-1, 0) has no answer; the
+        # division is in place, so the product is the one (n - i)^2 K array
+        share = (active[i:] @ picked.reshape(n_top.size, n_cols).T
+                 ).reshape(n - i, n - i, -1)
+        share /= denom[i:, None, None]
         in_run = counted[i:, i:, None]
         reject = ((share < floor) & in_run).any(axis=0)
         near = ((np.abs(share - floor) <= slack) & in_run).any(axis=0)
         for r, k in zip(*np.nonzero(near)):
+            chosen = np.argsort(-w[r], kind="stable")[:top[r, k]]
             reject[r, k] = _below_floor(weights[i:i + r + 1],
-                                        inst.active[order[r, :n_top[k, r]]],
-                                        floor)
+                                        inst.active[chosen], floor)
         fair[:, i, i:] = np.where(reject.T, -np.inf, values[:, i, i:])
     return values, fair
 
 
-def _best_split(seg_value: np.ndarray,
-                n_groups: int) -> list[tuple[int, int]] | None:
-    """Bounds (i, j) of the best split of the sorted users into n_groups
-    runs, or None when every split holds a -inf run.
+def _best_splits(values: np.ndarray) -> list[list[tuple[int, int]] | None]:
+    """For each k, the bounds (i, j) of the best split of the sorted users
+    into k + 1 runs valued by values[k], or None when every such split
+    holds a -inf run.
 
-    Classic boundary recurrence: table[g, j] is the best value of the
-    first j users in g runs, and each cell keeps the first i that reaches
-    its maximum.
+    Classic boundary recurrence, run for every group count at once:
+    table[k, g, j] is the best value of the first j users in g runs under
+    values[k], step g advances every count of g runs or more, and each
+    cell keeps the first i that reaches its maximum. Its candidates take
+    one K x n x n array at the first step.
     """
-    n = seg_value.shape[0]
-    table = np.full((n_groups + 1, n + 1), -np.inf)
-    table[0, 0] = 0.0
-    choice = np.zeros((n_groups + 1, n + 1), dtype=np.int64)
-    for g in range(1, n_groups + 1):
-        cand = table[g - 1, :n, None] + seg_value  # [i, j - 1]
-        start = np.argmax(cand, axis=0)
-        best = cand[start, np.arange(n)]
-        reached = best > -np.inf
-        table[g, 1:][reached] = best[reached]
-        choice[g, 1:][reached] = start[reached]
-    if not np.isfinite(table[n_groups, n]):
-        return None
-    bounds = []
-    j = n
-    for g in range(n_groups, 0, -1):
-        i = int(choice[g, j])
-        bounds.append((i, j))
-        j = i
-    bounds.reverse()
-    return bounds
+    n_counts, n = values.shape[:2]
+    table = np.full((n_counts, n_counts + 1, n + 1), -np.inf)
+    table[:, 0, 0] = 0.0
+    choice = np.zeros(table.shape, dtype=np.int64)
+    for g in range(1, n_counts + 1):
+        cand = table[g - 1:, g - 1, :n, None] + values[g - 1:]  # [k, i, j - 1]
+        table[g - 1:, g, 1:] = cand.max(axis=1)
+        choice[g - 1:, g, 1:] = np.argmax(cand, axis=1)
+    splits = []
+    for k in range(n_counts):
+        if not np.isfinite(table[k, k + 1, n]):
+            splits.append(None)
+            continue
+        bounds = []
+        j = n
+        for g in range(k + 1, 0, -1):
+            i = int(choice[k, g, j])
+            bounds.append((i, j))
+            j = i
+        bounds.reverse()
+        splits.append(bounds)
+    return splits
 
 
 def _partitions(ordered: np.ndarray, values: np.ndarray,
@@ -430,8 +466,7 @@ def _partitions(ordered: np.ndarray, values: np.ndarray,
     """The best split of the sorted users for each group count, as
     _best_of candidates, each group at its last (slowest) member's top
     rate; a group count with no split is skipped."""
-    for k_groups, seg_value in enumerate(values, start=1):
-        bounds = _best_split(seg_value, k_groups)
+    for k_groups, bounds in enumerate(_best_splits(values), start=1):
         if bounds is not None:
             yield ([ordered[i:j] for i, j in bounds],
                    [int(max_idx[ordered[j - 1]]) for i, j in bounds],

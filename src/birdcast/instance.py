@@ -294,7 +294,10 @@ class MulticastPlan:
         if any(len(row) != n_grids for row in rows):
             raise ValueError(f"plan masks: every row must hold n_grids = "
                              f"{n_grids} entries")
-        masks = np.asarray(rows).reshape(len(rows), n_grids)
+        try:
+            masks = np.asarray(rows).reshape(len(rows), n_grids)
+        except ValueError:  # numpy's limit on an array's dimensions
+            raise ValueError(f"plan n_grids {n_grids} is too large") from None
         if masks.size and (masks.min() < 0 or masks.max() > 1):
             raise ValueError("plan masks must hold only 0 and 1")
         rates = _numbers(d["rate_bps"], "plan rate_bps")

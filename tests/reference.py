@@ -3,8 +3,9 @@
 Direct, unoptimized definitions that the package's fast paths are checked
 against: per-user coverage and marginal gains, duplicate-rate removal,
 unpruned enumerations of the optimum, the DP baselines' run valuations
-and random round trips through both plan mappings. Decodability is
-derived here from snr_db and the MCS thresholds, never from
+and per-count boundary recurrence, and random round trips through both
+plan mappings. Decodability is derived here from snr_db and the MCS
+thresholds, never from
 ProblemInstance.top_rate or rate_class_table, so the checks compare the
 package with an independent model.
 """
@@ -224,6 +225,52 @@ def run_tables(inst: ProblemInstance, ordered: np.ndarray,
                     for got, total in zip(served.tolist(), totals.tolist()))
                 fair[k, i, j] = value if fair_to_all else -np.inf
     return values, fair
+
+
+def best_split(seg_value: np.ndarray,
+               n_groups: int) -> list[tuple[int, int]] | None:
+    """Bounds (i, j) of the best split of the sorted users into n_groups
+    runs valued by seg_value[i, j - 1], or None when every split holds a
+    -inf run.
+
+    The boundary recurrence for one group count: table[g, j] is the best
+    value of the first j users in g runs, and each cell keeps the first i
+    that reaches its maximum.
+    """
+    n = seg_value.shape[0]
+    table = np.full((n_groups + 1, n + 1), -np.inf)
+    table[0, 0] = 0.0
+    choice = np.zeros((n_groups + 1, n + 1), dtype=np.int64)
+    for g in range(1, n_groups + 1):
+        cand = table[g - 1, :n, None] + seg_value  # [i, j - 1]
+        start = np.argmax(cand, axis=0)
+        best = cand[start, np.arange(n)]
+        reached = best > -np.inf
+        table[g, 1:][reached] = best[reached]
+        choice[g, 1:][reached] = start[reached]
+    if not np.isfinite(table[n_groups, n]):
+        return None
+    bounds = []
+    j = n
+    for g in range(n_groups, 0, -1):
+        i = int(choice[g, j])
+        bounds.append((i, j))
+        j = i
+    bounds.reverse()
+    return bounds
+
+
+def best_split_total(seg_value: np.ndarray, n_groups: int) -> float:
+    """The largest total, summed left to right, of any split of the users
+    into n_groups contiguous runs, by enumerating every split."""
+    n = seg_value.shape[0]
+    best = -np.inf
+    for cuts in itertools.combinations(range(1, n), n_groups - 1):
+        total = 0.0
+        for i, j in zip((0, *cuts), (*cuts, n)):
+            total += float(seg_value[i, j - 1])
+        best = max(best, total)
+    return best
 
 
 @dataclass(frozen=True)

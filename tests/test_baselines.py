@@ -28,7 +28,7 @@ from birdcast.scenario import fig1_instance
 
 from conftest import (random_full_scale_instance, random_instance,
                       random_mcs_table)
-from reference import dp_user_order, run_tables
+from reference import best_split, best_split_total, dp_user_order, run_tables
 
 ALL_BASELINES = (broadcast_solve, unicast_solve, marginal_util_solve,
                  kmeanspp_solve, lambda i: dp_solve(i),
@@ -313,17 +313,53 @@ def unwanted_grids_instance(rng: np.random.Generator) -> ProblemInstance:
                            grid_bytes=1600.0, bandwidth_hz=1e8, budget_s=budget)
 
 
-@pytest.mark.parametrize("floor", [0.0, baselines._FAIRNESS_FLOOR])
-def test_segment_values_match_the_reference_run_tables(floor):
+def equal_weights_instance(rng: np.random.Generator, n_users: int,
+                           wanted: float) -> ProblemInstance:
+    """Random instance in which every user wants the same grids, each by
+    0.25, so a run's wanted grids all tie and every cut below them
+    straddles a tie; wanted is the share of grids wanted (0: none)."""
+    table = random_mcs_table(rng, max_rates=4)
+    n_grids = int(rng.integers(1, 41))
+    lo, hi = table.thresholds_db[0], table.thresholds_db[-1]
+    snr = rng.uniform(lo - 5.0, hi + 5.0, size=n_users)
+    snr[0] = hi  # some user decodes a rate
+    moi = np.tile(0.25 * (rng.random(n_grids) < wanted), (n_users, 1))
+    cheapest = 8.0 * 1600.0 / (1e8 * table.rates[-1])  # a grid, fastest rate
+    budget = float(cheapest * rng.uniform(0.5, 2.0 * n_grids))
+    return ProblemInstance(moi=moi, snr_db=tuple(snr), mcs=table,
+                           grid_bytes=1600.0, bandwidth_hz=1e8, budget_s=budget)
+
+
+def run_table_instances():
     rng = np.random.default_rng(71)
     for _ in range(80):
-        inst = unwanted_grids_instance(rng)
-        ordered = dp_user_order(inst)
-        if not ordered.size:
-            continue  # dp_solve returns before it values any run
-        n_groups = min(baselines._DP_MAX_GROUPS, ordered.size)
-        budgets = [inst.budget_s / k for k in range(1, n_groups + 1)]
-        values, fair = baselines._segment_values(inst, ordered, budgets, floor)
+        yield unwanted_grids_instance(rng)
+    rng = np.random.default_rng(72)
+    yield equal_weights_instance(rng, 1, 0.5)
+    yield equal_weights_instance(rng, 5, 0.0)
+    for _ in range(12):
+        yield equal_weights_instance(rng, int(rng.integers(1, 13)), 0.5)
+
+
+def dp_run_tables(inst: ProblemInstance, floor: float):
+    """The sorted users, their budgets and _segment_values' tables, or
+    None when no user decodes a rate (dp_solve then values no run)."""
+    ordered = dp_user_order(inst)
+    if not ordered.size:
+        return None
+    n_groups = min(baselines._DP_MAX_GROUPS, ordered.size)
+    budgets = [inst.budget_s / k for k in range(1, n_groups + 1)]
+    return (ordered, budgets,
+            *baselines._segment_values(inst, ordered, budgets, floor))
+
+
+@pytest.mark.parametrize("floor", [0.0, baselines._FAIRNESS_FLOOR])
+def test_segment_values_match_the_reference_run_tables(floor):
+    for inst in run_table_instances():
+        tables = dp_run_tables(inst, floor)
+        if tables is None:
+            continue
+        ordered, budgets, values, fair = tables
         want_values, want_fair = run_tables(inst, ordered, budgets, floor)
         assert values.tobytes() == want_values.tobytes()
         if floor == 0.0:
@@ -331,6 +367,44 @@ def test_segment_values_match_the_reference_run_tables(floor):
             assert want_fair.tobytes() == want_values.tobytes()
         else:
             assert fair.tobytes() == want_fair.tobytes()
+
+
+def check_best_splits(values: np.ndarray) -> None:
+    """_best_splits gives every group count the reference recurrence's
+    bounds; for at most 8 users, their total is the best of every split."""
+    splits = baselines._best_splits(values)
+    assert len(splits) == values.shape[0]
+    for k, bounds in enumerate(splits):
+        assert bounds == best_split(values[k], k + 1)
+        if values.shape[1] > 8:
+            continue
+        best = best_split_total(values[k], k + 1)
+        if bounds is None:
+            assert best == -np.inf
+        else:
+            total = 0.0
+            for i, j in bounds:
+                total += float(values[k, i, j - 1])
+            assert total == best
+
+
+def test_best_splits_match_the_reference_recurrence():
+    # the run tables of the DP, whose quarter weights tie
+    rng = np.random.default_rng(73)
+    for _ in range(60):
+        tables = dp_run_tables(unwanted_grids_instance(rng),
+                               baselines._FAIRNESS_FLOOR)
+        if tables is not None:
+            check_best_splits(tables[2])
+            check_best_splits(tables[3])
+    # small integers tie often; -inf runs may leave a count no split
+    for _ in range(200):
+        n = int(rng.integers(1, 13))
+        n_counts = int(rng.integers(1, min(n, baselines._DP_MAX_GROUPS) + 1))
+        values = rng.integers(0, 4, size=(n_counts, n, n)).astype(float)
+        values[rng.random(values.shape) < rng.uniform(0.0, 0.6)] = -np.inf
+        values[:, np.tri(n, k=-1, dtype=bool)] = -np.inf
+        check_best_splits(values)
 
 
 def test_dp_groups_contiguous_in_sorted_rate_order():

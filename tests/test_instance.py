@@ -321,6 +321,10 @@ def test_selection_document_index_that_is_no_integer_rejected(pair):
     {"n_grids": True},
     {"n_grids": -1},
     {"n_grids": 3},
+    # too wide for numpy even with no mask row
+    {"groups": [], "masks": [], "n_grids": 10 ** 30, "rate_bps": []},
+    {"groups": [], "masks": [], "n_grids": 2 ** 63, "rate_bps": []},
+    {"groups": [], "masks": [], "n_grids": 2 ** 62, "rate_bps": []},
     {"masks": [[1, 0, 0]]},
     {"groups": [[0], [1]], "masks": [[1, 0], [1]], "rate_bps": [1e6, 1e6]},
 ])
