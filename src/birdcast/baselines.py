@@ -362,8 +362,9 @@ def _segment_values(inst: ProblemInstance, ordered: np.ndarray,
     """
     n = ordered.size
     n_grids = inst.n_grids
-    # fit[k, u]: the grids budgets[k] pays for at sorted user u's rate
-    fit = np.array([[min(n_grids, int(b // c)) if c > 0 else n_grids
+    # fit[k, u]: the grids budgets[k] pays for at sorted user u's rate; a
+    # huge budget's b // c is inf, which min caps before int
+    fit = np.array([[int(min(n_grids, b // c))
                      for c in inst.item_cost_s.tolist()] for b in budgets],
                    dtype=np.int64)[:, inst.top_rate[ordered]]
     weights = inst.moi[ordered]

@@ -80,12 +80,21 @@ def _array(value, name: str) -> list:
     return value
 
 
+class _Document(dict):
+    """A JSON object whose missing key is invalid input, as ValueError."""
+
+    def __missing__(self, key):
+        raise ValueError(f"missing key {key!r}")
+
+
 def _object(value, name: str) -> dict:
-    """value, after checking that it is a dict, as a JSON object reads;
-    indexing a scalar would raise TypeError, and a list reads by position."""
+    """A copy of value, after checking that it is a dict, as a JSON object
+    reads; indexing a scalar would raise TypeError, and a list reads by
+    position. Reading a key the copy lacks raises ValueError, so every
+    reader raises ValueError, and only it, for an invalid document."""
     if not isinstance(value, dict):
         raise ValueError(f"{name}: a JSON object, not {type(value).__name__}")
-    return value
+    return _Document(value)
 
 
 def _numbers(values: list, name: str, integers: bool = False) -> list:
@@ -111,17 +120,29 @@ DEFAULT_MCS_TABLE = McsTable(
 BITS_PER_BYTE = 8
 
 
+def _item_costs(table: McsTable, bandwidth_hz: float,
+                grid_bytes: float) -> list[float]:
+    """Time (seconds) to transmit one grid of `grid_bytes` at each rate
+    option of `table`, the one decision whether a payload and bandwidth
+    are valid: raises ValueError unless every time is finite, positive
+    and below the one before. Positive values fail only where a quotient
+    overflows to inf, or rounds to 0 or to its neighbour's value."""
+    # a rate of 0 Hz, which a subnormal bandwidth can round to, costs inf
+    costs = [BITS_PER_BYTE * grid_bytes / hz if hz else math.inf
+             for hz in (bandwidth_hz * r for r in table.rates)]
+    if not all(a > b for a, b in zip([math.inf, *costs], [*costs, 0.0])):
+        raise ValueError("grid_bytes and bandwidth_hz give item costs that "
+                         "are not finite, positive and strictly decreasing")
+    return costs
+
+
 def item_cost(rate_index: int, table: McsTable, bandwidth_hz: float,
               grid_bytes: float) -> float:
     """Time (seconds) to transmit one grid of `grid_bytes` at a rate option.
 
-    Strictly decreasing in rate_index for fixed bandwidth and payload.
+    Strictly decreasing in rate_index for fixed bandwidth and payload:
+    _item_costs raises ValueError for a payload and bandwidth where not.
     """
     if not 0 <= rate_index < table.n_rates:
-        raise IndexError(f"rate_index {rate_index} out of range for table "
-                         f"with {table.n_rates} rates")
-    if grid_bytes <= 0:
-        raise ValueError("grid_bytes must be positive")
-    if bandwidth_hz <= 0:
-        raise ValueError("bandwidth_hz must be positive")
-    return BITS_PER_BYTE * grid_bytes / (bandwidth_hz * table.rates[rate_index])
+        raise IndexError(f"rate_index {rate_index} not in [0, {table.n_rates})")
+    return _item_costs(table, bandwidth_hz, grid_bytes)[rate_index]

@@ -79,7 +79,7 @@ def _genparams_from_dict(d: dict) -> GenParams:
     annotated int take integers; those annotated float, and the extent
     entries, numbers. The scene model's constants are fixed in scenario.py,
     so a key that names one, like any other key, is invalid input."""
-    d = dict(_object(d, "params"))
+    d = _object(d, "params")
     unknown = sorted(set(d) - {f.name for f in fields(GenParams)})
     if unknown:
         raise ValueError(f"{', '.join(unknown)}: not a generator parameter")
@@ -420,9 +420,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except KeyError as exc:
-        print(f"error: missing key {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc!r}", file=sys.stderr)

@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import McsTable, _all_numbers, _array, _numbers, _object, item_cost
+from .channel import McsTable, _all_numbers, _array, _item_costs, _numbers, _object
 
 # Relative slack for budget-feasibility checks only; utilities and plan/cost
 # equivalences are compared exactly.
@@ -37,6 +37,12 @@ class ProblemInstance:
     user). A user decodes exactly the rates whose SNR thresholds its
     snr_db meets, a prefix of the rate indices, so top_rate, the last of
     them, is the whole of its decodability.
+
+    Construction is where validity is decided, so that no solver checks
+    it again: item costs must pass channel._item_costs (finite, positive,
+    strictly decreasing), and the weights' sum over the least cost or
+    cost step must be a float, which bounds every utility, gain per
+    second and hull slope a solver computes.
     """
 
     moi: np.ndarray
@@ -80,36 +86,32 @@ class ProblemInstance:
             raise ValueError("snr_db length must match the number of users")
         if not all(math.isfinite(s) for s in snr):
             raise ValueError("snr_db values must be finite")
-        scalars = (self.grid_bytes, self.bandwidth_hz, self.budget_s)
-        if not all(math.isfinite(v) for v in scalars):
-            raise ValueError("grid_bytes, bandwidth_hz and budget_s must be finite")
-        if self.grid_bytes <= 0 or self.bandwidth_hz <= 0:
-            raise ValueError("grid_bytes and bandwidth_hz must be positive")
-        if self.budget_s <= 0:
-            raise ValueError("budget_s must be positive")
-        m = self.mcs.n_rates
-        costs = np.array(
-            [item_cost(j, self.mcs, self.bandwidth_hz, self.grid_bytes)
-             for j in range(m)],
-            dtype=np.float64,
-        )
+        if not 0.0 < self.budget_s < math.inf:
+            raise ValueError("budget_s must be positive and finite")
+        costs = _item_costs(self.mcs, self.bandwidth_hz, self.grid_bytes)
+        m = len(costs)
         # thresholds ascend, and an SNR equal to one decodes that rate
         top = np.searchsorted(self.mcs.thresholds_db, np.asarray(snr),
                               side="right") - 1
         one_hot = (top[:, None] == np.arange(m)[None, :]).astype(np.float64)
         table = np.zeros((moi.shape[1], m + 1), dtype=np.float64)
-        table[:, :m] = np.cumsum((moi.T @ one_hot)[:, ::-1], axis=1)[:, ::-1]
+        with np.errstate(over="ignore"):  # an inf fails the check below
+            table[:, :m] = np.cumsum((moi.T @ one_hot)[:, ::-1], 1)[:, ::-1]
+            mass = float(table[:, 0].sum())
+        # the interest scale (see the class docstring)
+        step = min(a - b for a, b in zip(costs, [*costs[1:], 0.0]))
+        if not math.isfinite(mass / step):
+            raise ValueError(f"moi weight sum {mass!r} too large for the item costs")
         active = np.flatnonzero(table[:, 0] > 0.0)
-        arrays = {"moi": moi, "item_cost_s": costs, "top_rate": top,
+        arrays = {"moi": moi, "item_cost_s": np.array(costs), "top_rate": top,
                   "rate_class_table": table, "active": active,
                   "active_table": table[active]}
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "snr_db", snr)
-        object.__setattr__(self, "grid_bytes", float(self.grid_bytes))
-        object.__setattr__(self, "bandwidth_hz", float(self.bandwidth_hz))
-        object.__setattr__(self, "budget_s", float(self.budget_s))
+        for name in ("grid_bytes", "bandwidth_hz", "budget_s"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     @property
     def n_users(self) -> int:
@@ -155,8 +157,9 @@ class ProblemInstance:
 
     @classmethod
     def from_json(cls, d: dict) -> "ProblemInstance":
-        """Read a format-2 document, the one to_json writes."""
-        _object(d, "instance document")
+        """Read a format-2 document, the one to_json writes. n_users must
+        be the length of snr_db, which is checked before moi is built."""
+        d = _object(d, "instance document")
         fmt = d.get("format")
         if fmt != INSTANCE_FORMAT:
             raise ValueError(
@@ -166,9 +169,11 @@ class ProblemInstance:
         for key in ("n_users", "n_grids"):
             if not _all_numbers([d[key]], integers=True) or d[key] < 0:
                 raise ValueError(f"{key} must be a non-negative integer")
+        snr = tuple(_numbers(d["snr_db"], "snr_db"))
+        if len(snr) != d["n_users"]:
+            raise ValueError("snr_db length must match n_users")
         return cls(_moi_from_triplets(d["moi"], d["n_users"], d["n_grids"]),
-                   tuple(_numbers(d["snr_db"], "snr_db")),
-                   McsTable.from_json(d["mcs_table"]),
+                   snr, McsTable.from_json(d["mcs_table"]),
                    *_numbers([d["grid_bytes"], d["bandwidth_hz"], d["budget_s"]],
                              "grid_bytes, bandwidth_hz and budget_s"))
 
@@ -285,7 +290,11 @@ class MulticastPlan:
 
     @classmethod
     def from_json(cls, d: dict) -> "MulticastPlan":
-        _object(d, "plan document")
+        """Read the document to_json writes. n_grids is bounded only by
+        numpy's limits here; whether it matches an instance's grids is
+        checked where the instance is known, by evaluate_plan and
+        selection_from_plan."""
+        d = _object(d, "plan document")
         n_grids = d.get("n_grids")
         if not _all_numbers([n_grids], integers=True) or n_grids < 0:
             raise ValueError("plan n_grids must be a non-negative integer")

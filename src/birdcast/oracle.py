@@ -76,13 +76,13 @@ def _mckp(inst: ProblemInstance
         options = [(m, costs[m], row[m]) for m in fits if row[m] > row[m + 1]]
         if not options:
             continue
-        # (cost, value, slope from the previous point); slopes fall strictly
+        # (cost, value, slope from the previous point); slopes fall
+        # strictly, and costs rise strictly, so no slope divides by 0
         hull = [(0.0, 0.0, math.inf)]
         for _, cost, value in reversed(options):  # cheapest first
             while True:
                 prev_cost, prev_value, prev_slope = hull[-1]
-                slope = ((value - prev_value) / (cost - prev_cost)
-                         if cost > prev_cost else math.inf)
+                slope = (value - prev_value) / (cost - prev_cost)
                 if slope < prev_slope:
                     break
                 hull.pop()

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .channel import DEFAULT_MCS_TABLE, McsTable
+from .channel import DEFAULT_MCS_TABLE, McsTable, _item_costs
 from .instance import ProblemInstance
 from .moi import (
     GridMap,
@@ -126,8 +126,9 @@ class GenParams:
             raise ValueError("eta must be in (0, 1]")
         if self.window < 1:
             raise ValueError("window must be >= 1")
-        if self.grid_bytes <= 0 or self.bandwidth_hz <= 0 or self.budget_s <= 0:
-            raise ValueError("grid_bytes, bandwidth_hz, budget_s must be positive")
+        if self.budget_s <= 0:
+            raise ValueError("budget_s must be positive")
+        _item_costs(self.mcs, self.bandwidth_hz, self.grid_bytes)
 
 
 def snr_for_user(scene: Scene, user_index: int) -> float:

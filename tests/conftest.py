@@ -138,6 +138,10 @@ def _no_format(doc: dict) -> None:
     del doc["format"]
 
 
+def _no_snr(doc: dict) -> None:
+    del doc["snr_db"]
+
+
 def _dense_layout(doc: dict) -> None:
     dense = legacy_dense_doc(ProblemInstance.from_json(doc))
     doc.clear()
@@ -171,4 +175,14 @@ MALFORMED_INSTANCE_EDITS = {
     "scalar_moi": _set(5, "moi"),
     "scalar_moi_user": _set(5, "moi", "user"),
     "scalar_snr": _set(3.0, "snr_db"),
+    "no_snr": _no_snr,
+    # item costs of inf (a rate of 0 Hz) or of 0, and a weight whose
+    # gain per second is no float; each loads into a degenerate instance
+    # unless the costs and the interest scale are checked
+    "subnormal_bandwidth": _set(5e-324, "bandwidth_hz"),
+    "subnormal_grid_bytes": _set(5e-324, "grid_bytes"),
+    "huge_weight": _set(1e308, "moi", "value", 0),
+    # far more users than snr_db holds, which must fail before the N x L
+    # matrix (32 TiB) is allocated
+    "users_past_snr": _set(2 ** 40, "n_users"),
 }

@@ -124,20 +124,22 @@ def test_solve_oracle_on_fig1(tmp_path, capsys):
     assert run(["oracle", path]) == 1
 
 
-# plans of no groups: no grid is wanted, or no user decodes a rate
-EMPTY_PLAN_INSTANCES = {
+# plans of no groups (no grid is wanted, or no user decodes a rate), and a
+# budget so large that the number of items it pays for is no float
+EDGE_CASE_INSTANCES = {
     "no_objects": lambda: generate(GenParams(n_objects=0, seed=0))[1],
     "nobody_decodes": lambda: ProblemInstance(
         moi=np.array([[1.0, 0.5], [0.2, 0.0]]), snr_db=(0.0, 3.0),
         mcs=McsTable(rates=(1.0,), thresholds_db=(50.0,)), grid_bytes=1000.0,
         bandwidth_hz=1e6, budget_s=1.0),
+    "huge_budget": lambda: dataclasses.replace(fig1_instance(), budget_s=1e308),
 }
 
 
-@pytest.mark.parametrize("name", sorted(EMPTY_PLAN_INSTANCES))
+@pytest.mark.parametrize("name", sorted(EDGE_CASE_INSTANCES))
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
 def test_solved_plan_reads_back_with_its_utility(solver, name):
-    inst = EMPTY_PLAN_INSTANCES[name]()
+    inst = EDGE_CASE_INSTANCES[name]()
     res = SOLVERS[solver](inst)
     plan = MulticastPlan.from_json(json.loads(json.dumps(res.to_json()))["plan"])
     evaluation = evaluate_plan(inst, plan)

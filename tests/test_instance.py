@@ -287,6 +287,19 @@ def test_plan_member_outside_the_users_rejected(member):
         selection_from_plan(inst, plan)
 
 
+@pytest.mark.parametrize("n_grids", [0, 3, 10 ** 12])
+def test_plan_of_another_width_rejected(n_grids):
+    # from_json reads a plan of any width numpy can hold, 10**12 grids
+    # with no mask row included; the instance bounds it
+    inst = fig1_instance()
+    plan = MulticastPlan.from_json({"groups": [], "masks": [],
+                                    "n_grids": n_grids, "rate_bps": []})
+    with pytest.raises(ValueError, match="mask width"):
+        evaluate_plan(inst, plan)
+    with pytest.raises(ValueError, match="mask width"):
+        selection_from_plan(inst, plan)
+
+
 @pytest.mark.parametrize("member", [1.5, True, False])
 def test_plan_document_member_that_is_no_integer_rejected(member):
     doc = {"groups": [[0, member]], "masks": [[1, 0]], "n_grids": 2,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from birdcast import (
     broadcast_solve,
     dp_solve,
     exact_solve,
+    fig1_instance,
     generate,
     kmeanspp_solve,
     lp_bound,
@@ -53,6 +55,14 @@ def test_nothing_fits_gives_zero():
     res = exact_solve(inst)
     assert res.opt_utility == 0.0
     assert len(res.opt_selection) == 0
+
+
+def test_budget_that_pays_for_everything_sends_every_wanted_grid():
+    # 1e308 over the item costs is inf: the search must not count items
+    inst = dataclasses.replace(fig1_instance(), budget_s=1e308)
+    res = exact_solve(inst)
+    assert res.opt_utility == float(inst.moi.sum()) == 8.0
+    assert is_budget_feasible(inst, selection_cost(inst, res.opt_selection))
 
 
 def test_lp_bound_fills_hull_increments_by_slope():

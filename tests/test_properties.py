@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import copy
 import dataclasses
 import heapq
 import io
@@ -18,7 +19,9 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from birdcast import (  # noqa: E402
+    DEFAULT_MCS_TABLE,
     GenParams,
+    GridMap,
     McsTable,
     MulticastPlan,
     ProblemInstance,
@@ -26,6 +29,7 @@ from birdcast import (  # noqa: E402
     accelerated_greedy,
     evaluate_plan,
     exact_solve,
+    fig1_instance,
     generate,
     lp_bound,
     marginal_util_solve,
@@ -36,7 +40,12 @@ from birdcast import (  # noqa: E402
     utility,
 )
 from birdcast.baselines import _best_of, _joint_greedy, _result  # noqa: E402
-from birdcast.cli import main  # noqa: E402
+from birdcast.cli import (  # noqa: E402
+    SOLVERS,
+    _genparams_from_dict,
+    _genparams_to_dict,
+    main,
+)
 from birdcast.instance import (  # noqa: E402
     FEASIBILITY_RTOL,
     _canonical_plan,
@@ -539,3 +548,113 @@ def invalid_plan_docs(draw) -> dict:
 def test_invalid_plan_document_is_rejected(doc):
     with pytest.raises(ValueError):
         MulticastPlan.from_json(json.loads(json.dumps(doc)))
+
+
+# what a mutation may put in place of any node of a JSON document
+MUTANT_NODES = (None, True, False, 0, -1, 2 ** 63, 10 ** 30, 1e308, -1e308,
+                5e-324, math.nan, math.inf, -math.inf, "", "x", [], {})
+
+
+def json_nodes(tree, path=()):
+    """(path, node) of every node of a JSON tree, the root first."""
+    yield path, tree
+    children = (tree.items() if isinstance(tree, dict)
+                else enumerate(tree) if isinstance(tree, list) else ())
+    for key, child in children:
+        yield from json_nodes(child, (*path, key))
+
+
+@st.composite
+def mutated(draw, doc):
+    """A copy of the JSON tree doc with one node mutated: a key deleted, a
+    list entry duplicated or popped, or the node replaced by one of
+    MUTANT_NODES."""
+    doc = copy.deepcopy(doc)
+    path, node = draw(st.sampled_from(list(json_nodes(doc))))
+    kinds = ["replace"]
+    if node and isinstance(node, dict):
+        kinds.append("delete")
+    if node and isinstance(node, list):
+        kinds += ["duplicate", "pop"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "replace":
+        new = copy.deepcopy(draw(st.sampled_from(MUTANT_NODES)))
+        if not path:
+            return new
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = new
+    elif kind == "delete":
+        del node[draw(st.sampled_from(sorted(node)))]
+    else:
+        at = draw(st.integers(0, len(node) - 1))
+        if kind == "pop":
+            node.pop(at)
+        else:
+            node.insert(at, copy.deepcopy(node[at]))
+    return doc
+
+
+FIG1 = fig1_instance()
+FIG1_RESULT = accelerated_greedy(FIG1)
+
+# every reader of a JSON document: the reader, its writer and a valid
+# document to mutate
+READERS = {
+    "instance": (ProblemInstance.from_json, ProblemInstance.to_json,
+                 FIG1.to_json()),
+    "plan": (MulticastPlan.from_json, MulticastPlan.to_json,
+             FIG1_RESULT.plan.to_json()),
+    "selection": (Selection.from_json, Selection.to_json,
+                  FIG1_RESULT.selection.to_json()),
+    "grid_map": (GridMap.from_json, GridMap.to_json,
+                 GridMap(np.array([[0.0, 0.5, 1.0],
+                                   [0.25, -1.0, 2.0]])).to_json()),
+    "mcs_table": (McsTable.from_json, McsTable.to_json,
+                  DEFAULT_MCS_TABLE.to_json()),
+    "params": (_genparams_from_dict, _genparams_to_dict,
+               _genparams_to_dict(GenParams())),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                     database=None)
+@hypothesis.given(data=st.data())
+def test_mutated_document_is_rejected_or_reads_back(name, data):
+    # the reader raises ValueError, and nothing else, or what it read
+    # writes a document that reads back the same
+    read, write, valid = READERS[name]
+    doc = json.loads(json.dumps(data.draw(mutated(valid))))
+    try:
+        obj = read(doc)
+    except ValueError:
+        return
+    text = json.dumps(write(obj), sort_keys=True)
+    assert json.dumps(write(read(json.loads(text))), sort_keys=True) == text
+
+
+@hypothesis.settings(max_examples=25, deadline=None, derandomize=True,
+                     database=None)
+@hypothesis.given(mutated(FIG1.to_json()))
+# a rate of 0 Hz (5e-324 Hz times a rate below 1), item costs of 0, and a
+# budget that pays for more items than a float counts
+@hypothesis.example({**FIG1.to_json(), "bandwidth_hz": 5e-324,
+                     "mcs_table": DEFAULT_MCS_TABLE.to_json()})
+@hypothesis.example({**FIG1.to_json(), "grid_bytes": 5e-324})
+@hypothesis.example({**FIG1.to_json(), "budget_s": 1e308})
+def test_mutated_instance_file_solves_or_exits_1_with_an_error_line(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instance.json"
+        path.write_text(json.dumps(doc))
+        for solver in (*SOLVERS, "oracle"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main(["solve", str(path), "--solver", solver])
+            lines = err.getvalue().splitlines()
+            assert code == 0 or (code == 1 and len(lines) == 1
+                                 and lines[0].startswith("error:")), \
+                (solver, code, lines)
+            assert "Traceback" not in err.getvalue()

@@ -131,6 +131,11 @@ def test_genparams_validation():
     ({"extent": ()}, "extent: two numbers"),
     ({"n_objects": -3}, "n_objects: a count >= 0"),
     ({"n_occluders": -3}, "n_occluders: a count >= 0"),
+    # item costs of inf: a rate of 0 Hz, a rate times bandwidth so small
+    # that the payload over it overflows, and a payload that overflows
+    ({"bandwidth_hz": 5e-324}, "bandwidth_hz"),
+    ({"bandwidth_hz": 1e-310}, "bandwidth_hz"),
+    ({"grid_bytes": 1e308}, "grid_bytes"),
 ])
 def test_genparams_range_checks(fields, message):
     with pytest.raises(ValueError, match=message):
