@@ -127,8 +127,9 @@ def _item_costs(table: McsTable, bandwidth_hz: float,
     are valid: raises ValueError unless every time is finite, positive
     and below the one before. Positive values fail only where a quotient
     overflows to inf, or rounds to 0 or to its neighbour's value."""
-    # a rate of 0 Hz, which a subnormal bandwidth can round to, costs inf
-    costs = [BITS_PER_BYTE * grid_bytes / hz if hz else math.inf
+    # a rate that is not positive (a negative or NaN bandwidth, or a
+    # subnormal one rounded to 0 Hz) costs inf
+    costs = [BITS_PER_BYTE * grid_bytes / hz if hz > 0 else math.inf
              for hz in (bandwidth_hz * r for r in table.rates)]
     if not all(a > b for a, b in zip([math.inf, *costs], [*costs, 0.0])):
         raise ValueError("grid_bytes and bandwidth_hz give item costs that "
@@ -144,5 +145,6 @@ def item_cost(rate_index: int, table: McsTable, bandwidth_hz: float,
     _item_costs raises ValueError for a payload and bandwidth where not.
     """
     if not 0 <= rate_index < table.n_rates:
-        raise IndexError(f"rate_index {rate_index} not in [0, {table.n_rates})")
+        raise IndexError(f"rate_index {rate_index} out of range for table "
+                         f"with {table.n_rates} rates")
     return _item_costs(table, bandwidth_hz, grid_bytes)[rate_index]

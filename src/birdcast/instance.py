@@ -96,7 +96,8 @@ class ProblemInstance:
         one_hot = (top[:, None] == np.arange(m)[None, :]).astype(np.float64)
         table = np.zeros((moi.shape[1], m + 1), dtype=np.float64)
         with np.errstate(over="ignore"):  # an inf fails the check below
-            table[:, :m] = np.cumsum((moi.T @ one_hot)[:, ::-1], 1)[:, ::-1]
+            table[:, :m] = np.cumsum((moi.T @ one_hot)[:, ::-1],
+                                       axis=1)[:, ::-1]
             mass = float(table[:, 0].sum())
         # the interest scale (see the class docstring)
         step = min(a - b for a, b in zip(costs, [*costs[1:], 0.0]))
@@ -110,8 +111,9 @@ class ProblemInstance:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "snr_db", snr)
-        for name in ("grid_bytes", "bandwidth_hz", "budget_s"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "grid_bytes", float(self.grid_bytes))
+        object.__setattr__(self, "bandwidth_hz", float(self.bandwidth_hz))
+        object.__setattr__(self, "budget_s", float(self.budget_s))
 
     @property
     def n_users(self) -> int:

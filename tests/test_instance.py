@@ -616,6 +616,9 @@ def test_instance_rejects_bad_inputs():
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError):
             ProblemInstance(**{**good, "snr_db": (bad,)})
+    # a negative payload over a negative bandwidth gives positive costs
+    with pytest.raises(ValueError, match="bandwidth_hz"):
+        ProblemInstance(**{**good, "grid_bytes": -1600.0, "bandwidth_hz": -1e8})
 
 
 @pytest.mark.parametrize("doc", [[], None, "instance", 3.0])

@@ -136,6 +136,8 @@ def test_genparams_validation():
     ({"bandwidth_hz": 5e-324}, "bandwidth_hz"),
     ({"bandwidth_hz": 1e-310}, "bandwidth_hz"),
     ({"grid_bytes": 1e308}, "grid_bytes"),
+    # both negative: the payload over the rate is positive, but no rate is
+    ({"grid_bytes": -1600.0, "bandwidth_hz": -1e8}, "bandwidth_hz"),
 ])
 def test_genparams_range_checks(fields, message):
     with pytest.raises(ValueError, match=message):
