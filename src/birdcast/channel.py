@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 
@@ -66,10 +67,17 @@ class McsTable:
 def _all_numbers(values: list, integers: bool = False) -> bool:
     """Whether every entry of values, a list read from JSON, is a number
     (an integer when `integers`); a JSON true or false, which float() and
-    numpy read as 1 or 0, is neither. Ranges are the caller's to check."""
+    numpy read as 1 or 0, is neither. Unless integers are asked for, an
+    integer beyond the largest float, on which float() overflows, is no
+    number either. Ranges are the caller's to check."""
     kind = numbers.Integral if integers else numbers.Real
     types = set(map(type, values))  # one pass; numpy scalars are numbers too
-    return bool not in types and all(issubclass(t, kind) for t in types)
+    if bool in types or not all(issubclass(t, kind) for t in types):
+        return False
+    # only a Python int outgrows a float; a float list skips the check
+    return (integers or int not in types
+            or all(abs(v) <= sys.float_info.max for v in values
+                   if type(v) is int))
 
 
 def _array(value, name: str) -> list:
@@ -102,8 +110,9 @@ def _numbers(values: list, name: str, integers: bool = False) -> list:
     pass _all_numbers."""
     if not _all_numbers(_array(values, name), integers):
         bad = next(v for v in values if not _all_numbers([v], integers))
-        raise ValueError(f"{name}: {'integers' if integers else 'numbers'} "
-                         f"only, not {bad!r}")
+        kind = ("integers" if integers else "numbers within float range"
+                if type(bad) is int else "numbers")
+        raise ValueError(f"{name}: {kind} only, not {bad!r}")
     return values
 
 

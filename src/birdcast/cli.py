@@ -8,8 +8,9 @@ schemes' utilities on it).
 
 Exit codes: 0 success; 1 usage error or invalid input, such as an
 instance file that is not valid JSON, lacks a key or holds an invalid
-value; 2 runtime failure, such as an unreadable file or an instance whose
-exact search needs more nodes than the oracle's cap, ENUMERATION_CAP.
+value; 2 runtime failure, such as an unreadable file, running out of
+memory or an instance whose exact search needs more nodes than the
+oracle's cap, ENUMERATION_CAP.
 """
 
 from __future__ import annotations
@@ -59,6 +60,10 @@ SWEEP_VARIABLES = tuple(_SWEEP_FIELDS)
 
 CSV_COLUMNS = ("solver", "variable", "value", "seed", "utility",
                "latency_s", "wall_time_s", "gain_evaluations", "feasible")
+
+# the most cells, (value, repetition) pairs, a sweep spec may ask for; the
+# cells are built, and their rows held, before the CSV is written
+MAX_SWEEP_CELLS = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,30 +117,20 @@ def _read_gen_params(args, **fields) -> GenParams:
     return _genparams_from_dict(d)
 
 
-def _add_gen_flags(sub: argparse.ArgumentParser) -> None:
+def _add_params_flags(sub: argparse.ArgumentParser) -> None:
+    """The flags that _read_gen_params reads."""
     sub.add_argument("--params", help="JSON file of generator parameters")
-    sub.add_argument("--n-users", type=int, dest="n_users")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--grid-h", type=int, dest="grid_h")
-    sub.add_argument("--grid-w", type=int, dest="grid_w")
     sub.add_argument("--budget-ms", type=float, dest="budget_ms")
     sub.add_argument("--bandwidth-mhz", type=float, dest="bandwidth_mhz")
-    sub.add_argument("--eta", type=float)
-    sub.add_argument("--window", type=int)
-    sub.add_argument("--grid-bytes", type=float, dest="grid_bytes")
-    sub.add_argument("--extent", type=float, help="square map side (meters)")
-    sub.add_argument("--n-objects", type=int, dest="n_objects")
-    sub.add_argument("--n-occluders", type=int, dest="n_occluders")
 
 
 def cmd_gen(args) -> int:
-    flags = ("n_users", "seed", "grid_h", "grid_w", "eta", "window",
-             "grid_bytes", "n_objects", "n_occluders")
-    fields = {k: getattr(args, k) for k in flags
-              if getattr(args, k) is not None}
+    # each other gen flag is named after the GenParams field it sets
+    flags = {f.name: getattr(args, f.name) for f in fields(GenParams)
+             if getattr(args, f.name, None) is not None}
     if args.extent is not None:
-        fields["extent"] = (args.extent, args.extent)
-    params = _read_gen_params(args, **fields)
+        flags["extent"] = (args.extent, args.extent)
+    params = _read_gen_params(args, **flags)
     scene, inst = generate(params)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -152,16 +147,13 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _load_instance(path: str) -> ProblemInstance:
-    return ProblemInstance.from_json(json.loads(Path(path).read_text()))
-
-
 def cmd_solve(args) -> int:
     solvers = {**SOLVERS, "oracle": exact_solve}
     if args.solver not in solvers:
         raise ValueError(f"unknown solver '{args.solver}'; available: "
                          f"{', '.join(sorted(solvers))}")
-    result = solvers[args.solver](_load_instance(args.instance))
+    doc = json.loads(Path(args.instance).read_text())
+    result = solvers[args.solver](ProblemInstance.from_json(doc))
     print(_dump({"solver": args.solver, **result.to_json()}))
     return 0
 
@@ -192,35 +184,31 @@ def _apply_sweep_value(params: GenParams, variable: str,
     return replace(params, **{name: value})
 
 
-def _run_sweep_cell(payload: tuple) -> list[dict]:
-    """One (value, seed) cell: generate once, run every requested solver."""
-    params, variable, value, solver_ids = payload
-    cell = {"variable": variable, "value": value, "seed": params.seed}
+def _run_scene(params: GenParams, solver_ids: list[str]) -> list[dict]:
+    """Generate the scene of params once and run each solver on it, in
+    order: one row per solver, holding an `error` where it failed."""
+    rows = [{"solver": s, "seed": params.seed} for s in solver_ids]
     try:
         _, inst = generate(params)
-    except Exception as exc:  # cell-level failure: report every solver row
-        return [{"solver": s, **cell, "error": str(exc)} for s in solver_ids]
-    rows = []
-    for solver_id in solver_ids:
-        row = {"solver": solver_id, **cell}
+    except Exception as exc:  # scene-level failure: every solver row fails
+        return [{**row, "feasible": False, "error": str(exc)} for row in rows]
+    for row in rows:
         try:
-            res = SOLVERS[solver_id](inst)
+            res = SOLVERS[row["solver"]](inst)
             row.update(utility=res.utility, latency_s=res.latency_s,
                        wall_time_s=res.wall_time_s,
                        gain_evaluations=res.gain_evaluations,
                        feasible=evaluate_plan(inst, res.plan).feasible)
         except Exception as exc:
-            row["error"] = str(exc)
-        rows.append(row)
+            row.update(feasible=False, error=str(exc))
     return rows
 
 
-def cmd_sweep(args) -> int:
-    import concurrent.futures
-    import csv
-
-    jobs = _count(args.jobs, "--jobs")
-    spec = _object(json.loads(Path(args.spec).read_text()), "spec")
+def _sweep_cells(spec) -> tuple[str, list[str], list[tuple]]:
+    """The swept variable, the solver ids and the (value, params) cells of
+    a sweep spec read from JSON, one cell per value and repetition, in that
+    order; raises ValueError for an invalid spec."""
+    spec = _object(spec, "spec")
     variable = spec["variable"]
     if variable not in SWEEP_VARIABLES:
         raise ValueError(f"variable must be one of {SWEEP_VARIABLES}")
@@ -240,54 +228,61 @@ def cmd_sweep(args) -> int:
     reps = _count(spec.get("repetitions", 1), "repetitions")
     [base_seed] = _numbers([spec.get("seed", 0)], "seed", integers=True)
     base = _genparams_from_dict(spec.get("params", {}))
-    cells = [
-        (_apply_sweep_value(replace(base, seed=base_seed + rep), variable,
-                            value), variable, value, solver_ids)
+    if len(values) * reps > MAX_SWEEP_CELLS:
+        raise ValueError(f"a sweep runs at most {MAX_SWEEP_CELLS} cells "
+                         "(values times repetitions)")
+    return variable, solver_ids, [
+        (value, _apply_sweep_value(replace(base, seed=base_seed + rep),
+                                   variable, value))
         for value in values
         for rep in range(reps)
     ]
+
+
+def cmd_sweep(args) -> int:
+    import concurrent.futures
+    import csv
+
+    jobs = _count(args.jobs, "--jobs")
+    variable, solver_ids, cells = _sweep_cells(
+        json.loads(Path(args.spec).read_text()))
+    scenes = [params for _, params in cells]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            cell_rows = list(pool.map(_run_sweep_cell, cells))
+            cell_rows = list(pool.map(_run_scene, scenes,
+                                      [solver_ids] * len(scenes)))
     else:
-        cell_rows = [_run_sweep_cell(cell) for cell in cells]
-    rows = [row for rows_ in cell_rows for row in rows_]
+        cell_rows = [_run_scene(params, solver_ids) for params in scenes]
+    rows = [{**row, "variable": variable, "value": value}
+            for (value, _), rows_ in zip(cells, cell_rows) for row in rows_]
     rows.sort(key=lambda r: (r["solver"], r["value"], r["seed"]))
 
     out = Path(args.out)
     with out.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
+        writer = csv.DictWriter(fh, CSV_COLUMNS, restval="",
+                                extrasaction="ignore")
+        writer.writeheader()
         for r in rows:
             if "error" in r:
                 print(f"sweep cell failed: {r['solver']} {variable}="
                       f"{r['value']} seed={r['seed']}: {r['error']}",
                       file=sys.stderr)
-                writer.writerow([r["solver"], variable, r["value"], r["seed"],
-                                 "", "", "", "", False])
-            else:
-                writer.writerow([r["solver"], variable, r["value"], r["seed"],
-                                 repr(r["utility"]), repr(r["latency_s"]),
-                                 repr(r["wall_time_s"]),
-                                 r["gain_evaluations"], r["feasible"]])
+            writer.writerow(r)
 
     reference = next((s for s in ("birdcast", "birdcast_accel")
                       if s in solver_ids), None)
     summary = {"variable": variable, "orderings": []}
-    if reference:
-        ref = {(r["value"], r["seed"]): r["utility"]
-               for r in rows if r["solver"] == reference and "error" not in r}
-        for r in rows:
-            if r["solver"] == reference or "error" in r:
-                continue
-            key = (r["value"], r["seed"])
-            if key in ref:
-                summary["orderings"].append({
-                    "value": r["value"], "seed": r["seed"],
-                    "solver": r["solver"], "utility": r["utility"],
-                    f"{reference}_utility": ref[key],
-                    "reference_ge": ref[key] >= r["utility"],
-                })
+    ref = {(r["value"], r["seed"]): r["utility"]
+           for r in rows if r["solver"] == reference and "error" not in r}
+    for r in rows:
+        key = (r["value"], r["seed"])
+        if r["solver"] != reference and "error" not in r and key in ref:
+            summary["orderings"].append({
+                "value": r["value"], "seed": r["seed"],
+                "solver": r["solver"], "utility": r["utility"],
+                f"{reference}_utility": ref[key],
+                "reference_ge": ref[key] >= r["utility"],
+            })
     summary_path = out.with_suffix(out.suffix + ".summary.json")
     summary_path.write_text(_dump(summary))
     print(f"wrote {out} ({len(rows)} rows) and {summary_path}")
@@ -312,29 +307,26 @@ def cmd_bench(args) -> int:
     n_grids_list = _sizes(args.n_grids, "--n-grids")
     _count(args.reps, "--reps")
     base = _read_gen_params(args)
+    solver_ids = ["birdcast", "birdcast_accel"]
     rows = []
     for n_users in n_users_list:
         for n_grids in n_grids_list:
             sized = _apply_sweep_value(
                 _apply_sweep_value(base, "n_users", n_users),
                 "n_grids", n_grids)
-            samples: dict[str, dict[str, list[float]]] = {
-                s: {"wall": [], "evals": []} for s in ("birdcast",
-                                                       "birdcast_accel")}
-            for rep in range(args.reps):
-                _, inst = generate(replace(sized, seed=args.seed + rep))
-                for solver_id in ("birdcast", "birdcast_accel"):
-                    res = SOLVERS[solver_id](inst)
-                    samples[solver_id]["wall"].append(res.wall_time_s)
-                    samples[solver_id]["evals"].append(res.gain_evaluations)
-            for solver_id, data in samples.items():
-                rows.append([
-                    solver_id, int(n_users), int(n_grids),
-                    repr(statistics.median(data["wall"])),
-                    repr(float(np.percentile(data["wall"], 95))),
-                    int(statistics.median(data["evals"])),
-                    int(np.percentile(data["evals"], 95)),
-                ])
+            runs = [row for rep in range(args.reps) for row in _run_scene(
+                replace(sized, seed=args.seed + rep), solver_ids)]
+            failed = next((r for r in runs if "error" in r), None)
+            if failed:
+                raise ValueError(failed["error"])
+            for solver_id in solver_ids:
+                wall, evals = zip(*((r["wall_time_s"], r["gain_evaluations"])
+                                    for r in runs if r["solver"] == solver_id))
+                rows.append([solver_id, int(n_users), int(n_grids),
+                             statistics.median(wall),
+                             float(np.percentile(wall, 95)),
+                             int(statistics.median(evals)),
+                             int(np.percentile(evals, 95))])
     with (contextlib.nullcontext(sys.stdout) if args.out == "-"
           else Path(args.out).open("w", newline="")) as fh:
         writer = csv.writer(fh)
@@ -346,17 +338,10 @@ def cmd_bench(args) -> int:
 
 def cmd_fig1(args) -> int:
     inst = fig1_instance()
-    doc = {
-        "instance": inst.to_json(),
-        "results": {
-            "oracle": exact_solve(inst).opt_utility,
-            "birdcast": refined_greedy(inst).utility,
-            "birdcast_accel": accelerated_greedy(inst).utility,
-            "broadcast": broadcast_solve(inst).utility,
-            "unicast": unicast_solve(inst).utility,
-        },
-    }
-    text = _dump(doc)
+    results = {s: SOLVERS[s](inst).utility for s in (
+        "birdcast", "birdcast_accel", "broadcast", "unicast")}
+    results["oracle"] = exact_solve(inst).opt_utility
+    text = _dump({"instance": inst.to_json(), "results": results})
     if args.out:
         Path(args.out).write_text(text)
         print(f"wrote {args.out}")
@@ -371,7 +356,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a synthetic scene + instance")
-    _add_gen_flags(p_gen)
+    _add_params_flags(p_gen)
+    p_gen.add_argument("--n-users", type=int, dest="n_users")
+    p_gen.add_argument("--seed", type=int)
+    p_gen.add_argument("--grid-h", type=int, dest="grid_h")
+    p_gen.add_argument("--grid-w", type=int, dest="grid_w")
+    p_gen.add_argument("--eta", type=float)
+    p_gen.add_argument("--window", type=int)
+    p_gen.add_argument("--grid-bytes", type=float, dest="grid_bytes")
+    p_gen.add_argument("--extent", type=float, help="square map side (meters)")
+    p_gen.add_argument("--n-objects", type=int, dest="n_objects")
+    p_gen.add_argument("--n-occluders", type=int, dest="n_occluders")
     p_gen.add_argument("--out", required=True, help="output directory")
     p_gen.set_defaults(func=cmd_gen)
 
@@ -393,9 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated grid counts")
     p_bench.add_argument("--reps", type=int, default=5)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--params", help="JSON file of generator parameters")
-    p_bench.add_argument("--budget-ms", type=float, dest="budget_ms")
-    p_bench.add_argument("--bandwidth-mhz", type=float, dest="bandwidth_mhz")
+    _add_params_flags(p_bench)
     p_bench.add_argument("--out", default="-", help="CSV path or - for stdout")
     p_bench.set_defaults(func=cmd_bench)
 
@@ -421,7 +414,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         print(f"error: {exc!r}", file=sys.stderr)
         return 2
 

@@ -266,14 +266,17 @@ def _two_pass_greedy(inst: ProblemInstance,
         _, pass_evals, _ = run_pass(table, costs, rate,
                                     budget_left + reclaimed, unwanted=unwanted)
         evals += pass_evals
-    if len(rate) < inst.n_grids:  # some grid is idle: scatter back
-        rate, active_rate = np.full(inst.n_grids, inst.n_rates), rate
-        rate[inst.active] = active_rate
-    rate = np.asarray(rate)
+    rate, active_rate = np.full(inst.n_grids, inst.n_rates), rate
+    rate[inst.active] = active_rate
     value = _rates_utility(inst, rate)
     single, single_value = best_single_item(inst)
     if single is not None and single_value > value:
-        rate, value = _single_item_rates(inst, single), single_value
+        # send the grid at the slowest top rate of the users it reaches:
+        # the same users, at no more cost than the item's own rate
+        l, m = single
+        reached = inst.top_rate[(inst.moi[:, l] > 0) & (inst.top_rate >= m)]
+        rate = _single_item_rates(inst, (l, int(reached.min())))
+        value = single_value
     return _result_from_rates(inst, rate, evals, t0, value)
 
 

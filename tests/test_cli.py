@@ -25,7 +25,7 @@ from birdcast import (
     generate,
 )
 from birdcast import oracle
-from birdcast.cli import CSV_COLUMNS, SOLVERS, main
+from birdcast.cli import CSV_COLUMNS, MAX_SWEEP_CELLS, SOLVERS, main
 
 from conftest import (
     MALFORMED_INSTANCE_EDITS,
@@ -324,6 +324,18 @@ def test_gen_and_solve_children_import_only_what_they_run(tmp_path):
 def test_missing_instance_file(capsys):
     assert run(["solve", "/nonexistent/instance.json",
                 "--solver", "birdcast"]) == 2
+
+
+def test_running_out_of_memory_is_a_runtime_failure(tmp_path, capsys,
+                                                    monkeypatch):
+    # an n_grids of 2**40 asks from_json for a 32 TiB matrix
+    def out_of_memory(doc):
+        raise MemoryError("Unable to allocate 32.0 TiB")
+
+    monkeypatch.setattr(ProblemInstance, "from_json", out_of_memory)
+    assert run(["solve", write_fig1(tmp_path), "--solver", "birdcast"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: MemoryError('Unable to allocate 32.0 TiB')\n"
 
 
 def test_truncated_instance_file_is_invalid_input(tmp_path, capsys):
@@ -703,6 +715,42 @@ def test_sweep_rejects_a_repetition_count_that_is_no_count(
     assert run(["sweep", "--spec", write_spec(tmp_path, spec),
                 "--out", str(tmp_path / "x.csv")]) == 1
     assert capsys.readouterr().err.startswith("error: repetitions")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def raising_generate(params: GenParams):
+    raise RuntimeError("scene broke")
+
+
+@pytest.mark.parametrize("name, broken, message", [
+    ("SOLVERS", {**SOLVERS, "birdcast_accel": raising_solve}, "solver broke"),
+    ("generate", raising_generate, "scene broke")])
+def test_bench_exits_1_with_one_line_when_a_scene_or_solve_fails(
+        tmp_path, capsys, monkeypatch, name, broken, message):
+    from birdcast import cli
+
+    monkeypatch.setattr(cli, name, broken)
+    assert run(["bench", "--n-users", "3", "--n-grids", "20", "--reps", "2",
+                "--params", write_spec(tmp_path, {"grid_w": 10}),
+                "--out", str(tmp_path / "b.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "b.csv").exists()
+
+
+@pytest.mark.parametrize("repetitions", [MAX_SWEEP_CELLS // 2 + 1, 2 ** 63,
+                                         1e30])
+def test_sweep_rejects_more_cells_than_it_can_hold(tmp_path, capsys,
+                                                   repetitions):
+    # two values: each repetition is two cells, and the cells, each a
+    # scene, are built before any runs
+    spec = {"variable": "budget", "values": [0.002, 0.004],
+            "params": {"n_users": 3, "grid_h": 2, "grid_w": 10},
+            "solvers": ["unicast"], "repetitions": repetitions}
+    assert run(["sweep", "--spec", write_spec(tmp_path, spec),
+                "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: a sweep runs at most {MAX_SWEEP_CELLS} cells (values times "
+        "repetitions)\n")
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -42,8 +42,10 @@ from birdcast import (  # noqa: E402
 from birdcast.baselines import _best_of, _joint_greedy, _result  # noqa: E402
 from birdcast.cli import (  # noqa: E402
     SOLVERS,
+    SWEEP_VARIABLES,
     _genparams_from_dict,
     _genparams_to_dict,
+    _sweep_cells,
     main,
 )
 from birdcast.instance import (  # noqa: E402
@@ -349,7 +351,11 @@ def two_pass_reference(inst, run_pass):
     if singles:
         best = max(value for value, _ in singles)
         if best > utility(inst, sel):
-            sel = Selection.from_pairs([min(e for v, e in singles if v == best)])
+            # sent at the slowest top rate of the users the item reaches
+            l, m = min(e for v, e in singles if v == best)
+            top = min(int(inst.top_rate[n]) for n in range(inst.n_users)
+                      if inst.moi[n, l] > 0 and inst.top_rate[n] >= m)
+            sel = Selection.from_pairs([(l, top)])
     return sel, evals
 
 
@@ -551,8 +557,9 @@ def test_invalid_plan_document_is_rejected(doc):
 
 
 # what a mutation may put in place of any node of a JSON document
-MUTANT_NODES = (None, True, False, 0, -1, 2 ** 63, 10 ** 30, 1e308, -1e308,
-                5e-324, math.nan, math.inf, -math.inf, "", "x", [], {})
+MUTANT_NODES = (None, True, False, 0, -1, 2 ** 63, 10 ** 30, 10 ** 400, 1e308,
+                -1e308, 5e-324, math.nan, math.inf, -math.inf, "", "x", [],
+                {})
 
 
 def json_nodes(tree, path=()):
@@ -635,15 +642,40 @@ def test_mutated_document_is_rejected_or_reads_back(name, data):
     assert json.dumps(write(read(json.loads(text))), sort_keys=True) == text
 
 
+SWEEP_SPEC = {"variable": "n_grids", "values": [20, 40],
+              "solvers": ["birdcast", "unicast"], "repetitions": 2, "seed": 3,
+              "params": {"n_users": 3, "grid_w": 10, "budget_s": 0.002}}
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                     database=None)
+@hypothesis.given(mutated(SWEEP_SPEC))
+@hypothesis.example({**SWEEP_SPEC, "repetitions": 2 ** 63})
+def test_mutated_sweep_spec_is_rejected_or_read_as_cells(doc):
+    # the spec reader raises ValueError, and nothing else, or returns one
+    # cell per value and repetition; no writer exists to read back
+    doc = json.loads(json.dumps(doc))
+    try:
+        variable, solver_ids, cells = _sweep_cells(doc)
+    except ValueError:
+        return
+    assert variable in SWEEP_VARIABLES and set(solver_ids) <= set(SOLVERS)
+    assert len(cells) == len(doc["values"]) * int(doc.get("repetitions", 1))
+    for value, params in cells:
+        assert value in doc["values"] and isinstance(params, GenParams)
+
+
 @hypothesis.settings(max_examples=25, deadline=None, derandomize=True,
                      database=None)
 @hypothesis.given(mutated(FIG1.to_json()))
-# a rate of 0 Hz (5e-324 Hz times a rate below 1), item costs of 0, and a
-# budget that pays for more items than a float counts
+# a rate of 0 Hz (5e-324 Hz times a rate below 1), item costs of 0, a
+# budget that pays for more items than a float counts, and one that no
+# float holds
 @hypothesis.example({**FIG1.to_json(), "bandwidth_hz": 5e-324,
                      "mcs_table": DEFAULT_MCS_TABLE.to_json()})
 @hypothesis.example({**FIG1.to_json(), "grid_bytes": 5e-324})
 @hypothesis.example({**FIG1.to_json(), "budget_s": 1e308})
+@hypothesis.example({**FIG1.to_json(), "budget_s": 10 ** 400})
 def test_mutated_instance_file_solves_or_exits_1_with_an_error_line(doc):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "instance.json"

@@ -20,6 +20,7 @@ from birdcast import (
     marginal_util_solve,
     refined_greedy,
     selection_cost,
+    selection_from_plan,
     utility,
 )
 
@@ -144,6 +145,22 @@ def test_best_single_item_exhaustive_random():
         assert all(value >= v for v, _ in scan)
         # tie-break: lowest (grid, rate) among the maximizers
         assert item == min(e for v, e in scan if v == best_val)
+
+
+def test_single_item_fallback_sends_at_the_rate_its_plan_reads_back():
+    # (0, 0), worth 0.2 + 0.9, beats the passes' (0, 3), worth 0.9; user 0
+    # tops out at rate 1, so the grid reaches the same users at rate 1
+    table = McsTable(rates=(1.0, 1.1, 2.0, 4.0),
+                     thresholds_db=(0.0, 10.0, 20.0, 30.0))
+    inst = ProblemInstance(moi=np.array([[0.2], [0.9], [0.0]]),
+                           snr_db=(10.0, 30.0, 10.0), mcs=table,
+                           grid_bytes=1000.0, bandwidth_hz=1e6, budget_s=0.009)
+    assert exact_solve(inst).opt_selection == Selection.from_pairs([(0, 1)])
+    for solve in (refined_greedy, accelerated_greedy):
+        res = solve(inst)
+        assert res.selection == Selection.from_pairs([(0, 1)])
+        assert selection_from_plan(inst, res.plan) == res.selection
+        assert res.latency_s == selection_cost(inst, res.selection)
 
 
 def test_lazy_equals_standard_small_random():
