@@ -196,7 +196,7 @@ def marginal_util_solve(inst: ProblemInstance) -> SolveResult:
 
 def _joint_greedy(inst: ProblemInstance, groups: list[np.ndarray],
                   rate_idx: list[int],
-                  moi: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+                  moi: np.ndarray) -> tuple[np.ndarray, int]:
     """Greedy (grid, group) allocation for disjoint groups.
 
     Each step sends the affordable item of highest uncovered member weight
@@ -208,16 +208,14 @@ def _joint_greedy(inst: ProblemInstance, groups: list[np.ndarray],
     only for a subnormal weight over a cost above one second. The groups
     hold users that decode a rate, so only the active grids can have
     positive weight, and only they are ranked: moi is inst.moi's active
-    columns, taken here unless the caller has them. Each step counts the
-    affordable groups times L gain evaluations, and so does the closing
-    step that finds nothing left to send.
+    columns. Each step counts the affordable groups times L gain
+    evaluations, and so does the closing step that finds nothing left to
+    send.
     """
     n_groups = len(groups)
     masks = np.zeros((n_groups, inst.n_grids), dtype=bool)
     if not n_groups:
         return masks, 0
-    if moi is None:
-        moi = inst.moi.take(inst.active, axis=1)
     uncovered = np.stack([moi[g].sum(axis=0) for g in groups], axis=1)
     costs = inst.item_cost_s[rate_idx]
     ratios = (uncovered / costs[None, :]).ravel()

@@ -159,10 +159,12 @@ def cmd_solve(args) -> int:
 
 
 def _count(value, name: str) -> int:
-    """value as a count of at least 1; a fraction, a JSON true or false,
-    or anything below 1 is invalid input."""
+    """value as a count of at least 1, an integer of any size or a whole
+    float; a fraction, a JSON true or false, or anything below 1 is
+    invalid input."""
     # a whole float such as 2.0 counts; inf % 1 and nan % 1 are nan
-    if not (_all_numbers([value]) and value % 1 == 0 and value >= 1):
+    if not ((_all_numbers([value], integers=True)
+             or _all_numbers([value]) and value % 1 == 0) and value >= 1):
         raise ValueError(f"{name} must be a whole number >= 1, not {value!r}")
     return int(value)
 
@@ -247,8 +249,10 @@ def cmd_sweep(args) -> int:
     variable, solver_ids, cells = _sweep_cells(
         json.loads(Path(args.spec).read_text()))
     scenes = [params for _, params in cells]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool starts all its workers at the first submit, so it gets no
+    # more than there are cells
+    if (workers := min(jobs, len(scenes))) > 1:
+        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
             cell_rows = list(pool.map(_run_scene, scenes,
                                       [solver_ids] * len(scenes)))
     else:
@@ -357,16 +361,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a synthetic scene + instance")
     _add_params_flags(p_gen)
-    p_gen.add_argument("--n-users", type=int, dest="n_users")
-    p_gen.add_argument("--seed", type=int)
-    p_gen.add_argument("--grid-h", type=int, dest="grid_h")
-    p_gen.add_argument("--grid-w", type=int, dest="grid_w")
-    p_gen.add_argument("--eta", type=float)
-    p_gen.add_argument("--window", type=int)
-    p_gen.add_argument("--grid-bytes", type=float, dest="grid_bytes")
+    # one flag per GenParams field, each an int or a float, but the two
+    # that _add_params_flags sets in other units and the two that are no
+    # single number
+    for f in fields(GenParams):
+        if f.name not in ("budget_s", "bandwidth_hz", "mcs", "extent"):
+            p_gen.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                               type=int if f.type == "int" else float)
     p_gen.add_argument("--extent", type=float, help="square map side (meters)")
-    p_gen.add_argument("--n-objects", type=int, dest="n_objects")
-    p_gen.add_argument("--n-occluders", type=int, dest="n_occluders")
     p_gen.add_argument("--out", required=True, help="output directory")
     p_gen.set_defaults(func=cmd_gen)
 

@@ -26,6 +26,12 @@ FEASIBILITY_RTOL = 1e-9
 # only one ProblemInstance.from_json reads.
 INSTANCE_FORMAT = 2
 
+# The most cells, n_grids * max(n_users, n_rates + 1), of an instance
+# ProblemInstance.from_json builds: the N x L interest matrix and the
+# L x (M + 1) rate-class table are its largest arrays, 1 GiB each at this
+# cap, 131 times the cells of N=256, L=4000 (1,024,000).
+MAX_INSTANCE_CELLS = 2 ** 27
+
 Item = tuple[int, int]
 
 
@@ -72,6 +78,13 @@ class ProblemInstance:
     # its picks back through active.
     active: np.ndarray = field(init=False, repr=False, compare=False)
     active_table: np.ndarray = field(init=False, repr=False, compare=False)
+    # the canonical multicast groups: groups[k] holds the users that decode
+    # rate k, ascending, as Python ints, and group_rate[k] is its slowest
+    # member's top rate (k when the group is empty), the rate index at
+    # which every selection-based plan sends it
+    groups: tuple[tuple[int, ...], ...] = field(init=False, repr=False,
+                                                compare=False)
+    group_rate: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         moi = np.ascontiguousarray(np.asarray(self.moi, dtype=np.float64))
@@ -104,6 +117,18 @@ class ProblemInstance:
         if not math.isfinite(mass / step):
             raise ValueError(f"moi weight sum {mass!r} too large for the item costs")
         active = np.flatnonzero(table[:, 0] > 0.0)
+        # one nonzero over the rate-major decodability lists each group's
+        # users in order
+        ks, users = np.nonzero(np.arange(m)[:, None] <= top[None, :])
+        bounds = np.searchsorted(ks, np.arange(m + 1)).tolist()
+        users = users.tolist()
+        groups = tuple(tuple(users[a:b]) for a, b in zip(bounds, bounds[1:]))
+        # the groups are nested, so group k's slowest member tops out at k
+        # unless group k + 1 holds the same users
+        group_rate = list(range(m))
+        for k in reversed(range(m - 1)):
+            if groups[k] and len(groups[k]) == len(groups[k + 1]):
+                group_rate[k] = group_rate[k + 1]
         arrays = {"moi": moi, "item_cost_s": np.array(costs), "top_rate": top,
                   "rate_class_table": table, "active": active,
                   "active_table": table[active]}
@@ -111,9 +136,10 @@ class ProblemInstance:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "snr_db", snr)
-        object.__setattr__(self, "grid_bytes", float(self.grid_bytes))
-        object.__setattr__(self, "bandwidth_hz", float(self.bandwidth_hz))
-        object.__setattr__(self, "budget_s", float(self.budget_s))
+        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "group_rate", tuple(group_rate))
+        for name in ("grid_bytes", "bandwidth_hz", "budget_s"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     @property
     def n_users(self) -> int:
@@ -133,11 +159,9 @@ class ProblemInstance:
 
     def user_max_rate_bps(self) -> np.ndarray:
         """Maximum achievable data rate per user (0 when out of range)."""
-        rates = np.asarray(self.mcs.rates)
-        out = np.zeros(self.n_users, dtype=np.float64)
-        ok = self.top_rate >= 0
-        out[ok] = self.bandwidth_hz * rates[self.top_rate[ok]]
-        return out
+        # a top rate of -1 reads the trailing 0
+        rates = np.array([*self.mcs.rates, 0.0])
+        return self.bandwidth_hz * rates[self.top_rate]
 
     def to_json(self) -> dict:
         """Format-2 document: moi as sparse (user, grid, value) triplets in
@@ -160,7 +184,8 @@ class ProblemInstance:
     @classmethod
     def from_json(cls, d: dict) -> "ProblemInstance":
         """Read a format-2 document, the one to_json writes. n_users must
-        be the length of snr_db, which is checked before moi is built."""
+        be the length of snr_db, and the instance no larger than
+        MAX_INSTANCE_CELLS, which are checked before moi is built."""
         d = _object(d, "instance document")
         fmt = d.get("format")
         if fmt != INSTANCE_FORMAT:
@@ -174,10 +199,14 @@ class ProblemInstance:
         snr = tuple(_numbers(d["snr_db"], "snr_db"))
         if len(snr) != d["n_users"]:
             raise ValueError("snr_db length must match n_users")
+        mcs = McsTable.from_json(d["mcs_table"])
+        cells = d["n_grids"] * max(d["n_users"], mcs.n_rates + 1)
+        if cells > MAX_INSTANCE_CELLS:
+            raise ValueError(f"n_grids: {cells} cells, n_grids times max(n_users, "
+                             f"n_rates + 1); the most is {MAX_INSTANCE_CELLS}")
         return cls(_moi_from_triplets(d["moi"], d["n_users"], d["n_grids"]),
-                   snr, McsTable.from_json(d["mcs_table"]),
-                   *_numbers([d["grid_bytes"], d["bandwidth_hz"], d["budget_s"]],
-                             "grid_bytes, bandwidth_hz and budget_s"))
+                   snr, mcs, *(_numbers([d[key]], key)[0] for key in
+                               ("grid_bytes", "bandwidth_hz", "budget_s")))
 
 
 def _moi_from_triplets(triplets: dict, n_users: int,
@@ -391,27 +420,19 @@ def _canonical_plan(inst: ProblemInstance, masks: np.ndarray,
     if not is_budget_feasible(inst, cost_s):
         raise ValueError(f"selection cost {cost_s:.6g}s exceeds budget "
                          f"{inst.budget_s:.6g}s")
-    # one nonzero over the rate-major decodability lists each group's users
-    # in order; as Python ints they are cheap for MulticastPlan to sort
-    decodes = np.arange(inst.n_rates)[:, None] <= inst.top_rate[None, :]
-    ks, users = np.nonzero(decodes)
-    bounds = np.searchsorted(ks, np.arange(inst.n_rates + 1)).tolist()
-    users = users.tolist()
-    groups = [users[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-    return _group_plan(inst, groups, masks, range(inst.n_rates))
+    return _group_plan(inst, inst.groups, masks, inst.group_rate)
 
 
-def _group_plan(inst: ProblemInstance,
-                groups: Sequence[np.ndarray | list[int]],
+def _group_plan(inst: ProblemInstance, groups: Sequence[Iterable[int]],
                 masks: np.ndarray, rate_idx: Sequence[int]) -> MulticastPlan:
-    """Plan in which group k sends masks[k] at its slowest member's maximum
-    rate, or at the nominal rate of option rate_idx[k] when it is empty."""
-    user_rate = inst.user_max_rate_bps().tolist()
-    rates = [min(user_rate[n] for n in members) if len(members)
-             else float(inst.bandwidth_hz * inst.mcs.rates[k])
-             for members, k in zip(groups, rate_idx)]
-    return MulticastPlan(groups=tuple(groups), masks=masks,
-                         rates_bps=tuple(rates))
+    """Plan in which group k sends masks[k] at rate option rate_idx[k],
+    which must be its slowest member's top rate when it has members.
+
+    Rates rise with their index, and a positive bandwidth keeps that order
+    in float arithmetic, so the rate sent is the least of the members'
+    maximum rates (ProblemInstance.user_max_rate_bps), bit for bit."""
+    return MulticastPlan(groups=tuple(groups), masks=masks, rates_bps=tuple(
+        inst.bandwidth_hz * inst.mcs.rates[k] for k in rate_idx))
 
 
 def _check_plan(inst: ProblemInstance, plan: MulticastPlan) -> None:

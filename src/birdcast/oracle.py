@@ -103,7 +103,7 @@ def _mckp(inst: ProblemInstance
 
 
 def _lp_fill(increments: list[_Increment], budget: float, start: int,
-             first: int = 0) -> float:
+             first: int) -> float:
     """LP optimum over the grids at search positions >= start: whole
     increments in slope order while they fit, then one in part. Every
     increment before index `first` must be of a position below start."""
@@ -125,7 +125,7 @@ def lp_bound(inst: ProblemInstance) -> float:
     them in part. Exact up to float rounding (see exact_solve), and cheap
     at any instance size.
     """
-    return _lp_fill(_mckp(inst)[1], inst.budget_s, 0)
+    return _lp_fill(_mckp(inst)[1], inst.budget_s, 0, 0)
 
 
 def _bound_rtol(inst: ProblemInstance) -> float:

@@ -88,7 +88,7 @@ def _gains(table: np.ndarray, rate: np.ndarray) -> np.ndarray:
 
 
 def _argmax_pass(table: np.ndarray, costs: np.ndarray, rate: list[int],
-                 budget_left: float, unwanted: int = 0
+                 budget_left: float, unwanted: int
                  ) -> tuple[float, int, list[Item]]:
     """One greedy pass; every iteration evaluates all remaining candidates.
 
@@ -128,7 +128,7 @@ def _argmax_pass(table: np.ndarray, costs: np.ndarray, rate: list[int],
 
 
 def _lazy_pass(table: np.ndarray, costs: np.ndarray, rate: list[int],
-               budget_left: float, unwanted: int = 0
+               budget_left: float, unwanted: int
                ) -> tuple[float, int, list[Item]]:
     """One lazy-evaluation pass over a sorted stream of cached ratios.
 

@@ -328,7 +328,8 @@ def test_missing_instance_file(capsys):
 
 def test_running_out_of_memory_is_a_runtime_failure(tmp_path, capsys,
                                                     monkeypatch):
-    # an n_grids of 2**40 asks from_json for a 32 TiB matrix
+    # an instance under MAX_INSTANCE_CELLS can still ask for more memory
+    # than the host has
     def out_of_memory(doc):
         raise MemoryError("Unable to allocate 32.0 TiB")
 
@@ -404,6 +405,43 @@ def test_sweep_rejects_a_job_count_below_one(tmp_path, capsys, jobs):
                 "--out", str(tmp_path / "x.csv")]) == 1
     assert capsys.readouterr().err.startswith("error: --jobs")
     assert not (tmp_path / "x.csv").exists()
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, so that no worker starts."""
+
+    def __init__(self, max_workers, started):
+        started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("jobs", [
+    "1000000", pytest.param(str(10 ** 400), id="10**400")])
+@pytest.mark.parametrize("n_values", [1, 2])
+def test_sweep_starts_no_more_workers_than_cells(tmp_path, capsys,
+                                                 monkeypatch, jobs, n_values):
+    # the pool starts max_workers processes at its first submit
+    import concurrent.futures
+    started = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: RecordingPool(max_workers, started))
+    spec = {"variable": "budget", "values": [0.002, 0.004][:n_values],
+            "params": {"n_users": 3, "grid_h": 2, "grid_w": 10},
+            "solvers": ["unicast"]}
+    assert run(["sweep", "--spec", write_spec(tmp_path, spec), "--jobs", jobs,
+                "--out", str(tmp_path / "x.csv")]) == 0
+    # one cell runs in this process, with no pool at all
+    assert started == ([2] if n_values == 2 else [])
+    assert len(read_csv(tmp_path / "x.csv")) == n_values
 
 
 def test_grid_sweep_shows_diminishing_returns():
@@ -737,8 +775,9 @@ def test_bench_exits_1_with_one_line_when_a_scene_or_solve_fails(
     assert not (tmp_path / "b.csv").exists()
 
 
-@pytest.mark.parametrize("repetitions", [MAX_SWEEP_CELLS // 2 + 1, 2 ** 63,
-                                         1e30])
+@pytest.mark.parametrize("repetitions", [
+    MAX_SWEEP_CELLS // 2 + 1, 2 ** 63, 1e30,
+    pytest.param(10 ** 400, id="10**400")])
 def test_sweep_rejects_more_cells_than_it_can_hold(tmp_path, capsys,
                                                    repetitions):
     # two values: each repetition is two cells, and the cells, each a

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from birdcast import (
     selection_from_plan,
     utility,
 )
+from birdcast import instance
 
 from conftest import MALFORMED_INSTANCE_EDITS, legacy_dense_doc, random_instance
 from reference import CoverageState, decodable, marginal_gain
@@ -625,6 +627,53 @@ def test_instance_rejects_bad_inputs():
 def test_instance_document_that_is_no_object_rejected(doc):
     with pytest.raises(ValueError, match="JSON object"):
         ProblemInstance.from_json(doc)
+
+
+def test_instance_with_a_1d_moi_rejected():
+    with pytest.raises(ValueError, match="N x L matrix"):
+        instance_with_moi(np.ones(3))
+
+
+@pytest.mark.parametrize("key", ["grid_bytes", "bandwidth_hz", "budget_s"])
+def test_instance_document_names_the_bad_scalar(key):
+    doc = fig1_instance().to_json()
+    doc[key] = "x"
+    with pytest.raises(ValueError, match=f"^{key}: numbers only, not 'x'$"):
+        ProblemInstance.from_json(doc)
+
+
+def document_of_size(n_users: int, n_grids: int) -> dict:
+    """fig1's document with n_users users at 10 dB, n_grids grids and no
+    interest."""
+    return {**fig1_instance().to_json(), "n_users": n_users,
+            "n_grids": n_grids, "snr_db": [10.0] * n_users,
+            "moi": {"user": [], "grid": [], "value": []}}
+
+
+@pytest.mark.parametrize("n_users", [0, 5])
+def test_instance_document_too_large_rejected_before_allocating(n_users):
+    # 2**40 grids would be a 40 TiB matrix at 5 users; at 0 users fig1's
+    # L x (M + 1) rate-class table alone would take 24 TiB
+    cells = 2 ** 40 * max(n_users, 3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^n_grids: {cells} cells, "):
+            ProblemInstance.from_json(document_of_size(n_users, 2 ** 40))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("n_users", [0, 20])
+def test_instance_size_cap_counts_users_or_rates(monkeypatch, n_users):
+    # fig1's table has M = 2 rates, so a grid takes max(n_users, 3) cells
+    cells = 7 * max(n_users, 3)
+    monkeypatch.setattr(instance, "MAX_INSTANCE_CELLS", cells)
+    assert ProblemInstance.from_json(document_of_size(n_users, 7)).n_grids == 7
+    monkeypatch.setattr(instance, "MAX_INSTANCE_CELLS", cells - 1)
+    with pytest.raises(ValueError, match=f"^n_grids: {cells} cells, .* the most is {cells - 1}$"):
+        ProblemInstance.from_json(document_of_size(n_users, 7))
 
 
 def test_instance_without_grids_rejected():

@@ -60,6 +60,16 @@ def test_local_correlation_constant_map():
     assert np.allclose(p.values, 0.5, atol=1e-12)
 
 
+def test_gridmap_rejects_a_1d_array():
+    with pytest.raises(ValueError, match="2-D array"):
+        GridMap(np.ones(3))
+
+
+def test_local_correlation_rejects_window_zero():
+    with pytest.raises(ValueError, match="window must be >= 1"):
+        local_correlation(GridMap(np.ones((3, 3))), 0)
+
+
 def test_local_correlation_window_one():
     g = GridMap(np.random.default_rng(0).normal(size=(3, 3)))
     p = local_correlation(g, 1)
@@ -123,6 +133,11 @@ def test_info_mask_uniform_tie_break():
 def test_info_mask_eta_one():
     e = GridMap(np.random.default_rng(0).uniform(-0.36, -0.01, (3, 4)))
     assert info_mask(e, 1.0).values.sum() == 12
+
+
+def test_info_mask_rejects_eta_zero():
+    with pytest.raises(ValueError, match=r"eta must be in \(0, 1\]"):
+        info_mask(GridMap(np.full((2, 2), -0.3)), 0.0)
 
 
 def test_info_mask_selects_largest():

@@ -51,7 +51,6 @@ from birdcast.cli import (  # noqa: E402
 from birdcast.instance import (  # noqa: E402
     FEASIBILITY_RTOL,
     _canonical_plan,
-    _group_plan,
     is_budget_feasible,
 )
 from birdcast.oracle import _bound_rtol  # noqa: E402
@@ -130,6 +129,54 @@ def test_plan_from_selection_keeps_utility(case):
         utility(inst, sel)
 
 
+def reference_top(inst):
+    """Each user's highest decodable rate index from the SNR thresholds,
+    -1 when it decodes none."""
+    return [max(np.flatnonzero(row).tolist(), default=-1)
+            for row in decodable(inst)]
+
+
+def member_scan_plan(inst, groups, masks, rate_idx):
+    """Reference plan: group k's rate is the least maximum rate of its
+    members, scanned one by one, or the nominal rate of option rate_idx[k]
+    when it is empty."""
+    top = reference_top(inst)
+    rates = [min(inst.bandwidth_hz * inst.mcs.rates[top[n]] for n in members)
+             if len(members) else inst.bandwidth_hz * inst.mcs.rates[k]
+             for members, k in zip(groups, rate_idx)]
+    return MulticastPlan(groups=tuple(groups), masks=masks,
+                         rates_bps=tuple(rates))
+
+
+def reference_groups(inst):
+    """Canonical groups and group rates from the SNR thresholds: group k
+    holds the users that decode rate k, at its slowest member's top rate
+    (k when it is empty)."""
+    dec = decodable(inst)
+    top = reference_top(inst)
+    groups = tuple(tuple(np.flatnonzero(dec[:, k]).tolist())
+                   for k in range(inst.n_rates))
+    return groups, tuple(min((top[n] for n in g), default=k)
+                         for k, g in enumerate(groups))
+
+
+NO_USERS = ProblemInstance(moi=np.zeros((0, 2)), snr_db=(),
+                           mcs=McsTable(rates=(1.0, 2.0),
+                                        thresholds_db=(0.0, 4.0)),
+                           grid_bytes=1000.0, bandwidth_hz=1e6, budget_s=1.0)
+
+
+@PROPERTY_SETTINGS
+@hypothesis.given(instances())
+@hypothesis.example(NO_USERS)
+def test_instance_groups_match_the_decodability_reference(inst):
+    groups, rates = reference_groups(inst)
+    assert inst.groups == groups
+    assert all(type(n) is int for g in inst.groups for n in g)
+    assert inst.group_rate == rates
+    assert all(type(k) is int for k in inst.group_rate)
+
+
 @PROPERTY_SETTINGS
 @hypothesis.given(instances_with_selections())
 def test_canonical_plan_matches_the_per_group_reference(case):
@@ -137,9 +184,8 @@ def test_canonical_plan_matches_the_per_group_reference(case):
     masks = np.zeros((inst.n_rates, inst.n_grids), dtype=bool)
     for l, m in sel.items:
         masks[m, l] = True
-    dec = decodable(inst)
-    groups = [np.flatnonzero(dec[:, k]) for k in range(inst.n_rates)]
-    ref = _group_plan(inst, groups, masks, range(inst.n_rates))
+    ref = member_scan_plan(inst, reference_groups(inst)[0], masks,
+                           range(inst.n_rates))
     new = _canonical_plan(inst, masks, 0.0)
     assert new.groups == ref.groups
     assert repr(new.rates_bps) == repr(ref.rates_bps)
@@ -233,7 +279,7 @@ def test_argmax_pass_matches_the_dense_reference(start):
     table, costs = inst.rate_class_table, inst.item_cost_s
     ref_rate, new_rate = list(rate), list(rate)
     ref = dense_argmax_pass(table, costs, ref_rate, budget)
-    new = _argmax_pass(table, costs, new_rate, budget)
+    new = _argmax_pass(table, costs, new_rate, budget, 0)
     assert new_rate == ref_rate
     assert new[1:] == ref[1:]  # evals and picks
     assert np.float64(new[0]).tobytes() == np.float64(ref[0]).tobytes()
@@ -326,7 +372,7 @@ def test_lazy_pass_matches_the_push_pop_reference(start):
     table, costs = inst.rate_class_table, inst.item_cost_s
     ref_rate, new_rate = list(rate), list(rate)
     ref = push_pop_lazy_pass(table, costs, ref_rate, budget)
-    new = _lazy_pass(table, costs, new_rate, budget)
+    new = _lazy_pass(table, costs, new_rate, budget, 0)
     assert new_rate == ref_rate
     assert new[1:] == ref[1:]  # evals and picks
     assert np.float64(new[0]).tobytes() == np.float64(ref[0]).tobytes()
@@ -404,10 +450,11 @@ def test_solvers_on_the_active_grids_match_the_full_table(inst):
 def build_every_plan_best_of(inst, candidates, evals, t0):
     """Reference best-of: builds and evaluates every candidate's plan."""
     best = None
+    moi = inst.moi[:, inst.active]
     for groups, rate_idx, meta in candidates:
-        masks, pass_evals = _joint_greedy(inst, groups, rate_idx)
+        masks, pass_evals = _joint_greedy(inst, groups, rate_idx, moi)
         evals += pass_evals
-        plan = _group_plan(inst, groups, masks, rate_idx)
+        plan = member_scan_plan(inst, groups, masks, rate_idx)
         value = evaluate_plan(inst, plan).utility
         if best is None or value > best[0]:
             best = (value, plan, meta)
