@@ -9,11 +9,12 @@ among fixed groups spend it by one ordered scan (_budget_scan): each item
 in turn is sent if the budget left pays for it. Marginal utility scans by
 ratio too, passing over the items of grids it has sent. k-means++ and the
 DP propose candidate partitions and leave through one best-of exit
-(_best_of), which runs the joint greedy on each candidate, scores it on
-its coverage matrix, keeps the first of highest utility and builds only
-that one's plan. Every scheme returns a SolveResult whose utility is the
-objective of its own plan, so free riders outside a scheme's groups earn
-it no credit.
+(_best_of), which prices each candidate's groups, runs the joint greedy
+on each candidate, scores it on its coverage matrix and keeps the first
+of highest utility. Every group baseline builds its one plan in _result,
+each group at its slowest member's top rate. Every scheme returns a
+SolveResult whose utility is the objective of its own plan, so free
+riders outside a scheme's groups earn it no credit.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from typing import Iterable
 import numpy as np
 
 from .instance import (
-    MulticastPlan,
     ProblemInstance,
     _group_plan,
     _rates_utility,
@@ -54,17 +54,18 @@ _DP_MAX_GROUPS = 8
 # falls back to dp's schedule (see CHANGES.md).
 _FAIRNESS_FLOOR = 0.1
 
-# a _best_of candidate: disjoint groups, each group's rate index, and meta
-_Candidate = tuple[list[np.ndarray], list[int], dict]
+# a _best_of candidate: disjoint groups and meta
+_Candidate = tuple[list[np.ndarray], dict]
 
 
-def _decodable_users(inst: ProblemInstance) -> np.ndarray:
-    return np.flatnonzero(inst.top_rate >= 0)
-
-
-def _result(inst: ProblemInstance, plan: MulticastPlan, meta: dict,
-            evals: int, t0: float) -> SolveResult:
-    """The one exit of the group baselines: `plan` and its evaluation."""
+def _result(inst: ProblemInstance, groups: list[np.ndarray], masks: np.ndarray,
+            rate_idx: list[int], meta: dict, evals: int,
+            t0: float) -> SolveResult:
+    """The one exit of the group baselines: the plan in which group k
+    sends masks[k] at rate option rate_idx[k] (_group_plan), and its
+    evaluation. Broadcast, unicast and _best_of each pass their groups,
+    masks and prices."""
+    plan = _group_plan(inst, groups, masks, rate_idx)
     evaluation = evaluate_plan(inst, plan)
     return SolveResult(
         selection=selection_from_plan(inst, plan),
@@ -109,24 +110,26 @@ def broadcast_solve(inst: ProblemInstance) -> SolveResult:
     stops the scan, counts one gain evaluation.
     """
     t0 = time.perf_counter()
-    users = _decodable_users(inst)
+    users = np.flatnonzero(inst.top_rate >= 0)
+    dropped = np.flatnonzero(inst.top_rate < 0)
     meta: dict = {}
-    if users.size < inst.n_users:
-        dropped = sorted(set(range(inst.n_users)) - set(users.tolist()))
-        meta["dropped_users"] = dropped
+    if dropped.size:
+        meta["dropped_users"] = dropped.tolist()
         logger.warning("broadcast: dropping %d user(s) with no decodable rate",
-                       len(dropped))
+                       dropped.size)
     if users.size == 0:
-        return _best_of(inst, [([], [], meta)], 0, t0)
-    rate_idx = int(inst.top_rate[users].min())
+        return _result(inst, [], np.zeros((0, inst.n_grids), dtype=bool), [],
+                       meta, 0, t0)
+    # every decodable user is the instance's canonical group 0
+    rate_idx = inst.group_rate[0]
     weights = inst.moi[users].sum(axis=0)
     order = np.argsort(-weights, kind="stable")[:int((weights > 0.0).sum())]
     sent, _ = _budget_scan(np.full(order.size, inst.item_cost_s[rate_idx]),
                            inst.budget_s)
     masks = np.zeros((1, inst.n_grids), dtype=bool)
     masks[0, order[sent]] = True
-    plan = _group_plan(inst, [users], masks, [rate_idx])
-    return _result(inst, plan, meta, min(sent.size + 1, inst.n_grids), t0)
+    return _result(inst, [users], masks, [rate_idx], meta,
+                   min(sent.size + 1, inst.n_grids), t0)
 
 
 def unicast_solve(inst: ProblemInstance) -> SolveResult:
@@ -139,7 +142,7 @@ def unicast_solve(inst: ProblemInstance) -> SolveResult:
     the dedicated plan.
     """
     t0 = time.perf_counter()
-    users = _decodable_users(inst)
+    users = np.flatnonzero(inst.top_rate >= 0)
     max_idx = inst.top_rate[users]
     weights = inst.moi[users]
     user_cost = inst.item_cost_s[max_idx]
@@ -150,9 +153,8 @@ def unicast_solve(inst: ProblemInstance) -> SolveResult:
     picked = np.zeros(weights.shape, dtype=bool)
     picked[rows[order[sent]], grids[order[sent]]] = True
     served = picked.any(axis=1)
-    plan = _group_plan(inst, list(users[served, None]), picked[served],
-                       max_idx[served].tolist())
-    return _result(inst, plan, {}, rows.size, t0)
+    return _result(inst, list(users[served, None]), picked[served],
+                   max_idx[served].tolist(), {}, rows.size, t0)
 
 
 def marginal_util_solve(inst: ProblemInstance) -> SolveResult:
@@ -233,20 +235,23 @@ def _best_of(inst: ProblemInstance, candidates: Iterable[_Candidate],
     """The best candidate partition once the joint greedy shares the full
     budget among its groups: the first of highest utility, with its meta.
 
-    A candidate is scored by coverage_utility on its N x L coverage, each
-    member's row its group's mask (the groups are disjoint): the matrix
-    evaluate_plan derives from the plan, so the score is bit-identical to
-    the plan's utility. The matrix is one row gather: each user's label
-    (group k's members k, everyone else the group count) indexes the masks
-    stacked over one all-false row. The active columns of inst.moi are
-    taken once for every joint greedy. Only the winner's plan is built and
-    evaluated. evals counts the gain evaluations spent before; every joint
+    A candidate is its groups of decodable users, and each group is priced
+    here, once, at its slowest member's top rate. A candidate is scored by
+    coverage_utility on its N x L coverage, each member's row its group's
+    mask (the groups are disjoint): the matrix evaluate_plan derives from
+    the plan, so the score is bit-identical to the plan's utility. The
+    matrix is one row gather: each user's label (group k's members k,
+    everyone else the group count) indexes the masks stacked over one
+    all-false row. The active columns of inst.moi are taken once for every
+    joint greedy. Only the winner's plan is built and evaluated, by
+    _result. evals counts the gain evaluations spent before; every joint
     greedy adds its own. None when there is no candidate.
     """
     moi = inst.moi.take(inst.active, axis=1)
     unsent = np.zeros((1, inst.n_grids), dtype=bool)
     best = None
-    for groups, rate_idx, meta in candidates:
+    for groups, meta in candidates:
+        rate_idx = [int(inst.top_rate[g].min()) for g in groups]
         masks, pass_evals = _joint_greedy(inst, groups, rate_idx, moi)
         evals += pass_evals
         label = np.full(inst.n_users, len(groups))
@@ -255,11 +260,7 @@ def _best_of(inst: ProblemInstance, candidates: Iterable[_Candidate],
         value = coverage_utility(inst, np.concatenate((masks, unsent))[label])
         if best is None or value > best[0]:
             best = (value, groups, masks, rate_idx, meta)
-    if best is None:
-        return None
-    _, groups, masks, rate_idx, meta = best
-    plan = _group_plan(inst, groups, masks, rate_idx)
-    return _result(inst, plan, meta, evals, t0)
+    return None if best is None else _result(inst, *best[1:], evals, t0)
 
 
 def _kmeanspp_1d(values: np.ndarray, k: int,
@@ -303,9 +304,9 @@ def kmeanspp_solve(inst: ProblemInstance) -> SolveResult:
     the best outcome, which favors the baseline.
     """
     t0 = time.perf_counter()
-    users = _decodable_users(inst)
+    users = np.flatnonzero(inst.top_rate >= 0)
     if users.size == 0:
-        return _best_of(inst, [([], [], {})], 0, t0)
+        return _best_of(inst, [([], {})], 0, t0)
     rates = inst.user_max_rate_bps()[users]
     rng = np.random.default_rng(_RNG_SEED)
 
@@ -313,7 +314,7 @@ def kmeanspp_solve(inst: ProblemInstance) -> SolveResult:
         for k in range(1, min(users.size, inst.n_rates) + 1):
             labels = _kmeanspp_1d(rates, k, rng)
             groups = [users[labels == c] for c in np.unique(labels)]
-            yield groups, [int(inst.top_rate[g].min()) for g in groups], {"k": k}
+            yield groups, {"k": k}
 
     return _best_of(inst, clusterings(), 0, t0)
 
@@ -461,14 +462,14 @@ def _best_splits(values: np.ndarray) -> list[list[tuple[int, int]] | None]:
 
 
 def _partitions(ordered: np.ndarray, values: np.ndarray,
-                max_idx: np.ndarray, fair: bool) -> Iterable[_Candidate]:
+                fair: bool) -> Iterable[_Candidate]:
     """The best split of the sorted users for each group count, as
-    _best_of candidates, each group at its last (slowest) member's top
-    rate; a group count with no split is skipped."""
+    _best_of candidates; a group count with no split is skipped. _best_of
+    prices each run at its slowest member's top rate, which is its last
+    member's, since the users are sorted by top rate, descending."""
     for k_groups, bounds in enumerate(_best_splits(values), start=1):
         if bounds is not None:
             yield ([ordered[i:j] for i, j in bounds],
-                   [int(max_idx[ordered[j - 1]]) for i, j in bounds],
                    {"k": k_groups, "fair": fair})
 
 
@@ -489,11 +490,11 @@ def dp_solve(inst: ProblemInstance, fair: bool = False) -> SolveResult:
     scenes of N=32, L=250 on each of four sets of scene seeds.
     """
     t0 = time.perf_counter()
-    users = _decodable_users(inst)
+    users = np.flatnonzero(inst.top_rate >= 0)
     if users.size == 0:
-        return _best_of(inst, [([], [], {})], 0, t0)
-    top = inst.top_rate.tolist()
-    ordered = np.asarray(sorted(users.tolist(), key=lambda n: (-top[n], n)))
+        return _best_of(inst, [([], {})], 0, t0)
+    # users ascend, so ties in top rate stay in user order
+    ordered = users[np.argsort(-inst.top_rate[users], kind="stable")]
     n_groups = min(_DP_MAX_GROUPS, ordered.size)
     budgets = [inst.budget_s / k for k in range(1, n_groups + 1)]
     floor = _FAIRNESS_FLOOR if fair else 0.0
@@ -501,10 +502,8 @@ def dp_solve(inst: ProblemInstance, fair: bool = False) -> SolveResult:
     # every group count values every contiguous run once
     evals = n_groups * ordered.size * (ordered.size + 1) // 2
     admissible = values if fair_values is None else fair_values
-    result = _best_of(inst, _partitions(ordered, admissible, inst.top_rate,
-                                        fair), evals, t0)
+    result = _best_of(inst, _partitions(ordered, admissible, fair), evals, t0)
     if result is None:
-        result = _best_of(inst, _partitions(ordered, values, inst.top_rate,
-                                            False), evals, t0)
+        result = _best_of(inst, _partitions(ordered, values, False), evals, t0)
         result.meta["fair_infeasible"] = True
     return result

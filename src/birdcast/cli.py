@@ -169,10 +169,11 @@ def _count(value, name: str) -> int:
     return int(value)
 
 
-def _apply_sweep_value(params: GenParams, variable: str,
-                       value: float) -> GenParams:
-    """params with the swept variable set to value; a count must be a
-    whole number, and a grid count a multiple of grid_w."""
+def _sweep_field(params: GenParams, variable: str, value: float) -> dict:
+    """The GenParams field the swept variable sets, mapped to its value
+    for params; a count must be a whole number, and a grid count a
+    multiple of grid_w. A caller sets all its fields in one replace, so
+    GenParams checks only the scene it asks for."""
     name, kind = _SWEEP_FIELDS[variable]
     if kind is int and not float(value).is_integer():
         raise ValueError(f"{variable} value {value} is not a whole number")
@@ -183,7 +184,7 @@ def _apply_sweep_value(params: GenParams, variable: str,
                 f"n_grids value {value} is not a multiple of grid_w "
                 f"{params.grid_w}")
         value //= params.grid_w
-    return replace(params, **{name: value})
+    return {name: value}
 
 
 def _run_scene(params: GenParams, solver_ids: list[str]) -> list[dict]:
@@ -234,8 +235,8 @@ def _sweep_cells(spec) -> tuple[str, list[str], list[tuple]]:
         raise ValueError(f"a sweep runs at most {MAX_SWEEP_CELLS} cells "
                          "(values times repetitions)")
     return variable, solver_ids, [
-        (value, _apply_sweep_value(replace(base, seed=base_seed + rep),
-                                   variable, value))
+        (value, replace(base, seed=base_seed + rep,
+                        **_sweep_field(base, variable, value)))
         for value in values
         for rep in range(reps)
     ]
@@ -315,9 +316,8 @@ def cmd_bench(args) -> int:
     rows = []
     for n_users in n_users_list:
         for n_grids in n_grids_list:
-            sized = _apply_sweep_value(
-                _apply_sweep_value(base, "n_users", n_users),
-                "n_grids", n_grids)
+            sized = replace(base, **_sweep_field(base, "n_users", n_users),
+                            **_sweep_field(base, "n_grids", n_grids))
             runs = [row for rep in range(args.reps) for row in _run_scene(
                 replace(sized, seed=args.seed + rep), solver_ids)]
             failed = next((r for r in runs if "error" in r), None)

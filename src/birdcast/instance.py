@@ -281,7 +281,9 @@ class MulticastPlan:
 
     In the canonical form produced by plan_from_selection there is one group
     per rate option, holding every user that decodes it; empty groups are
-    retained so the mapping is testable verbatim.
+    retained so the mapping is testable verbatim. Every rate must be
+    finite; a group sent at a rate at or below 0 covers nothing (see
+    evaluate_plan).
     """
 
     groups: tuple[tuple[int, ...], ...]
@@ -296,6 +298,8 @@ class MulticastPlan:
         rates = tuple(map(float, self.rates_bps))
         if not (len(groups) == masks.shape[0] == len(rates)):
             raise ValueError("groups, masks, and rates_bps must agree on K")
+        if not all(math.isfinite(r) for r in rates):
+            raise ValueError("plan rate_bps must be finite")
         masks.setflags(write=False)
         object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "masks", masks)
@@ -341,8 +345,6 @@ class MulticastPlan:
         if masks.size and (masks.min() < 0 or masks.max() > 1):
             raise ValueError("plan masks must hold only 0 and 1")
         rates = _numbers(d["rate_bps"], "plan rate_bps")
-        if not all(math.isfinite(r) for r in rates):
-            raise ValueError("plan rate_bps must be finite")
         return cls(
             groups=tuple(tuple(_numbers(g, "plan group members", integers=True))
                          for g in _array(d["groups"], "plan groups")),
@@ -426,7 +428,9 @@ def _canonical_plan(inst: ProblemInstance, masks: np.ndarray,
 def _group_plan(inst: ProblemInstance, groups: Sequence[Iterable[int]],
                 masks: np.ndarray, rate_idx: Sequence[int]) -> MulticastPlan:
     """Plan in which group k sends masks[k] at rate option rate_idx[k],
-    which must be its slowest member's top rate when it has members.
+    which must be its slowest member's top rate when it has members. Its
+    two callers: _canonical_plan, with the canonical groups at group_rate,
+    and the group baselines' one exit, baselines._result.
 
     Rates rise with their index, and a positive bandwidth keeps that order
     in float arithmetic, so the rate sent is the least of the members'

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .channel import DEFAULT_MCS_TABLE, McsTable, _item_costs
-from .instance import ProblemInstance
+from .instance import MAX_INSTANCE_CELLS, ProblemInstance
 from .moi import (
     GridMap,
     build_moi,
@@ -85,7 +85,10 @@ class Scene:
 @dataclass(frozen=True)
 class GenParams:
     """What a caller sets for the generator; the seed fixes the whole
-    scene. The scene model's other constants are fixed above."""
+    scene. The scene model's other constants are fixed above. A scene may
+    have no more cells, grid_h * grid_w times max(n_users, n_objects,
+    n_rates + 1), than instance.MAX_INSTANCE_CELLS, the most that
+    ProblemInstance.from_json reads."""
 
     n_users: int = 24
     extent: tuple[float, float] = (100.0, 100.0)
@@ -120,6 +123,15 @@ class GenParams:
             raise ValueError("seed must be >= 0")
         if self.grid_h < 1 or self.grid_w < 1:
             raise ValueError("grid resolution must be >= 1 in both axes")
+        # generate's largest arrays are L x N, L x n_objects and the
+        # instance's L x (M + 1) table, for L = grid_h * grid_w
+        cells = self.grid_h * self.grid_w * max(
+            self.n_users, self.n_objects, self.mcs.n_rates + 1)
+        if cells > MAX_INSTANCE_CELLS:
+            raise ValueError(
+                f"grid_h, grid_w, n_users, n_objects: {cells} cells, grid_h "
+                f"* grid_w * max(n_users, n_objects, n_rates + 1); the most "
+                f"is {MAX_INSTANCE_CELLS}")
         if min(self.extent) <= 0:
             raise ValueError("extent must be positive")
         if not 0.0 < self.eta <= 1.0:

@@ -24,7 +24,7 @@ from birdcast import (
     fig1_instance,
     generate,
 )
-from birdcast import oracle
+from birdcast import cli, oracle, scenario
 from birdcast.cli import CSV_COLUMNS, MAX_SWEEP_CELLS, SOLVERS, main
 
 from conftest import (
@@ -59,6 +59,16 @@ def test_gen_same_seed_identical_files(tmp_path, capsys):
 def test_gen_rejects_zero_users(tmp_path, capsys):
     assert run(["gen", "--n-users", "0", "--out", str(tmp_path / "z")]) == 1
     assert "n_users" in capsys.readouterr().err
+
+
+def test_gen_rejects_a_scene_larger_than_solve_reads(tmp_path, capsys):
+    # 2.5 * 10**9 cells; generated, its L x N stacks would take 20 GB each
+    assert run(["gen", "--n-users", "10000000",
+                "--out", str(tmp_path / "big")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid_h, grid_w, n_users, n_objects: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "big").exists()
 
 
 def write_fig1(tmp_path) -> str:
@@ -765,8 +775,6 @@ def raising_generate(params: GenParams):
     ("generate", raising_generate, "scene broke")])
 def test_bench_exits_1_with_one_line_when_a_scene_or_solve_fails(
         tmp_path, capsys, monkeypatch, name, broken, message):
-    from birdcast import cli
-
     monkeypatch.setattr(cli, name, broken)
     assert run(["bench", "--n-users", "3", "--n-grids", "20", "--reps", "2",
                 "--params", write_spec(tmp_path, {"grid_w": 10}),
@@ -791,6 +799,34 @@ def test_sweep_rejects_more_cells_than_it_can_hold(tmp_path, capsys,
         f"error: a sweep runs at most {MAX_SWEEP_CELLS} cells (values times "
         "repetitions)\n")
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_sweep_rejects_a_scene_larger_than_solve_reads(tmp_path, capsys,
+                                                       monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "_run_scene", lambda *args: ran.append(args))
+    spec = {"variable": "n_users", "values": [3, 1e7],
+            "params": {"grid_h": 2, "grid_w": 10}, "solvers": ["unicast"]}
+    assert run(["sweep", "--spec", write_spec(tmp_path, spec),
+                "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid_h, grid_w, n_users, n_objects: ")
+    assert err.count("\n") == 1
+    assert ran == [] and not (tmp_path / "x.csv").exists()
+
+
+def test_bench_checks_only_the_scene_it_sizes(tmp_path, capsys, monkeypatch):
+    # the --params scene, 2 users on 10 x 25 grids, is 3,750 cells; 200
+    # users on those grids would be 50,000, and on the 25 grids asked for
+    # they are 5,000
+    args = ["bench", "--n-users", "200", "--n-grids", "25", "--reps", "1",
+            "--params", write_spec(tmp_path, {"n_users": 2})]
+    monkeypatch.setattr(scenario, "MAX_INSTANCE_CELLS", 25 * 200)
+    assert run([*args, "--out", str(tmp_path / "b.csv")]) == 0
+    monkeypatch.setattr(scenario, "MAX_INSTANCE_CELLS", 25 * 200 - 1)
+    assert run([*args, "--out", str(tmp_path / "c.csv")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: grid_h, grid_w, n_users, n_objects: 5000 cells, ")
 
 
 def test_bench_rejects_zero_reps(tmp_path, capsys):

@@ -149,6 +149,7 @@ def test_selection_cost_additive():
     a = Selection.from_pairs([(0, 0)])
     b = Selection.from_pairs([(1, 1)])
     ab = Selection.from_pairs([(0, 0), (1, 1)])
+    assert (1, 1) in ab and (1, 0) not in ab
     assert selection_cost(inst, Selection(frozenset())) == 0.0
     assert selection_cost(inst, ab) == pytest.approx(
         selection_cost(inst, a) + selection_cost(inst, b))
@@ -375,6 +376,15 @@ def test_plan_rejects_disagreeing_group_counts_and_flat_masks():
     with pytest.raises(ValueError, match="K x L"):
         MulticastPlan(groups=((0,),), masks=np.ones(2, dtype=bool),
                       rates_bps=(1e6,))
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+def test_plan_with_a_rate_that_is_not_finite_rejected(rate):
+    # a NaN rate passes evaluate_plan's check for a rate at or below 0,
+    # so such a plan would cover its members
+    with pytest.raises(ValueError, match="^plan rate_bps must be finite$"):
+        MulticastPlan(groups=((0, 1),), masks=np.array([[1, 0, 1, 1]]),
+                      rates_bps=(rate,))
 
 
 def test_evaluate_plan_counts_duplicates_once():

@@ -26,6 +26,7 @@ from birdcast import (  # noqa: E402
     MulticastPlan,
     ProblemInstance,
     Selection,
+    SolveResult,
     accelerated_greedy,
     evaluate_plan,
     exact_solve,
@@ -39,7 +40,7 @@ from birdcast import (  # noqa: E402
     selection_from_plan,
     utility,
 )
-from birdcast.baselines import _best_of, _joint_greedy, _result  # noqa: E402
+from birdcast.baselines import _best_of, _joint_greedy  # noqa: E402
 from birdcast.cli import (  # noqa: E402
     SOLVERS,
     SWEEP_VARIABLES,
@@ -447,33 +448,40 @@ def test_solvers_on_the_active_grids_match_the_full_table(inst):
     assert res.gain_evaluations == evals
 
 
-def build_every_plan_best_of(inst, candidates, evals, t0):
-    """Reference best-of: builds and evaluates every candidate's plan."""
+def build_every_plan_best_of(inst, candidates, evals):
+    """Reference best-of: prices each group by a scan of its members'
+    top rates, then builds and evaluates every candidate's plan."""
+    top = reference_top(inst)
     best = None
     moi = inst.moi[:, inst.active]
-    for groups, rate_idx, meta in candidates:
+    for groups, meta in candidates:
+        rate_idx = [min(top[n] for n in g) for g in groups]
         masks, pass_evals = _joint_greedy(inst, groups, rate_idx, moi)
         evals += pass_evals
         plan = member_scan_plan(inst, groups, masks, rate_idx)
-        value = evaluate_plan(inst, plan).utility
-        if best is None or value > best[0]:
-            best = (value, plan, meta)
-    return None if best is None else _result(inst, *best[1:], evals, t0)
+        evaluation = evaluate_plan(inst, plan)
+        if best is None or evaluation.utility > best[0].utility:
+            best = (evaluation, plan, meta)
+    if best is None:
+        return None
+    evaluation, plan, meta = best
+    return SolveResult(selection=selection_from_plan(inst, plan), plan=plan,
+                       utility=evaluation.utility,
+                       latency_s=evaluation.latency_s,
+                       gain_evaluations=evals, wall_time_s=0.0, meta=meta)
 
 
 @st.composite
 def partition_candidates(draw) -> tuple[ProblemInstance, list]:
     inst = draw(instances())
-    max_idx = inst.top_rate
-    users = np.flatnonzero(max_idx >= 0)
+    users = np.flatnonzero(inst.top_rate >= 0)
     candidates = []
     for c in range(draw(st.integers(0, 4))):
         # label -1 leaves a user out of every group
         labels = np.array(draw(st.lists(st.integers(-1, 2), min_size=users.size,
                                         max_size=users.size)), dtype=np.int64)
         groups = [users[labels == g] for g in np.unique(labels[labels >= 0])]
-        candidates.append((groups, [int(max_idx[g].min()) for g in groups],
-                           {"candidate": c}))
+        candidates.append((groups, {"candidate": c}))
     return inst, candidates
 
 
@@ -490,7 +498,7 @@ def result_fields(res):
 @hypothesis.given(partition_candidates(), st.integers(0, 50))
 def test_best_of_matches_the_build_every_plan_reference(case, evals):
     inst, candidates = case
-    ref = build_every_plan_best_of(inst, candidates, evals, 0.0)
+    ref = build_every_plan_best_of(inst, candidates, evals)
     new = _best_of(inst, candidates, evals, 0.0)
     assert result_fields(new) == result_fields(ref)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from birdcast import (
     snr_for_user,
     unicast_solve,
 )
+from birdcast import scenario
 from birdcast.scenario import UserGeometry
 
 from conftest import users_instance
@@ -158,6 +160,36 @@ def test_genparams_rejects_non_finite_floats(fields, name):
     # each slips past the range checks, which are false for NaN
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         GenParams(**fields)
+
+
+def test_genparams_too_large_rejected_before_allocating():
+    # 10**12 cells: generate's L x N stacks would take 8 TB each
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^grid_h, grid_w, n_users, "
+                           f"n_objects: {10 ** 6 * 2 ** 20} cells, "):
+            GenParams(n_users=2 ** 20, grid_h=1000, grid_w=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("fields, per_grid", [
+    ({"n_users": 20}, 20),
+    ({"n_users": 2, "n_objects": 20}, 20),
+    # the default table's 14 rates: a grid takes at least 15 cells
+    ({"n_users": 2, "n_objects": 0}, 15),
+])
+def test_genparams_size_cap_counts_users_objects_or_rates(monkeypatch, fields,
+                                                          per_grid):
+    cells = 3 * 7 * per_grid
+    monkeypatch.setattr(scenario, "MAX_INSTANCE_CELLS", cells)
+    assert GenParams(grid_h=3, grid_w=7, **fields).grid_w == 7
+    monkeypatch.setattr(scenario, "MAX_INSTANCE_CELLS", cells - 1)
+    with pytest.raises(ValueError, match=f"{cells} cells, .* the most is "
+                       f"{cells - 1}$"):
+        GenParams(grid_h=3, grid_w=7, **fields)
 
 
 def test_segment_rect_intersection():
