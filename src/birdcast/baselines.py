@@ -20,7 +20,6 @@ riders outside a scheme's groups earn it no credit.
 from __future__ import annotations
 
 import logging
-import time
 from typing import Iterable
 
 import numpy as np
@@ -59,12 +58,12 @@ _Candidate = tuple[list[np.ndarray], dict]
 
 
 def _result(inst: ProblemInstance, groups: list[np.ndarray], masks: np.ndarray,
-            rate_idx: list[int], meta: dict, evals: int,
-            t0: float) -> SolveResult:
+            rate_idx: list[int], meta: dict, evals: int) -> SolveResult:
     """The one exit of the group baselines: the plan in which group k
-    sends masks[k] at rate option rate_idx[k] (_group_plan), and its
-    evaluation. Broadcast, unicast and _best_of each pass their groups,
-    masks and prices."""
+    sends masks[k] at rate option rate_idx[k] (_group_plan), its
+    evaluation, `evals` gain evaluations and `meta`, in a result built
+    whole. Broadcast, unicast and _best_of each pass their groups, masks
+    and prices."""
     plan = _group_plan(inst, groups, masks, rate_idx)
     evaluation = evaluate_plan(inst, plan)
     return SolveResult(
@@ -73,7 +72,6 @@ def _result(inst: ProblemInstance, groups: list[np.ndarray], masks: np.ndarray,
         utility=evaluation.utility,
         latency_s=evaluation.latency_s,
         gain_evaluations=evals,
-        wall_time_s=time.perf_counter() - t0,
         meta=meta,
     )
 
@@ -109,7 +107,6 @@ def broadcast_solve(inst: ProblemInstance) -> SolveResult:
     while the budget pays for them; each grid looked at, and the one that
     stops the scan, counts one gain evaluation.
     """
-    t0 = time.perf_counter()
     users = np.flatnonzero(inst.top_rate >= 0)
     dropped = np.flatnonzero(inst.top_rate < 0)
     meta: dict = {}
@@ -119,7 +116,7 @@ def broadcast_solve(inst: ProblemInstance) -> SolveResult:
                        dropped.size)
     if users.size == 0:
         return _result(inst, [], np.zeros((0, inst.n_grids), dtype=bool), [],
-                       meta, 0, t0)
+                       meta, 0)
     # every decodable user is the instance's canonical group 0
     rate_idx = inst.group_rate[0]
     weights = inst.moi[users].sum(axis=0)
@@ -129,7 +126,7 @@ def broadcast_solve(inst: ProblemInstance) -> SolveResult:
     masks = np.zeros((1, inst.n_grids), dtype=bool)
     masks[0, order[sent]] = True
     return _result(inst, [users], masks, [rate_idx], meta,
-                   min(sent.size + 1, inst.n_grids), t0)
+                   min(sent.size + 1, inst.n_grids))
 
 
 def unicast_solve(inst: ProblemInstance) -> SolveResult:
@@ -141,7 +138,6 @@ def unicast_solve(inst: ProblemInstance) -> SolveResult:
     reported selection collapses duplicates but latency and utility follow
     the dedicated plan.
     """
-    t0 = time.perf_counter()
     users = np.flatnonzero(inst.top_rate >= 0)
     max_idx = inst.top_rate[users]
     weights = inst.moi[users]
@@ -154,7 +150,7 @@ def unicast_solve(inst: ProblemInstance) -> SolveResult:
     picked[rows[order[sent]], grids[order[sent]]] = True
     served = picked.any(axis=1)
     return _result(inst, list(users[served, None]), picked[served],
-                   max_idx[served].tolist(), {}, rows.size, t0)
+                   max_idx[served].tolist(), {}, rows.size)
 
 
 def marginal_util_solve(inst: ProblemInstance) -> SolveResult:
@@ -171,7 +167,6 @@ def marginal_util_solve(inst: ProblemInstance) -> SolveResult:
     unscanned items. The scan stops uncounted once the budget left is <= 0;
     if the positive items run out first, a closing step counts those live.
     """
-    t0 = time.perf_counter()
     n_rates, costs = inst.n_rates, inst.item_cost_s.tolist()
     ratios = (inst.active_table[:, :n_rates] / inst.item_cost_s).ravel()
     order = np.argsort(-ratios, kind="stable")[:int((ratios > 0.0).sum())]
@@ -193,7 +188,7 @@ def marginal_util_solve(inst: ProblemInstance) -> SolveResult:
                 break
     else:
         evals += live
-    return _result_from_rates(inst, rate, evals, t0, _rates_utility(inst, rate))
+    return _result_from_rates(inst, rate, evals, _rates_utility(inst, rate))
 
 
 def _joint_greedy(inst: ProblemInstance, groups: list[np.ndarray],
@@ -231,7 +226,7 @@ def _joint_greedy(inst: ProblemInstance, groups: list[np.ndarray],
 
 
 def _best_of(inst: ProblemInstance, candidates: Iterable[_Candidate],
-             evals: int, t0: float) -> SolveResult | None:
+             evals: int) -> SolveResult | None:
     """The best candidate partition once the joint greedy shares the full
     budget among its groups: the first of highest utility, with its meta.
 
@@ -244,8 +239,9 @@ def _best_of(inst: ProblemInstance, candidates: Iterable[_Candidate],
     everyone else the group count) indexes the masks stacked over one
     all-false row. The active columns of inst.moi are taken once for every
     joint greedy. Only the winner's plan is built and evaluated, by
-    _result. evals counts the gain evaluations spent before; every joint
-    greedy adds its own. None when there is no candidate.
+    _result, with the winner's meta. evals counts the gain evaluations
+    spent before; every joint greedy adds its own. None when there is no
+    candidate.
     """
     moi = inst.moi.take(inst.active, axis=1)
     unsent = np.zeros((1, inst.n_grids), dtype=bool)
@@ -260,7 +256,7 @@ def _best_of(inst: ProblemInstance, candidates: Iterable[_Candidate],
         value = coverage_utility(inst, np.concatenate((masks, unsent))[label])
         if best is None or value > best[0]:
             best = (value, groups, masks, rate_idx, meta)
-    return None if best is None else _result(inst, *best[1:], evals, t0)
+    return None if best is None else _result(inst, *best[1:], evals)
 
 
 def _kmeanspp_1d(values: np.ndarray, k: int,
@@ -303,10 +299,9 @@ def kmeanspp_solve(inst: ProblemInstance) -> SolveResult:
     Sweeps the cluster count k over 1..min(decodable users, M) and keeps
     the best outcome, which favors the baseline.
     """
-    t0 = time.perf_counter()
     users = np.flatnonzero(inst.top_rate >= 0)
     if users.size == 0:
-        return _best_of(inst, [([], {})], 0, t0)
+        return _best_of(inst, [([], {})], 0)
     rates = inst.user_max_rate_bps()[users]
     rng = np.random.default_rng(_RNG_SEED)
 
@@ -316,7 +311,7 @@ def kmeanspp_solve(inst: ProblemInstance) -> SolveResult:
             groups = [users[labels == c] for c in np.unique(labels)]
             yield groups, {"k": k}
 
-    return _best_of(inst, clusterings(), 0, t0)
+    return _best_of(inst, clusterings(), 0)
 
 
 def _below_floor(members: np.ndarray, chosen: np.ndarray, floor: float) -> bool:
@@ -462,15 +457,15 @@ def _best_splits(values: np.ndarray) -> list[list[tuple[int, int]] | None]:
 
 
 def _partitions(ordered: np.ndarray, values: np.ndarray,
-                fair: bool) -> Iterable[_Candidate]:
+                meta: dict) -> Iterable[_Candidate]:
     """The best split of the sorted users for each group count, as
-    _best_of candidates; a group count with no split is skipped. _best_of
-    prices each run at its slowest member's top rate, which is its last
-    member's, since the users are sorted by top rate, descending."""
+    _best_of candidates whose meta is {"k": group count, **meta}; a group
+    count with no split is skipped. _best_of prices each run at its
+    slowest member's top rate, which is its last member's, since the users
+    are sorted by top rate, descending."""
     for k_groups, bounds in enumerate(_best_splits(values), start=1):
         if bounds is not None:
-            yield ([ordered[i:j] for i, j in bounds],
-                   {"k": k_groups, "fair": fair})
+            yield [ordered[i:j] for i, j in bounds], {"k": k_groups, **meta}
 
 
 def dp_solve(inst: ProblemInstance, fair: bool = False) -> SolveResult:
@@ -485,14 +480,14 @@ def dp_solve(inst: ProblemInstance, fair: bool = False) -> SolveResult:
     _best_of keeps the first of highest utility. With fair=True a
     partition is only admissible if its valuation serves every member at
     least _FAIRNESS_FLOOR of their total interest mass. When no partition
-    meets it, the plain dp schedule is returned flagged
-    meta["fair_infeasible"]; at a 5 ms budget that held on 24 to 32 of 42
-    scenes of N=32, L=250 on each of four sets of scene seeds.
+    meets it, the plain dp schedule is returned, its meta flagged
+    {"fair": False, "fair_infeasible": True} as _partitions builds it; at
+    a 5 ms budget that held on 24 to 32 of 42 scenes of N=32, L=250 on each
+    of four sets of scene seeds.
     """
-    t0 = time.perf_counter()
     users = np.flatnonzero(inst.top_rate >= 0)
     if users.size == 0:
-        return _best_of(inst, [([], {})], 0, t0)
+        return _best_of(inst, [([], {})], 0)
     # users ascend, so ties in top rate stay in user order
     ordered = users[np.argsort(-inst.top_rate[users], kind="stable")]
     n_groups = min(_DP_MAX_GROUPS, ordered.size)
@@ -502,8 +497,9 @@ def dp_solve(inst: ProblemInstance, fair: bool = False) -> SolveResult:
     # every group count values every contiguous run once
     evals = n_groups * ordered.size * (ordered.size + 1) // 2
     admissible = values if fair_values is None else fair_values
-    result = _best_of(inst, _partitions(ordered, admissible, fair), evals, t0)
-    if result is None:
-        result = _best_of(inst, _partitions(ordered, values, False), evals, t0)
-        result.meta["fair_infeasible"] = True
-    return result
+    # _best_of gives None when no partition meets the floor: then dp's
+    # schedule, flagged
+    flagged = {"fair": False, "fair_infeasible": True}
+    return (_best_of(inst, _partitions(ordered, admissible, {"fair": fair}),
+                     evals)
+            or _best_of(inst, _partitions(ordered, values, flagged), evals))

@@ -325,23 +325,22 @@ class MulticastPlan:
 
     @classmethod
     def from_json(cls, d: dict) -> "MulticastPlan":
-        """Read the document to_json writes. n_grids is bounded only by
-        numpy's limits here; whether it matches an instance's grids is
-        checked where the instance is known, by evaluate_plan and
-        selection_from_plan."""
+        """Read the document to_json writes. n_grids is at most
+        MAX_INSTANCE_CELLS, the most cells an instance may have; whether it
+        matches an instance's grids is checked where the instance is known,
+        by evaluate_plan and selection_from_plan."""
         d = _object(d, "plan document")
         n_grids = d.get("n_grids")
-        if not _all_numbers([n_grids], integers=True) or n_grids < 0:
-            raise ValueError("plan n_grids must be a non-negative integer")
+        if (not _all_numbers([n_grids], integers=True)
+                or not 0 <= n_grids <= MAX_INSTANCE_CELLS):
+            raise ValueError("plan n_grids must be an integer from 0 to "
+                             f"MAX_INSTANCE_CELLS = {MAX_INSTANCE_CELLS}")
         rows = [_numbers(row, "plan masks", integers=True)
                 for row in _array(d["masks"], "plan masks")]
         if any(len(row) != n_grids for row in rows):
             raise ValueError(f"plan masks: every row must hold n_grids = "
                              f"{n_grids} entries")
-        try:
-            masks = np.asarray(rows).reshape(len(rows), n_grids)
-        except ValueError:  # numpy's limit on an array's dimensions
-            raise ValueError(f"plan n_grids {n_grids} is too large") from None
+        masks = np.asarray(rows).reshape(len(rows), n_grids)
         if masks.size and (masks.min() < 0 or masks.max() > 1):
             raise ValueError("plan masks must hold only 0 and 1")
         rates = _numbers(d["rate_bps"], "plan rate_bps")

@@ -24,11 +24,13 @@ from birdcast import (
     unicast_solve,
 )
 from birdcast import baselines
+from birdcast.cli import SOLVERS
 from birdcast.scenario import fig1_instance
 
 from conftest import (random_full_scale_instance, random_instance,
                       random_mcs_table)
 from reference import best_split, best_split_total, dp_user_order, run_tables
+from test_solvers import GOLDEN_RATE_VECTOR_INSTANCES
 
 ALL_BASELINES = (broadcast_solve, unicast_solve, marginal_util_solve,
                  kmeanspp_solve, lambda i: dp_solve(i),
@@ -180,7 +182,7 @@ def test_kmeans_single_cluster_equals_broadcast():
         inst = random_instance(rng)
         users = np.flatnonzero(inst.top_rate >= 0)
         candidate = ([users], {"k": 1}) if users.size else ([], {})
-        single = baselines._best_of(inst, [candidate], 0, 0.0)
+        single = baselines._best_of(inst, [candidate], 0)
         assert single.utility == broadcast_solve(inst).utility
 
 
@@ -281,7 +283,6 @@ def test_dp_with_no_wanted_grid_sends_nothing():
                            grid_bytes=1000.0, bandwidth_hz=1e6, budget_s=0.02)
     for fair in (False, True):
         doc = dp_solve(inst, fair=fair).to_json()
-        del doc["wall_time_s"]
         assert doc == {"selection": [],
                        "plan": {"groups": [[0, 2]], "masks": [[0] * 5],
                                 "n_grids": 5, "rate_bps": [1e6]},
@@ -524,6 +525,19 @@ def baseline_digests(inst: ProblemInstance) -> tuple[str, str, str]:
                     res.gain_evaluations, sorted(res.meta.items())))
         out.append(hashlib.sha256(doc.encode()).hexdigest())
     return tuple(out)
+
+
+# the instances both golden sets share (paper_default, n96_40x25,
+# no_objects, sparse_interest) are built the same way in each
+GOLDEN_INSTANCES = {**GOLDEN_RATE_VECTOR_INSTANCES, **GOLDEN_BASELINE_INSTANCES}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_INSTANCES))
+def test_every_solver_returns_the_same_document_twice(name):
+    # a SolveResult holds the schedule and its counters, and no clock
+    inst = GOLDEN_INSTANCES[name]()
+    for solver_id, solver in SOLVERS.items():
+        assert solver(inst).to_json() == solver(inst).to_json(), solver_id
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_BASELINE_INSTANCES))

@@ -290,10 +290,10 @@ def test_plan_member_outside_the_users_rejected(member):
         selection_from_plan(inst, plan)
 
 
-@pytest.mark.parametrize("n_grids", [0, 3, 10 ** 12])
+@pytest.mark.parametrize("n_grids", [0, 3, instance.MAX_INSTANCE_CELLS])
 def test_plan_of_another_width_rejected(n_grids):
-    # from_json reads a plan of any width numpy can hold, 10**12 grids
-    # with no mask row included; the instance bounds it
+    # from_json reads a plan up to MAX_INSTANCE_CELLS wide, the widest
+    # with no mask row included; the instance bounds its width
     inst = fig1_instance()
     plan = MulticastPlan.from_json({"groups": [], "masks": [],
                                     "n_grids": n_grids, "rate_bps": []})
@@ -337,7 +337,11 @@ def test_selection_document_index_that_is_no_integer_rejected(pair):
     {"n_grids": True},
     {"n_grids": -1},
     {"n_grids": 3},
-    # too wide for numpy even with no mask row
+    # wider than an instance may be, even with no mask row; the last three
+    # are too wide for numpy as well
+    {"groups": [], "masks": [], "n_grids": instance.MAX_INSTANCE_CELLS + 1,
+     "rate_bps": []},
+    {"groups": [], "masks": [], "n_grids": 10 ** 12, "rate_bps": []},
     {"groups": [], "masks": [], "n_grids": 10 ** 30, "rate_bps": []},
     {"groups": [], "masks": [], "n_grids": 2 ** 63, "rate_bps": []},
     {"groups": [], "masks": [], "n_grids": 2 ** 62, "rate_bps": []},
@@ -346,8 +350,8 @@ def test_selection_document_index_that_is_no_integer_rejected(pair):
 ])
 def test_plan_document_that_is_no_plan_rejected(edit):
     # masks take the integers 0 and 1, as to_json writes them, in rows of
-    # n_grids, a non-negative integer; rate_bps takes finite numbers, and
-    # groups and masks are lists of lists
+    # n_grids, an integer from 0 to MAX_INSTANCE_CELLS; rate_bps takes
+    # finite numbers, and groups and masks are lists of lists
     doc = {"groups": [[0]], "masks": [[1, 0]], "n_grids": 2,
            "rate_bps": [1e6], **edit}
     with pytest.raises(ValueError, match="masks|rate_bps|groups|n_grids"):

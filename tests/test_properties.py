@@ -468,7 +468,7 @@ def build_every_plan_best_of(inst, candidates, evals):
     return SolveResult(selection=selection_from_plan(inst, plan), plan=plan,
                        utility=evaluation.utility,
                        latency_s=evaluation.latency_s,
-                       gain_evaluations=evals, wall_time_s=0.0, meta=meta)
+                       gain_evaluations=evals, meta=meta)
 
 
 @st.composite
@@ -499,7 +499,7 @@ def result_fields(res):
 def test_best_of_matches_the_build_every_plan_reference(case, evals):
     inst, candidates = case
     ref = build_every_plan_best_of(inst, candidates, evals)
-    new = _best_of(inst, candidates, evals, 0.0)
+    new = _best_of(inst, candidates, evals)
     assert result_fields(new) == result_fields(ref)
 
 
