@@ -32,11 +32,30 @@ class GridMap:
         arr = np.asarray(self.values, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("GridMap requires a 2-D array with H, W >= 1")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("GridMap values must be finite")
         arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
+
+    def _rows(self, shape: tuple[int, int]) -> list["GridMap"]:
+        """Each row of this N x (H * W) stack as an H x W map.
+
+        The maps are read-only views of self.values, which __post_init__
+        has already checked, so they skip only that repeated check: a
+        caller that builds a stack of per-user maps checks its N x L
+        values once instead of once per row.
+        """
+        h, w = shape
+        if h < 1 or w < 1 or h * w != self.width:
+            raise ValueError(f"rows of {self.width} values are no "
+                             f"{h} x {w} maps")
+        rows = []
+        for row in self.values:
+            grid = object.__new__(GridMap)
+            object.__setattr__(grid, "values", row.reshape(shape))
+            rows.append(grid)
+        return rows
 
     @property
     def height(self) -> int:

@@ -88,7 +88,8 @@ class GenParams:
     scene. The scene model's other constants are fixed above. A scene may
     have no more cells, grid_h * grid_w times max(n_users, n_objects,
     n_rates + 1), than instance.MAX_INSTANCE_CELLS, the most that
-    ProblemInstance.from_json reads."""
+    ProblemInstance.from_json reads; nor may window ** 2 * grid_h * grid_w,
+    the cells that local_correlation visits, exceed it."""
 
     n_users: int = 24
     extent: tuple[float, float] = (100.0, 100.0)
@@ -138,6 +139,12 @@ class GenParams:
             raise ValueError("eta must be in (0, 1]")
         if self.window < 1:
             raise ValueError("window must be >= 1")
+        # local_correlation makes window ** 2 passes over the L cells
+        passes = self.window * self.window * self.grid_h * self.grid_w
+        if passes > MAX_INSTANCE_CELLS:
+            raise ValueError(
+                f"window: {passes} cells, window ** 2 * grid_h * grid_w; the "
+                f"most is {MAX_INSTANCE_CELLS}")
         if self.budget_s <= 0:
             raise ValueError("budget_s must be positive")
         _item_costs(self.mcs, self.bandwidth_hz, self.grid_bytes)
@@ -155,40 +162,58 @@ def snr_for_user(scene: Scene, user_index: int) -> float:
     return TX_POWER_DBM - pathloss - NOISE_DBM
 
 
+# how many start-cell pairs the occlusion test clips at a time: the seven
+# working arrays of a block, about 1 MB, stay in a core's L2 cache
+_CLIP_BLOCK_PAIRS = 1 << 14
+
+
 def _segments_blocked(starts: np.ndarray, cells: np.ndarray,
                       rects) -> np.ndarray:
     """N x L mask: does the segment from start n to cell l cross any rect?
 
-    Liang-Barsky clipping of every start -> cell-center segment at once,
-    looping over the rectangles only, so the working set stays a few
-    N x L arrays however many occluders there are. A segment parallel to
-    an axis leaves its clip interval [t0, t1] alone on that axis.
+    Liang-Barsky clipping of every start -> cell-center segment, a block
+    of starts at a time and looping over the rectangles only, so the
+    working set stays a few block-sized arrays however many users, cells
+    and occluders there are. On each axis the segment meets the slab
+    lo..hi over the parameters between t_a = (lo - start) / p and
+    t_b = (hi - start) / p, p the segment's extent on that axis; the clip
+    interval [t0, t1] starts at [0, 1] and narrows to each slab's
+    [min, max] of the two.
+
+    A segment parallel to the axis (p = 0) needs no branch: IEEE division
+    gives t_a and t_b infinities of one sign when its start lies outside
+    the slab, which empties [t0, t1], and of opposite signs when it lies
+    strictly inside, which leave it alone. A start on the slab's edge
+    gives 0 / 0 = NaN, which minimum and maximum pass on and fmax and fmin
+    then ignore, so the edge counts as inside. For p != 0 no NaN arises
+    and fmax and fmin are plain maximum and minimum.
     """
-    shape = (len(starts), len(cells))
-    axes = []
-    for axis in (0, 1):
-        start = starts[:, axis, None]
-        p = cells[None, :, axis] - start
-        parallel = p == 0.0
-        forward = p >= 0.0
-        p[parallel] = 1.0  # never divide by zero; masked out below
-        axes.append((start, p, parallel, ~parallel, forward))
-    blocked = np.zeros(shape, dtype=bool)
-    for xmin, xmax, ymin, ymax in rects:
-        t0 = np.zeros(shape)
-        t1 = np.ones(shape)
-        hit = np.ones(shape, dtype=bool)
-        for (start, p, parallel, oblique, forward), lo, hi in zip(
-                axes, (xmin, ymin), (xmax, ymax)):
-            q_lo = start - lo
-            q_hi = hi - start
-            hit &= ~(parallel & ((q_lo < 0.0) | (q_hi < 0.0)))
-            t_lo = -q_lo / p
-            t_hi = q_hi / p
-            np.maximum(t0, np.where(forward, t_lo, t_hi), out=t0, where=oblique)
-            np.minimum(t1, np.where(forward, t_hi, t_lo), out=t1, where=oblique)
-        blocked |= hit & (t0 <= t1)
+    blocked = np.zeros((len(starts), len(cells)), dtype=bool)
+    rows = max(1, _CLIP_BLOCK_PAIRS // len(cells))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for first in range(0, len(starts), rows):
+            _clip_block(starts[first:first + rows], cells, rects,
+                        blocked[first:first + rows])
     return blocked
+
+
+def _clip_block(starts: np.ndarray, cells: np.ndarray, rects,
+                blocked: np.ndarray) -> None:
+    """_segments_blocked on one block of starts, or-ed into blocked."""
+    shape = blocked.shape
+    axes = [(starts[:, axis, None], cells[None, :, axis] - starts[:, axis, None])
+            for axis in (0, 1)]
+    clipped = np.empty(shape, dtype=bool)
+    t0, t1, t_a, t_b, bound = (np.empty(shape) for _ in range(5))
+    for xmin, xmax, ymin, ymax in rects:
+        lower, upper = 0.0, 1.0  # then t0 and t1, after the first axis
+        for (start, p), lo, hi in zip(axes, (xmin, ymin), (xmax, ymax)):
+            np.divide(lo - start, p, out=t_a)
+            np.divide(hi - start, p, out=t_b)
+            np.fmax(lower, np.minimum(t_a, t_b, out=bound), out=t0)
+            np.fmin(upper, np.maximum(t_a, t_b, out=bound), out=t1)
+            lower, upper = t0, t1
+        blocked |= np.less_equal(t0, t1, out=clipped)
 
 
 def _cell_centers(params: GenParams) -> np.ndarray:
@@ -227,7 +252,8 @@ def generate(params: GenParams) -> tuple[Scene, ProblemInstance]:
                           cy - depth / 2, cy + depth / 2))
 
     cells = _cell_centers(params)
-    d2 = ((cells[:, None, :] - objects[None, :, :]) ** 2).sum(axis=2)
+    d2 = (cells[:, 0, None] - objects[None, :, 0]) ** 2 \
+        + (cells[:, 1, None] - objects[None, :, 1]) ** 2
     bumps = np.exp(-d2 / (2.0 * OBJECT_SIGMA_M ** 2))  # L x n_objects
     # bumps are non-negative, so initial=0.0 changes nothing but the
     # all-zero map of a scene without objects
@@ -242,25 +268,28 @@ def generate(params: GenParams) -> tuple[Scene, ProblemInstance]:
 
     # every per-user map is one row of an N x L stack
     blocked = _segments_blocked(user_xy, cells, occluders)
-    q_user_all = np.where(blocked, q_hvn_flat * OCCLUSION_ATTEN, q_hvn_flat)
+    q_user_all = GridMap(
+        np.where(blocked, q_hvn_flat * OCCLUSION_ATTEN, q_hvn_flat))
     center = user_xy + ROI_FORWARD_OFFSET * user_heading
     inside = (np.abs(cells[None, :, 0] - center[:, 0, None]) <= ROI_HALF_WIDTH) \
         & (np.abs(cells[None, :, 1] - center[:, 1, None]) <= ROI_HALF_WIDTH)
-    roi_all = inside.astype(np.float64)
+    roi_all = GridMap(inside.astype(np.float64))
     interest = build_moi(
         confidence_map(GridMap(np.broadcast_to(q_hvn_flat, blocked.shape)),
-                       GridMap(q_user_all)),
+                       q_user_all),
         GridMap(np.broadcast_to(informative.values.ravel(), blocked.shape)),
-        GridMap(roi_all),
+        roi_all,
     )
     users = tuple(
         UserGeometry(
-            position=(float(user_xy[n, 0]), float(user_xy[n, 1]), 0.0),
-            heading=(float(user_heading[n, 0]), float(user_heading[n, 1])),
-            roi=GridMap(roi_all[n].reshape(h, w)),
-            q_user=GridMap(q_user_all[n].reshape(h, w)),
+            position=(float(x), float(y), 0.0),
+            heading=(float(hx), float(hy)),
+            roi=roi,
+            q_user=q_user,
         )
-        for n in range(params.n_users)
+        for (x, y), (hx, hy), roi, q_user in zip(
+            user_xy, user_heading, roi_all._rows((h, w)),
+            q_user_all._rows((h, w)))
     )
 
     scene = Scene(

@@ -4,8 +4,8 @@ Direct, unoptimized definitions that the package's fast paths are checked
 against: per-user coverage and marginal gains, duplicate-rate removal,
 unpruned enumerations of the optimum, the DP baselines' run valuations
 and per-count boundary recurrence, and random round trips through both
-plan mappings. Decodability is derived here from snr_db and the MCS
-thresholds, never from
+plan mappings, and an exact occlusion test for one segment. Decodability
+is derived here from snr_db and the MCS thresholds, never from
 ProblemInstance.top_rate or rate_class_table, so the checks compare the
 package with an independent model.
 """
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -342,3 +343,30 @@ def verify_equivalence(inst: ProblemInstance, trials: int,
         plan_round_trips=plan_trips,
         violations=tuple(violations),
     )
+
+
+def segment_blocked(start, cell, rect) -> bool:
+    """Does the closed segment from start to cell meet the closed
+    rectangle rect = (xmin, xmax, ymin, ymax)?
+
+    Scalar Liang-Barsky in exact rationals, with the cases that
+    scenario._segments_blocked leaves to IEEE infinities and NaN written
+    out: a segment of length zero is a point, inside the rectangle or not,
+    and one parallel to an axis meets the rectangle only if it runs within
+    that axis's slab, edges included.
+    """
+    (sx, sy), (cx, cy) = ([Fraction(v) for v in pt] for pt in (start, cell))
+    xmin, xmax, ymin, ymax = (Fraction(v) for v in rect)
+    if (sx, sy) == (cx, cy):
+        return xmin <= sx <= xmax and ymin <= sy <= ymax
+    t0, t1 = Fraction(0), Fraction(1)
+    for s, c, lo, hi in ((sx, cx, xmin, xmax), (sy, cy, ymin, ymax)):
+        p = c - s
+        if p == 0:
+            if not lo <= s <= hi:
+                return False
+            continue
+        t_a, t_b = (lo - s) / p, (hi - s) / p
+        t0 = max(t0, min(t_a, t_b))
+        t1 = min(t1, max(t_a, t_b))
+    return t0 <= t1

@@ -74,6 +74,15 @@ def test_gen_rejects_a_scene_larger_than_solve_reads(tmp_path, capsys):
     assert not (tmp_path / "big").exists()
 
 
+def test_gen_rejects_a_window_too_wide_to_correlate(tmp_path, capsys):
+    # 5000 ** 2 passes over 250 cells would run for minutes
+    assert run(["gen", "--window", "5000", "--out", str(tmp_path / "w")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: window: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "w").exists()
+
+
 def write_fig1(tmp_path) -> str:
     path = tmp_path / "fig1.json"
     path.write_text(json.dumps(fig1_instance().to_json()))
@@ -850,9 +859,10 @@ def test_sweep_rejects_a_scene_larger_than_solve_reads(tmp_path, capsys,
 def test_bench_checks_only_the_scene_it_sizes(tmp_path, capsys, monkeypatch):
     # the --params scene, 2 users on 10 x 25 grids, is 3,750 cells; 200
     # users on those grids would be 50,000, and on the 25 grids asked for
-    # they are 5,000
+    # they are 5,000 (a window of 1 keeps local_correlation's window ** 2
+    # * 250 cells under both caps)
     args = ["bench", "--n-users", "200", "--n-grids", "25", "--reps", "1",
-            "--params", write_spec(tmp_path, {"n_users": 2})]
+            "--params", write_spec(tmp_path, {"n_users": 2, "window": 1})]
     monkeypatch.setattr(scenario, "MAX_INSTANCE_CELLS", 25 * 200)
     assert run([*args, "--out", str(tmp_path / "b.csv")]) == 0
     monkeypatch.setattr(scenario, "MAX_INSTANCE_CELLS", 25 * 200 - 1)

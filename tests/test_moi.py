@@ -54,6 +54,13 @@ def test_gridmap_json_round_trip():
     assert (again.height, again.width) == (2, 3)
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (-1, 6), (6, -1), (0, 6)])
+def test_gridmap_rows_refuse_a_shape_off_the_row_length(shape):
+    # reshape would read a -1 side as its unknown dimension
+    with pytest.raises(ValueError, match="rows of 6 values"):
+        GridMap(np.ones((3, 6)))._rows(shape)
+
+
 def test_local_correlation_constant_map():
     g = GridMap(np.full((4, 5), 3.7))
     p = local_correlation(g, 3)

@@ -11,6 +11,7 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -56,7 +57,13 @@ from birdcast.instance import (  # noqa: E402
 )
 from birdcast.oracle import _bound_rtol  # noqa: E402
 from birdcast.solvers import _argmax_pass, _lazy_pass  # noqa: E402
-from reference import CoverageState, decodable, remove_redundant  # noqa: E402
+from birdcast import scenario  # noqa: E402
+from reference import (  # noqa: E402
+    CoverageState,
+    decodable,
+    remove_redundant,
+    segment_blocked,
+)
 
 # few distinct weights and rates, so that equal ratios, and the tie-breaks
 # both greedy solvers must share, come up often
@@ -745,3 +752,42 @@ def test_mutated_instance_file_solves_or_exits_1_with_an_error_line(doc):
                                  and lines[0].startswith("error:")), \
                 (solver, code, lines)
             assert "Traceback" not in err.getvalue()
+
+
+GRID_COORD = st.integers(-3, 8)
+
+
+@st.composite
+def occlusion_cases(draw):
+    """Integer starts, cells and 0-3 rectangles, some of zero width; every
+    start is also a cell (a segment of length zero), and starts on the
+    rectangles' edges are drawn on purpose."""
+    rects = draw(st.lists(
+        st.tuples(st.lists(GRID_COORD, min_size=2, max_size=2).map(sorted),
+                  st.lists(GRID_COORD, min_size=2, max_size=2).map(sorted))
+        .map(lambda xy: (*xy[0], *xy[1])), max_size=3))
+    point = st.tuples(GRID_COORD, GRID_COORD)
+    starts = draw(st.lists(point, min_size=1, max_size=4))
+    for xmin, xmax, ymin, ymax in rects:
+        if draw(st.booleans()):  # on an x edge, then on a y edge
+            starts.append((draw(st.sampled_from((xmin, xmax))),
+                           draw(GRID_COORD)))
+            starts.append((draw(GRID_COORD),
+                           draw(st.sampled_from((ymin, ymax)))))
+    cells = draw(st.lists(point, max_size=4)) + starts
+    return starts, cells, rects
+
+
+@PROPERTY_SETTINGS
+@hypothesis.given(occlusion_cases())
+def test_segments_blocked_matches_the_exact_reference(case):
+    starts, cells, rects = case
+    want = [[any(segment_blocked(s, c, r) for r in rects) for c in cells]
+            for s in starts]
+    args = (np.array(starts, dtype=np.float64),
+            np.array(cells, dtype=np.float64),
+            [tuple(map(float, r)) for r in rects])
+    assert scenario._segments_blocked(*args).tolist() == want
+    # one start per block, as at scales past a block's pairs
+    with mock.patch.object(scenario, "_CLIP_BLOCK_PAIRS", 1):
+        assert scenario._segments_blocked(*args).tolist() == want

@@ -111,6 +111,24 @@ def test_moi_zero_outside_roi():
         assert np.all(inst.moi[n][outside] == 0.0)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_user_maps_are_checked_read_only_grid_maps(seed):
+    # each user's maps are views of checked N x L stacks; they must keep
+    # the contract of a map built through GridMap's own constructor
+    scene, _ = generate(GenParams(seed=seed, n_users=6, grid_h=4, grid_w=7))
+    for user in scene.users:
+        for grid in (user.roi, user.q_user):
+            assert type(grid) is GridMap
+            assert np.isfinite(grid.values).all()
+            with pytest.raises(ValueError, match="read-only"):
+                grid.values[0, 0] = 0.5
+            checked = GridMap(np.array(grid.values.ravel()).reshape(4, 7))
+            assert grid.values.shape == checked.values.shape
+            assert grid.values.dtype == checked.values.dtype
+            assert grid.values.flags.c_contiguous
+            assert grid.values.tobytes() == checked.values.tobytes()
+
+
 def test_genparams_validation():
     with pytest.raises(ValueError):
         GenParams(n_users=0)
@@ -133,6 +151,9 @@ def test_genparams_validation():
     ({"extent": ()}, "extent: two numbers"),
     ({"n_objects": -3}, "n_objects: a count >= 0"),
     ({"n_occluders": -3}, "n_occluders: a count >= 0"),
+    # local_correlation's window ** 2 passes over the 250 cells: 733 ** 2
+    # * 250 is past MAX_INSTANCE_CELLS, 732 ** 2 * 250 is not
+    ({"window": 733}, "^window: 134322250 cells, "),
     # item costs of inf: a rate of 0 Hz, a rate times bandwidth so small
     # that the payload over it overflows, and a payload that overflows
     ({"bandwidth_hz": 5e-324}, "bandwidth_hz"),
@@ -175,6 +196,11 @@ def test_genparams_too_large_rejected_before_allocating():
     assert peak < 1 << 20
 
 
+def test_genparams_window_bound_scales_with_the_grid():
+    assert GenParams(window=732).window == 732
+    assert GenParams(window=1000, grid_h=5, grid_w=25).window == 1000
+
+
 @pytest.mark.parametrize("fields, per_grid", [
     ({"n_users": 20}, 20),
     ({"n_users": 2, "n_objects": 20}, 20),
@@ -183,13 +209,14 @@ def test_genparams_too_large_rejected_before_allocating():
 ])
 def test_genparams_size_cap_counts_users_objects_or_rates(monkeypatch, fields,
                                                           per_grid):
+    # a window of 1 keeps local_correlation's 21 cells under either cap
     cells = 3 * 7 * per_grid
     monkeypatch.setattr(scenario, "MAX_INSTANCE_CELLS", cells)
-    assert GenParams(grid_h=3, grid_w=7, **fields).grid_w == 7
+    assert GenParams(grid_h=3, grid_w=7, window=1, **fields).grid_w == 7
     monkeypatch.setattr(scenario, "MAX_INSTANCE_CELLS", cells - 1)
     with pytest.raises(ValueError, match=f"{cells} cells, .* the most is "
                        f"{cells - 1}$"):
-        GenParams(grid_h=3, grid_w=7, **fields)
+        GenParams(grid_h=3, grid_w=7, window=1, **fields)
 
 
 def test_segment_rect_intersection():
