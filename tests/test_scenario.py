@@ -151,9 +151,6 @@ def test_genparams_validation():
     ({"extent": ()}, "extent: two numbers"),
     ({"n_objects": -3}, "n_objects: a count >= 0"),
     ({"n_occluders": -3}, "n_occluders: a count >= 0"),
-    # local_correlation's window ** 2 passes over the 250 cells: 733 ** 2
-    # * 250 is past MAX_INSTANCE_CELLS, 732 ** 2 * 250 is not
-    ({"window": 733}, "^window: 134322250 cells, "),
     # item costs of inf: a rate of 0 Hz, a rate times bandwidth so small
     # that the payload over it overflows, and a payload that overflows
     ({"bandwidth_hz": 5e-324}, "bandwidth_hz"),
@@ -161,6 +158,9 @@ def test_genparams_validation():
     ({"grid_bytes": 1e308}, "grid_bytes"),
     # both negative: the payload over the rate is positive, but no rate is
     ({"grid_bytes": -1600.0, "bandwidth_hz": -1e8}, "bandwidth_hz"),
+    # local_correlation's window ** 2 passes over the 250 cells: 733 ** 2
+    # * 250 is past MAX_INSTANCE_CELLS, 732 ** 2 * 250 is not
+    ({"window": 733}, "^window: 134322250 cells, "),
 ])
 def test_genparams_range_checks(fields, message):
     with pytest.raises(ValueError, match=message):
