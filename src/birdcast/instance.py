@@ -10,6 +10,7 @@ back; both directions preserve the objective and never increase cost.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
@@ -491,24 +492,31 @@ def evaluate_plan(inst: ProblemInstance, plan: MulticastPlan) -> PlanEvaluation:
     rate equals its slowest member's maximum rate.
     """
     _check_plan(inst, plan)
-    # members[k] marks group k's users; a group with grids to send at a
-    # rate of 0 or below stays unmarked and covers nothing
+    # every membership, group by group: its group and its user
+    sizes = np.array([len(group) for group in plan.groups], dtype=np.intp)
+    group_of = np.repeat(np.arange(plan.n_groups), sizes)
+    users = np.fromiter(itertools.chain.from_iterable(plan.groups),
+                        dtype=np.intp, count=group_of.size)
+    n_sel = plan.masks.sum(axis=1)
+    rates = np.array(plan.rates_bps)
+    # a group with grids to send at a rate of 0 or below covers nothing
+    dead = (n_sel > 0) & (rates <= 0.0)
     members = np.zeros((plan.n_groups, inst.n_users))
+    members[group_of, users] = 1.0
+    members[dead] = 0.0
+    # every non-empty group must be sent at its slowest member's maximum
+    # rate: the least over its run of users, which starts where the runs
+    # before it end
+    nonempty = sizes > 0
+    slowest = np.minimum.reduceat(inst.user_max_rate_bps()[users],
+                                  (np.cumsum(sizes) - sizes)[nonempty])
+    rate_consistent = not dead.any() and bool(
+        (rates[nonempty] == slowest).all())
     latency = 0.0
-    rate_consistent = True
-    user_rate = inst.user_max_rate_bps()
     bits = 8.0 * inst.grid_bytes
-    for k, n_sel in enumerate(plan.masks.sum(axis=1).tolist()):
-        group = list(plan.groups[k])
-        if n_sel:
-            if plan.rates_bps[k] <= 0:
-                rate_consistent = False
-                continue
-            latency += bits * n_sel / plan.rates_bps[k]
-        if group:
-            if plan.rates_bps[k] != float(user_rate[group].min()):
-                rate_consistent = False
-            members[k, group] = 1.0
+    for n, rate in zip(n_sel.tolist(), plan.rates_bps):
+        if n and rate > 0:
+            latency += bits * n / rate
     # counts of delivering groups, exact in float64; a float product runs
     # in BLAS, where numpy's bool matmul has no fast kernel
     covered = members.T @ plan.masks > 0.0

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import _all_numbers, _numbers, _object
 
@@ -51,9 +52,9 @@ class GridMap:
             raise ValueError(f"rows of {self.width} values are no "
                              f"{h} x {w} maps")
         rows = []
-        for row in self.values:
+        for values in self.values.reshape(-1, h, w):
             grid = object.__new__(GridMap)
-            object.__setattr__(grid, "values", row.reshape(shape))
+            object.__setattr__(grid, "values", values)
             rows.append(grid)
         return rows
 
@@ -91,9 +92,19 @@ class GridMap:
         return cls(np.reshape(data, (h, w)))
 
 
-def _require_same_shape(a: GridMap, b: GridMap) -> None:
-    if a.values.shape != b.values.shape:
-        raise ValueError(f"shape mismatch: {a.values.shape} vs {b.values.shape}")
+def _require_rows(*maps: GridMap) -> None:
+    """Raise ValueError unless the maps share one width and every height
+    other than 1 is the same: each is an H x W map, or a 1 x W row that
+    stands for every row of the others, as numpy broadcasts it."""
+    shapes = [m.values.shape for m in maps]
+    if len({w for _, w in shapes}) > 1 or len({h for h, _ in shapes} - {1}) > 1:
+        raise ValueError(f"shape mismatch: {' vs '.join(map(str, shapes))}")
+
+
+# the most terms, window offsets times cells, that local_correlation
+# computes at once, 128 KB of them, unless one offset's map holds more; the
+# occlusion test's block of start-cell pairs has the same size
+_CORRELATION_BLOCK_TERMS = 1 << 14
 
 
 def local_correlation(compressed: GridMap, window: int) -> GridMap:
@@ -103,19 +114,36 @@ def local_correlation(compressed: GridMap, window: int) -> GridMap:
     window x window block anchored at (i, j). Cells past the boundary use
     replicate-edge padding. Outputs lie in (0, 1); a constant map gives 0.5
     everywhere since every difference is zero.
+
+    The terms of a block of offsets (a, b), in row-major order, are
+    computed in whole-array steps on copies of the shifted maps, at most
+    _CORRELATION_BLOCK_TERMS values or one offset's map at a time, so a
+    window of any size allocates no more than that. Each offset's term map
+    is then added to the sum one at a time in that order, so the sum is
+    the same, bit for bit, as one that adds one shifted map per offset.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     f = compressed.values
     h, w = f.shape
     padded = np.pad(f, ((0, window - 1), (0, window - 1)), mode="edge")
+    shifted = sliding_window_view(padded, (h, w))  # [a, b] is offset (a, b)'s
+    offsets = window * window
+    per_block = max(1, _CORRELATION_BLOCK_TERMS // f.size)
     acc = np.zeros((h, w), dtype=np.float64)
-    for a in range(window):
-        for b in range(window):
-            diff = padded[a:a + h, b:b + w] - f
-            # sigmoid via tanh keeps large negative diffs from overflowing exp
-            acc += 0.5 * (1.0 + np.tanh(0.5 * diff))
-    return GridMap(acc / (window * window))
+    for first in range(0, offsets, per_block):
+        a, b = np.divmod(np.arange(first, min(first + per_block, offsets)),
+                         window)
+        terms = shifted[a, b]  # a contiguous copy, one map per offset
+        terms -= f
+        # sigmoid via tanh keeps large negative diffs from overflowing exp
+        terms *= 0.5
+        np.tanh(terms, out=terms)
+        terms += 1.0
+        terms *= 0.5
+        for term in terms:
+            acc += term
+    return GridMap(acc / offsets)
 
 
 def entropy_map(p: GridMap) -> GridMap:
@@ -153,8 +181,10 @@ def confidence_map(q_hvn: GridMap, q_user: GridMap) -> GridMap:
     """Per-cell confidence gap max(q_hvn - q_user, 0).
 
     Zero wherever the user is already at least as confident as the sender.
+    Either map may be a 1 x W row against the other's H x W stack; the
+    result then has the stack's shape, as if the row were repeated.
     """
-    _require_same_shape(q_hvn, q_user)
+    _require_rows(q_hvn, q_user)
     return GridMap(np.maximum(q_hvn.values - q_user.values, 0.0))
 
 
@@ -164,9 +194,13 @@ def build_moi(conf: GridMap, info: GridMap, roi: GridMap) -> GridMap:
     The result is zero wherever the cell is outside the RoI, judged
     uninformative, or needs no assistance; otherwise it carries the
     confidence gap as the cell's interest weight.
+
+    Each map may be an H x W stack of per-user maps, one per row, or a
+    1 x W row shared by every user, such as the informativeness mask of a
+    whole scene: the product is H x W, the same bit for bit as if the row
+    were repeated H times, while the binary check reads the row once.
     """
-    _require_same_shape(conf, info)
-    _require_same_shape(conf, roi)
+    _require_rows(conf, info, roi)
     if not info.is_binary():
         raise ValueError("info mask must be binary")
     if not roi.is_binary():

@@ -220,8 +220,9 @@ def _cell_centers(params: GenParams) -> np.ndarray:
     ex, ey = params.extent
     ys = (np.arange(params.grid_h) + 0.5) * ey / params.grid_h
     xs = (np.arange(params.grid_w) + 0.5) * ex / params.grid_w
-    gy, gx = np.meshgrid(ys, xs, indexing="ij")
-    return np.stack([gx.ravel(), gy.ravel()], axis=1)  # row-major (x, y)
+    # row-major (x, y)
+    return np.stack([np.tile(xs, params.grid_h), np.repeat(ys, params.grid_w)],
+                    axis=1)
 
 
 def generate(params: GenParams) -> tuple[Scene, ProblemInstance]:
@@ -243,13 +244,14 @@ def generate(params: GenParams) -> tuple[Scene, ProblemInstance]:
     user_heading = headings[rng.integers(0, 4, size=params.n_users)]
     # a draw of no objects leaves the generator's state as it was
     objects = rng.uniform((0.0, 0.0), (ex, ey), size=(params.n_objects, 2))
-    occluders = []
-    for _ in range(params.n_occluders):
-        cx, cy = rng.uniform((0.0, 0.0), (ex, ey))
-        width = rng.uniform(OCCLUDER_MIN_SIZE, OCCLUDER_MAX_SIZE)
-        depth = rng.uniform(OCCLUDER_MIN_SIZE, OCCLUDER_MAX_SIZE)
-        occluders.append((cx - width / 2, cx + width / 2,
-                          cy - depth / 2, cy + depth / 2))
+    # each occluder's centre, width and depth, one row per occluder: the
+    # same values and stream as drawing them one by one in that order
+    cx, cy, width, depth = rng.uniform(
+        (0.0, 0.0, OCCLUDER_MIN_SIZE, OCCLUDER_MIN_SIZE),
+        (ex, ey, OCCLUDER_MAX_SIZE, OCCLUDER_MAX_SIZE),
+        size=(params.n_occluders, 4)).T
+    occluders = list(zip((cx - width / 2).tolist(), (cx + width / 2).tolist(),
+                         (cy - depth / 2).tolist(), (cy + depth / 2).tolist()))
 
     cells = _cell_centers(params)
     d2 = (cells[:, 0, None] - objects[None, :, 0]) ** 2 \
@@ -274,21 +276,18 @@ def generate(params: GenParams) -> tuple[Scene, ProblemInstance]:
     inside = (np.abs(cells[None, :, 0] - center[:, 0, None]) <= ROI_HALF_WIDTH) \
         & (np.abs(cells[None, :, 1] - center[:, 1, None]) <= ROI_HALF_WIDTH)
     roi_all = GridMap(inside.astype(np.float64))
+    # the sender's confidence and the informativeness mask are the same
+    # for every user, so they enter as 1 x L rows against the N x L stacks
     interest = build_moi(
-        confidence_map(GridMap(np.broadcast_to(q_hvn_flat, blocked.shape)),
-                       q_user_all),
-        GridMap(np.broadcast_to(informative.values.ravel(), blocked.shape)),
+        confidence_map(GridMap(q_hvn_flat[None, :]), q_user_all),
+        GridMap(informative.values.reshape(1, -1)),
         roi_all,
     )
     users = tuple(
-        UserGeometry(
-            position=(float(x), float(y), 0.0),
-            heading=(float(hx), float(hy)),
-            roi=roi,
-            q_user=q_user,
-        )
+        UserGeometry(position=(x, y, 0.0), heading=(hx, hy), roi=roi,
+                     q_user=q_user)
         for (x, y), (hx, hy), roi, q_user in zip(
-            user_xy, user_heading, roi_all._rows((h, w)),
+            user_xy.tolist(), user_heading.tolist(), roi_all._rows((h, w)),
             q_user_all._rows((h, w)))
     )
 

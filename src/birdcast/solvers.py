@@ -191,13 +191,10 @@ def _lazy_pass(table: np.ndarray, costs: np.ndarray, rate: list[int],
     return budget_left, evals, picks
 
 
-def best_single_item(inst: ProblemInstance) -> tuple[Item | None, float]:
-    """Highest-utility single item that fits the whole budget.
-
-    Ties break toward the lower grid index, then the lower rate index.
-    Returns (None, 0.0) when no item fits; the value reported goes through
-    the canonical coverage evaluator.
-    """
+def _best_item(inst: ProblemInstance) -> tuple[Item | None, float]:
+    """Highest-utility single item that fits the whole budget, and its
+    value as the rate-class table S holds it; (None, 0.0) when none fits.
+    Ties break toward the lower grid index, then the lower rate index."""
     fits = inst.item_cost_s <= inst.budget_s
     if not fits.any():
         return None, 0.0
@@ -205,8 +202,41 @@ def best_single_item(inst: ProblemInstance) -> tuple[Item | None, float]:
     # items that fit are those of rates m >= the slowest one that fits, and
     # that rate is the first best of every grid
     m = int(np.argmax(fits))
-    item = (int(np.argmax(inst.rate_class_table[:, m])), m)
+    l = int(np.argmax(inst.rate_class_table[:, m]))
+    return (l, m), float(inst.rate_class_table[l, m])
+
+
+def best_single_item(inst: ProblemInstance) -> tuple[Item | None, float]:
+    """Highest-utility single item that fits the whole budget.
+
+    Ties break toward the lower grid index, then the lower rate index.
+    Returns (None, 0.0) when no item fits; the value reported goes through
+    the canonical coverage evaluator.
+    """
+    item, _ = _best_item(inst)
+    if item is None:
+        return None, 0.0
     return item, _rates_utility(inst, _single_item_rates(inst, item))
+
+
+def _single_item_may_win(inst: ProblemInstance, table_value: float,
+                         value: float) -> bool:
+    """Whether the best single item, whose value S holds as table_value,
+    may beat `value` through the canonical evaluator; when False it cannot.
+
+    Both numbers sum the same non-negative weights of the item's users,
+    exactly in real arithmetic: S in at most N + M - 2 float additions on
+    any leaf's path (the class sums, then the reverse cumulative sum), the
+    canonical evaluator in at most N * L - 1 (products by 0 and 1 are
+    exact). So each lies within k * 2^-53 of the exact sum, relatively and
+    to first order, k its count of additions. A margin of 2^-51, four
+    units in the last place, for each of the N * L + N + M terms covers
+    both errors and the rounding of the product below; the test passes
+    through an overflow to inf, which only opens it.
+    """
+    margin = (inst.n_users * inst.n_grids + inst.n_users + inst.n_rates) \
+        * 2.0 ** -51
+    return table_value * (1.0 + margin) > value
 
 
 def _single_item_rates(inst: ProblemInstance, item: Item) -> np.ndarray:
@@ -266,14 +296,19 @@ def _two_pass_greedy(inst: ProblemInstance,
     rate, active_rate = np.full(inst.n_grids, inst.n_rates), rate
     rate[inst.active] = active_rate
     value = _rates_utility(inst, rate)
-    single, single_value = best_single_item(inst)
-    if single is not None and single_value > value:
-        # send the grid at the slowest top rate of the users it reaches:
-        # the same users, at no more cost than the item's own rate
-        l, m = single
-        reached = inst.top_rate[(inst.moi[:, l] > 0) & (inst.top_rate >= m)]
-        rate = _single_item_rates(inst, (l, int(reached.min())))
-        value = single_value
+    single, table_value = _best_item(inst)
+    # the canonical evaluation of the single item runs only when S says it
+    # may win; it wins when its canonical value beats the passes'
+    if single is not None and _single_item_may_win(inst, table_value, value):
+        single_value = _rates_utility(inst, _single_item_rates(inst, single))
+        if single_value > value:
+            # send the grid at the slowest top rate of the users it
+            # reaches: the same users, at no more cost than the item's rate
+            l, m = single
+            reached = inst.top_rate[(inst.moi[:, l] > 0)
+                                    & (inst.top_rate >= m)]
+            rate = _single_item_rates(inst, (l, int(reached.min())))
+            value = single_value
     return _result_from_rates(inst, rate, evals, value)
 
 

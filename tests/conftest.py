@@ -78,6 +78,44 @@ def random_full_scale_instance(rng: np.random.Generator,
     )
 
 
+def unwanted_grids_instance(rng: np.random.Generator) -> ProblemInstance:
+    """Random instance with all-zero grid columns among the wanted ones,
+    users who want nothing, users who decode no rate and, on every other
+    draw, weights in quarters, so that weights and shares tie."""
+    table = random_mcs_table(rng, max_rates=4)
+    n_users = int(rng.integers(1, 13))
+    n_grids = int(rng.integers(1, 41))
+    lo, hi = table.thresholds_db[0], table.thresholds_db[-1]
+    snr = rng.uniform(lo - 5.0, hi + 5.0, size=n_users)
+    if rng.random() < 0.5:
+        moi = rng.integers(0, 5, size=(n_users, n_grids)) / 4.0
+    else:
+        moi = rng.uniform(0.0, 1.0, size=(n_users, n_grids))
+    moi[:, rng.random(n_grids) < 0.4] = 0.0
+    moi[rng.random(n_users) < 0.2] = 0.0
+    cheapest = 8.0 * 1600.0 / (1e8 * table.rates[-1])  # a grid, fastest rate
+    budget = float(cheapest * rng.uniform(0.5, 2.0 * n_grids))
+    return ProblemInstance(moi=moi, snr_db=tuple(snr), mcs=table,
+                           grid_bytes=1600.0, bandwidth_hz=1e8, budget_s=budget)
+
+
+def equal_weights_instance(rng: np.random.Generator, n_users: int,
+                           wanted: float) -> ProblemInstance:
+    """Random instance in which every user wants the same grids, each by
+    0.25, so a run's wanted grids all tie and every cut below them
+    straddles a tie; wanted is the share of grids wanted (0: none)."""
+    table = random_mcs_table(rng, max_rates=4)
+    n_grids = int(rng.integers(1, 41))
+    lo, hi = table.thresholds_db[0], table.thresholds_db[-1]
+    snr = rng.uniform(lo - 5.0, hi + 5.0, size=n_users)
+    snr[0] = hi  # some user decodes a rate
+    moi = np.tile(0.25 * (rng.random(n_grids) < wanted), (n_users, 1))
+    cheapest = 8.0 * 1600.0 / (1e8 * table.rates[-1])  # a grid, fastest rate
+    budget = float(cheapest * rng.uniform(0.5, 2.0 * n_grids))
+    return ProblemInstance(moi=moi, snr_db=tuple(snr), mcs=table,
+                           grid_bytes=1600.0, bandwidth_hz=1e8, budget_s=budget)
+
+
 def legacy_dense_doc(inst: ProblemInstance) -> dict:
     """The instance as the dense document older versions wrote: no "format"
     key and moi as a list of N rows."""

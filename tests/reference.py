@@ -3,11 +3,12 @@
 Direct, unoptimized definitions that the package's fast paths are checked
 against: per-user coverage and marginal gains, duplicate-rate removal,
 unpruned enumerations of the optimum, the DP baselines' run valuations
-and per-count boundary recurrence, and random round trips through both
-plan mappings, and an exact occlusion test for one segment. Decodability
-is derived here from snr_db and the MCS thresholds, never from
-ProblemInstance.top_rate or rate_class_table, so the checks compare the
-package with an independent model.
+and per-count boundary recurrence, random round trips through both plan
+mappings, an exact occlusion test for one segment, the local correlation
+score one window offset at a time, and a plan's evaluation one group at a
+time. Decodability is derived here from snr_db and the MCS thresholds,
+never from ProblemInstance.top_rate or rate_class_table, so the checks
+compare the package with an independent model.
 """
 
 from __future__ import annotations
@@ -20,7 +21,10 @@ import numpy as np
 
 from birdcast import (
     EnumerationCapExceeded,
+    GridMap,
+    MulticastPlan,
     OracleResult,
+    PlanEvaluation,
     ProblemInstance,
     Selection,
     evaluate_plan,
@@ -29,7 +33,7 @@ from birdcast import (
     selection_from_plan,
     utility,
 )
-from birdcast.instance import Item, coverage_utility
+from birdcast.instance import Item, coverage_utility, is_budget_feasible
 
 # the largest assignment space (M+1)^L that brute_force_assignments sweeps,
 # and the most items L*M that unrestricted_opt enumerates subsets of
@@ -370,3 +374,48 @@ def segment_blocked(start, cell, rect) -> bool:
         t0 = max(t0, min(t_a, t_b))
         t1 = min(t1, max(t_a, t_b))
     return t0 <= t1
+
+
+def local_correlation(compressed: GridMap, window: int) -> np.ndarray:
+    """moi.local_correlation's score as a sum of one shifted map per window
+    offset (a, b), in row-major order: the sum the blocked form must equal
+    bit for bit."""
+    f = compressed.values
+    h, w = f.shape
+    padded = np.pad(f, ((0, window - 1), (0, window - 1)), mode="edge")
+    acc = np.zeros((h, w), dtype=np.float64)
+    for a in range(window):
+        for b in range(window):
+            diff = padded[a:a + h, b:b + w] - f
+            acc += 0.5 * (1.0 + np.tanh(0.5 * diff))
+    return acc / (window * window)
+
+
+def evaluate_plan_by_group(inst: ProblemInstance,
+                           plan: MulticastPlan) -> PlanEvaluation:
+    """evaluate_plan one group at a time, for a plan that passes its
+    checks: a group with grids to send at a rate of 0 or below covers
+    nothing and makes the plan inconsistent; so does a non-empty group sent
+    at another rate than its slowest member's maximum."""
+    members = np.zeros((plan.n_groups, inst.n_users))
+    latency = 0.0
+    rate_consistent = True
+    # each user's fastest decodable rate, 0 when it decodes none
+    rates = np.array([0.0, *inst.mcs.rates])
+    user_rate = inst.bandwidth_hz * rates[decodable(inst).sum(axis=1)]
+    bits = 8.0 * inst.grid_bytes
+    for k, n_sel in enumerate(plan.masks.sum(axis=1).tolist()):
+        group = list(plan.groups[k])
+        if n_sel:
+            if plan.rates_bps[k] <= 0:
+                rate_consistent = False
+                continue
+            latency += bits * n_sel / plan.rates_bps[k]
+        if group:
+            if plan.rates_bps[k] != float(user_rate[group].min()):
+                rate_consistent = False
+            members[k, group] = 1.0
+    covered = members.T @ plan.masks > 0.0
+    return PlanEvaluation(
+        utility=coverage_utility(inst, covered), latency_s=latency,
+        feasible=rate_consistent and is_budget_feasible(inst, latency))

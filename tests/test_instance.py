@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from birdcast import (
+    GenParams,
     McsTable,
     MulticastPlan,
     ProblemInstance,
@@ -19,15 +20,18 @@ from birdcast import (
     accelerated_greedy,
     evaluate_plan,
     fig1_instance,
+    generate,
     plan_from_selection,
     selection_cost,
     selection_from_plan,
     utility,
 )
 from birdcast import instance
+from birdcast.cli import SOLVERS
 
 from conftest import MALFORMED_INSTANCE_EDITS, legacy_dense_doc, random_instance
-from reference import CoverageState, decodable, marginal_gain
+from reference import (CoverageState, decodable, evaluate_plan_by_group,
+                       marginal_gain)
 
 
 def brute_utility(inst: ProblemInstance, items) -> float:
@@ -435,6 +439,51 @@ def test_evaluate_plan_group_at_non_positive_rate_covers_nothing():
         assert ev.utility == 0.5  # only user 0's grid 1, from group 1
         assert ev.latency_s == 8.0 * 1600.0 / 2e6
         assert not ev.feasible
+
+
+def test_evaluate_plan_matches_the_per_group_reference_on_solver_plans():
+    insts = [fig1_instance(), two_rate_instance(), two_rate_instance(1e-6)]
+    insts += [generate(GenParams(n_users=n, budget_s=budget, seed=seed))[1]
+              for n, budget, seed in ((24, 0.005, 0), (24, 0.030, 1),
+                                      (32, 0.005, 2), (3, 0.001, 3))]
+    rng = np.random.default_rng(81)
+    insts += [random_instance(rng) for _ in range(40)]
+    for inst in insts:
+        for solver, solve in SOLVERS.items():
+            plan = solve(inst).plan
+            assert evaluate_plan(inst, plan) == \
+                evaluate_plan_by_group(inst, plan), solver
+
+
+def hand_made_plans():
+    """Plans for two_rate_instance (user 0 tops out at 2e6 bps, user 1 at
+    1e6) that no solver writes, with whether each is rate-consistent."""
+    grid_0, both, none = [True, False], [True, True], [False, False]
+    yield (), (), (), True  # no groups at all
+    # an empty group sending grids: its time counts, it covers nothing
+    yield ((), (0, 1)), (both, [False, True]), (2e6, 1e6), True
+    yield ((0,), ()), (grid_0, none), (2e6, -3.0), True  # nothing to send
+    # grids at a rate of 0 or below: no coverage, inconsistent
+    for bad in (0.0, -0.0, -1e6):
+        yield ((0, 1), (0,)), (grid_0, [False, True]), (bad, 2e6), False
+    # a rate of 0 or below with nothing to send still checks the members
+    yield ((0, 1), (0,)), (none, both), (0.0, 2e6), False
+    yield ((0,), (0, 1)), (both, grid_0), (1e6, 1e6), False  # user 0: 2e6
+    yield ((0, 1),), (both,), (2e6,), False  # user 1 decodes only 1e6
+    yield ((0, 0, 1),), (both,), (1e6,), True  # a member listed twice
+
+
+@pytest.mark.parametrize("case", list(hand_made_plans()))
+def test_evaluate_plan_matches_the_per_group_reference_on_hand_made_plans(
+        case):
+    groups, masks, rates, consistent = case
+    inst = two_rate_instance()
+    plan = MulticastPlan(groups=groups,
+                         masks=np.array(masks, dtype=bool).reshape(-1, 2),
+                         rates_bps=rates)
+    ev = evaluate_plan(inst, plan)
+    assert ev == evaluate_plan_by_group(inst, plan)
+    assert ev.feasible == consistent  # the budget, 1 s, holds every plan
 
 
 def test_monotonicity_and_submodularity_random():

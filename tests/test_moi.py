@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,20 @@ def test_local_correlation_outputs_in_open_unit_interval():
     assert np.all(p.values > 0.0) and np.all(p.values < 1.0)
 
 
+def test_local_correlation_of_a_wide_window_allocates_a_block_at_a_time():
+    # window 40 on a 40 x 100 map: 1,600 offsets of 4,000 cells, 51 MB as
+    # one array of terms, within GenParams' cap on window ** 2 cells
+    f = GridMap(np.random.default_rng(7).normal(size=(40, 100)))
+    tracemalloc.start()
+    try:
+        p = local_correlation(f, 40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+    assert np.all(p.values > 0.0) and np.all(p.values < 1.0)
+
+
 def test_entropy_values():
     p = GridMap(np.array([[0.5, 1.0 / math.e]]))
     e = entropy_map(p)
@@ -175,6 +190,49 @@ def test_confidence_map():
 def test_confidence_map_shape_mismatch():
     with pytest.raises(ValueError):
         confidence_map(GridMap(np.zeros((2, 2))), GridMap(np.zeros((2, 3))))
+
+
+ROW_CASES = [(1, 1), (1, 7), (4, 1), (5, 9)]
+
+
+@pytest.mark.parametrize("h, w", ROW_CASES)
+def test_confidence_map_row_against_a_stack_is_the_broadcast(h, w):
+    rng = np.random.default_rng(h * 10 + w)
+    row, stack = rng.uniform(0, 1, (1, w)), rng.uniform(0, 1, (h, w))
+    repeated = np.repeat(row, h, axis=0)
+    for a, b, a_full, b_full in ((row, stack, repeated, stack),
+                                 (stack, row, stack, repeated)):
+        got = confidence_map(GridMap(a), GridMap(b)).values
+        want = confidence_map(GridMap(a_full), GridMap(b_full)).values
+        assert got.shape == (h, w) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("h, w", ROW_CASES)
+def test_build_moi_rows_against_a_stack_are_the_broadcast(h, w):
+    rng = np.random.default_rng(h * 10 + w)
+    conf = rng.uniform(0, 1, (h, w))
+    info = (rng.random((1, w)) < 0.5).astype(float)
+    roi = (rng.random((h, w)) < 0.5).astype(float)
+    want = build_moi(GridMap(conf), GridMap(np.repeat(info, h, axis=0)),
+                     GridMap(roi)).values
+    got = build_moi(GridMap(conf), GridMap(info), GridMap(roi)).values
+    assert got.shape == (h, w) and got.tobytes() == want.tobytes()
+    # any of the three may be the row
+    rows = build_moi(GridMap(conf[:1]), GridMap(info), GridMap(roi)).values
+    assert rows.tobytes() == build_moi(
+        GridMap(np.repeat(conf[:1], h, axis=0)),
+        GridMap(np.repeat(info, h, axis=0)), GridMap(roi)).values.tobytes()
+
+
+def test_row_of_another_width_rejected():
+    stack, row = GridMap(np.ones((3, 4))), GridMap(np.ones((1, 5)))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        confidence_map(row, stack)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        build_moi(stack, row, stack)
+    # two stacks of different heights, each fine against a row
+    with pytest.raises(ValueError, match="shape mismatch"):
+        build_moi(GridMap(np.ones((1, 4))), stack, GridMap(np.ones((2, 4))))
 
 
 def test_build_moi_identity_masks():

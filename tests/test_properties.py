@@ -57,13 +57,14 @@ from birdcast.instance import (  # noqa: E402
 )
 from birdcast.oracle import _bound_rtol  # noqa: E402
 from birdcast.solvers import _argmax_pass, _lazy_pass  # noqa: E402
-from birdcast import scenario  # noqa: E402
+from birdcast import moi, scenario  # noqa: E402
 from reference import (  # noqa: E402
     CoverageState,
     decodable,
     remove_redundant,
     segment_blocked,
 )
+import reference  # noqa: E402
 
 # few distinct weights and rates, so that equal ratios, and the tie-breaks
 # both greedy solvers must share, come up often
@@ -791,3 +792,37 @@ def test_segments_blocked_matches_the_exact_reference(case):
     # one start per block, as at scales past a block's pairs
     with mock.patch.object(scenario, "_CLIP_BLOCK_PAIRS", 1):
         assert scenario._segments_blocked(*args).tolist() == want
+
+
+@st.composite
+def correlation_cases(draw):
+    """An h x w feature map, 1 <= h <= 12 and 1 <= w <= 30, and a window of
+    1 to 9, larger than the map on some draws; the map is normal noise at
+    one of four scales, or holds few distinct values, so that
+    differences of zero come up."""
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        values = rng.normal(size=(h, w)) * draw(
+            st.sampled_from((0.01, 1.0, 10.0, 300.0)))
+    else:
+        values = rng.integers(-1, 2, size=(h, w)) * 0.5
+    return GridMap(values), draw(st.integers(1, 9))
+
+
+@PROPERTY_SETTINGS
+@hypothesis.given(correlation_cases())
+# a window larger than the map, and at the default block size, a map
+# whose 81 offsets take two blocks
+@hypothesis.example((GridMap(np.arange(6.0).reshape(2, 3)), 9))
+@hypothesis.example((GridMap(np.sin(np.arange(360.0)).reshape(12, 30)), 9))
+def test_local_correlation_blocks_match_one_offset_at_a_time(case):
+    compressed, window = case
+    want = reference.local_correlation(compressed, window).tobytes()
+    assert moi.local_correlation(compressed, window).values.tobytes() == want
+    # one offset per block, and two, so that the last block of an odd
+    # window ** 2 holds one
+    for terms in (1, 2 * compressed.values.size):
+        with mock.patch.object(moi, "_CORRELATION_BLOCK_TERMS", terms):
+            got = moi.local_correlation(compressed, window).values
+        assert got.tobytes() == want

@@ -24,7 +24,9 @@ from birdcast import (
     utility,
 )
 
-from conftest import random_instance
+from birdcast import solvers
+from conftest import (equal_weights_instance, random_instance,
+                      unwanted_grids_instance)
 from reference import CoverageState, marginal_gain, remove_redundant
 
 APPROX_BOUND = 1.0 - 1.0 / np.sqrt(np.e)
@@ -161,6 +163,89 @@ def test_single_item_fallback_sends_at_the_rate_its_plan_reads_back():
         assert res.selection == Selection.from_pairs([(0, 1)])
         assert selection_from_plan(inst, res.plan) == res.selection
         assert res.latency_s == selection_cost(inst, res.selection)
+
+
+def ungated(monkeypatch) -> None:
+    """Make both paper solvers evaluate the best single item canonically
+    on every solve, as they did before the rate-class table gated it."""
+    monkeypatch.setattr(solvers, "_single_item_may_win",
+                        lambda inst, table_value, value: True)
+
+
+def both_greedy_docs(inst: ProblemInstance) -> list[dict]:
+    return [solve(inst).to_json()
+            for solve in (refined_greedy, accelerated_greedy)]
+
+
+def test_single_item_gate_changes_no_result(monkeypatch):
+    insts = []
+    rng = np.random.default_rng(61)
+    insts += [random_instance(rng) for _ in range(150)]
+    # all-zero grids and users, weights in quarters: ties between the
+    # single item and the passes' value
+    rng = np.random.default_rng(62)
+    insts += [unwanted_grids_instance(rng) for _ in range(100)]
+    rng = np.random.default_rng(63)
+    insts += [equal_weights_instance(rng, int(rng.integers(1, 13)), 0.5)
+              for _ in range(40)]
+    opened = []
+    gate = solvers._single_item_may_win
+
+    def recorded_gate(*args) -> bool:
+        opened.append(gate(*args))
+        return opened[-1]
+
+    monkeypatch.setattr(solvers, "_single_item_may_win", recorded_gate)
+    gated = [both_greedy_docs(inst) for inst in insts]
+    assert True in opened and False in opened
+    ungated(monkeypatch)
+    assert [both_greedy_docs(inst) for inst in insts] == gated
+
+
+def test_single_item_gate_opens_where_the_single_item_wins(monkeypatch):
+    # the fallback test's instance: (0, 0), worth 0.2 + 0.9 in S, beats
+    # the passes' 0.9
+    table = McsTable(rates=(1.0, 1.1, 2.0, 4.0),
+                     thresholds_db=(0.0, 10.0, 20.0, 30.0))
+    inst = ProblemInstance(moi=np.array([[0.2], [0.9], [0.0]]),
+                           snr_db=(10.0, 30.0, 10.0), mcs=table,
+                           grid_bytes=1000.0, bandwidth_hz=1e6, budget_s=0.009)
+    assert solvers._best_item(inst) == ((0, 0), 0.2 + 0.9)
+    assert solvers._single_item_may_win(inst, 0.2 + 0.9, 0.9)
+    gated = both_greedy_docs(inst)
+    assert gated[0]["selection"] == [[0, 1]]
+    ungated(monkeypatch)
+    assert both_greedy_docs(inst) == gated
+
+
+def test_single_item_worth_exactly_the_passes_value_loses(monkeypatch):
+    # the passes send (0, 1) and (1, 1) to user 0, worth 0.5 + 0.5; the
+    # best single item, (1, 0), reaches both users for 0.5 + 0.5 too, and
+    # S holds that sum exactly, so the gate opens and the tie keeps the
+    # passes' schedule
+    table = McsTable(rates=(1.0, 2.0), thresholds_db=(0.0, 10.0))
+    inst = ProblemInstance(moi=np.array([[0.5, 0.5], [0.0, 0.5]]),
+                           snr_db=(10.0, 0.0), mcs=table, grid_bytes=1000.0,
+                           bandwidth_hz=1e6, budget_s=0.008)
+    assert solvers._best_item(inst) == ((1, 0), 1.0)
+    gated = both_greedy_docs(inst)
+    for doc in gated:
+        assert doc["selection"] == [[0, 1], [1, 1]] and doc["utility"] == 1.0
+    assert solvers._single_item_may_win(inst, 1.0, 1.0)
+    ungated(monkeypatch)
+    assert both_greedy_docs(inst) == gated
+
+
+def test_single_item_gate_margin():
+    inst = random_instance(np.random.default_rng(64))
+    margin = (inst.n_users * inst.n_grids + inst.n_users
+              + inst.n_rates) * 2.0 ** -51
+    assert solvers._single_item_may_win(inst, 3.0, 3.0)
+    assert solvers._single_item_may_win(inst, 3.0, 3.0 * (1.0 + margin / 2))
+    assert not solvers._single_item_may_win(inst, 3.0,
+                                            3.0 * (1.0 + 2.0 * margin))
+    # nothing of value: the single item cannot beat even an empty schedule
+    assert not solvers._single_item_may_win(inst, 0.0, 0.0)
 
 
 def test_lazy_equals_standard_small_random():
