@@ -10,29 +10,34 @@ in turn is sent if the budget left pays for it. Marginal utility scans by
 ratio too, passing over the items of grids it has sent. k-means++ and the
 DP propose candidate partitions and leave through one best-of exit
 (_best_of), which prices each candidate's groups, runs the joint greedy
-on each candidate, scores it on its coverage matrix and keeps the first
-of highest utility. Every group baseline builds its one plan in _result,
-each group at its slowest member's top rate. Every scheme returns a
-SolveResult whose utility is the objective of its own plan, so free
-riders outside a scheme's groups earn it no credit.
+on each candidate (not again on one that only reorders an earlier
+candidate's groups, unless a tie between them could change its outcome),
+scores it on its coverage matrix when the greedy's own sum of what it
+sent may win, and keeps the first of highest utility. Every group
+baseline builds its one plan in _result, each group at its slowest
+member's top rate, and reads the plan's utility, latency and selection
+off its groups and masks, without evaluating the plan. Every scheme
+returns a SolveResult whose utility is the objective of its own plan, so
+free riders outside a scheme's groups earn it no credit.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from typing import Iterable
 
 import numpy as np
 
 from .instance import (
     ProblemInstance,
+    Selection,
     _group_plan,
+    _latency,
     _rates_utility,
     coverage_utility,
-    evaluate_plan,
-    selection_from_plan,
 )
-from .solvers import SolveResult, _result_from_rates
+from .solvers import SolveResult, _estimate_may_win, _result_from_rates
 
 logger = logging.getLogger(__name__)
 
@@ -57,20 +62,45 @@ _FAIRNESS_FLOOR = 0.1
 _Candidate = tuple[list[np.ndarray], dict]
 
 
-def _result(inst: ProblemInstance, groups: list[np.ndarray], masks: np.ndarray,
-            rate_idx: list[int], meta: dict, evals: int) -> SolveResult:
-    """The one exit of the group baselines: the plan in which group k
-    sends masks[k] at rate option rate_idx[k] (_group_plan), its
-    evaluation, `evals` gain evaluations and `meta`, in a result built
-    whole. Broadcast, unicast and _best_of each pass their groups, masks
-    and prices."""
+def _coverage_value(inst: ProblemInstance, groups: list[np.ndarray],
+                    masks: np.ndarray) -> float:
+    """coverage_utility of disjoint groups, group k sending masks[k]: each
+    member's row of the N x L coverage is its group's mask, the matrix
+    evaluate_plan derives from their plan, so the value is bit-identical
+    to the plan's utility. The matrix is one row gather: each user's label
+    (group k's members k, everyone else the group count) indexes the masks
+    stacked over one all-false row."""
+    label = np.full(inst.n_users, len(groups))
+    for k, members in enumerate(groups):
+        label[members] = k
+    unsent = np.zeros((1, inst.n_grids), dtype=bool)
+    return coverage_utility(inst, np.concatenate((masks, unsent))[label])
+
+
+def _result(inst: ProblemInstance, value: float, groups: list[np.ndarray],
+            masks: np.ndarray, rate_idx: list[int], meta: dict,
+            evals: int) -> SolveResult:
+    """The one exit of the group baselines: the plan in which disjoint
+    group k sends masks[k] at rate option rate_idx[k] (_group_plan), whose
+    utility is `value` (_coverage_value), with `evals` gain evaluations
+    and `meta`, in a result built whole. Broadcast, unicast and _best_of
+    each pass their value, groups, masks and prices.
+
+    The plan is not evaluated again. Its latency is evaluate_plan's, by
+    the same sum (instance._latency). Its selection is every
+    (grid, rate_idx[k]) that group k sends: the rate options are distinct
+    (their item costs strictly decrease), so each group's rate reads back
+    as its own index, as in selection_from_plan.
+    """
     plan = _group_plan(inst, groups, masks, rate_idx)
-    evaluation = evaluate_plan(inst, plan)
+    ks, grids = np.nonzero(plan.masks)
+    rates = np.asarray(rate_idx, dtype=np.intp)[ks]
     return SolveResult(
-        selection=selection_from_plan(inst, plan),
+        selection=Selection(frozenset(zip(grids.tolist(), rates.tolist()))),
         plan=plan,
-        utility=evaluation.utility,
-        latency_s=evaluation.latency_s,
+        utility=value,
+        latency_s=_latency(inst, plan.masks.sum(axis=1).tolist(),
+                           plan.rates_bps),
         gain_evaluations=evals,
         meta=meta,
     )
@@ -115,8 +145,8 @@ def broadcast_solve(inst: ProblemInstance) -> SolveResult:
         logger.warning("broadcast: dropping %d user(s) with no decodable rate",
                        dropped.size)
     if users.size == 0:
-        return _result(inst, [], np.zeros((0, inst.n_grids), dtype=bool), [],
-                       meta, 0)
+        return _result(inst, 0.0, [],
+                       np.zeros((0, inst.n_grids), dtype=bool), [], meta, 0)
     # every decodable user is the instance's canonical group 0
     rate_idx = inst.group_rate[0]
     weights = inst.moi[users].sum(axis=0)
@@ -125,8 +155,8 @@ def broadcast_solve(inst: ProblemInstance) -> SolveResult:
                            inst.budget_s)
     masks = np.zeros((1, inst.n_grids), dtype=bool)
     masks[0, order[sent]] = True
-    return _result(inst, [users], masks, [rate_idx], meta,
-                   min(sent.size + 1, inst.n_grids))
+    return _result(inst, _coverage_value(inst, [users], masks), [users],
+                   masks, [rate_idx], meta, min(sent.size + 1, inst.n_grids))
 
 
 def unicast_solve(inst: ProblemInstance) -> SolveResult:
@@ -149,7 +179,8 @@ def unicast_solve(inst: ProblemInstance) -> SolveResult:
     picked = np.zeros(weights.shape, dtype=bool)
     picked[rows[order[sent]], grids[order[sent]]] = True
     served = picked.any(axis=1)
-    return _result(inst, list(users[served, None]), picked[served],
+    groups, masks = list(users[served, None]), picked[served]
+    return _result(inst, _coverage_value(inst, groups, masks), groups, masks,
                    max_idx[served].tolist(), {}, rows.size)
 
 
@@ -193,7 +224,7 @@ def marginal_util_solve(inst: ProblemInstance) -> SolveResult:
 
 def _joint_greedy(inst: ProblemInstance, groups: list[np.ndarray],
                   rate_idx: list[int],
-                  moi: np.ndarray) -> tuple[np.ndarray, int]:
+                  moi: np.ndarray) -> tuple[np.ndarray, int, float, bool]:
     """Greedy (grid, group) allocation for disjoint groups.
 
     Each step sends the affordable item of highest uncovered member weight
@@ -208,21 +239,33 @@ def _joint_greedy(inst: ProblemInstance, groups: list[np.ndarray],
     columns. Each step counts the affordable groups times L gain
     evaluations, and so does the closing step that finds nothing left to
     send.
+
+    Returns the masks, the gain evaluations, the sum of the uncovered
+    weights of the items sent (their value, summed in another order than
+    coverage_utility's) and whether two groups tie exactly at one grid
+    among the positive ratios. Without such a tie the order of the groups
+    breaks no tie that matters: the same groups in any order send the
+    same items, in the same steps.
     """
     n_groups = len(groups)
     masks = np.zeros((n_groups, inst.n_grids), dtype=bool)
     if not n_groups:
-        return masks, 0
+        return masks, 0, 0.0, False
     uncovered = np.stack([moi[g].sum(axis=0) for g in groups], axis=1)
     costs = inst.item_cost_s[rate_idx]
     ratios = (uncovered / costs[None, :]).ravel()
     order = np.argsort(-ratios, kind="stable")
     order = order[:int((ratios > 0.0).sum())]
+    # equal ratios keep item order, grid-major, so the items of one grid
+    # that tie are neighbours
+    ranked, grid = ratios[order], order // n_groups
+    tied = bool(((ranked[1:] == ranked[:-1]) & (grid[1:] == grid[:-1])).any())
     sent, steps = _budget_scan(costs[order % n_groups], inst.budget_s)
     items = order[sent]
-    masks[items % n_groups, inst.active[items // n_groups]] = True
+    masks[items % n_groups, inst.active[grid[sent]]] = True
     affordable = (costs[None, :] <= steps[:, None]).sum(axis=1)
-    return masks, int(affordable.sum()) * inst.n_grids
+    return (masks, int(affordable.sum()) * inst.n_grids,
+            float(uncovered.ravel()[items].sum()), tied)
 
 
 def _best_of(inst: ProblemInstance, candidates: Iterable[_Candidate],
@@ -232,31 +275,43 @@ def _best_of(inst: ProblemInstance, candidates: Iterable[_Candidate],
 
     A candidate is its groups of decodable users, and each group is priced
     here, once, at its slowest member's top rate. A candidate is scored by
-    coverage_utility on its N x L coverage, each member's row its group's
-    mask (the groups are disjoint): the matrix evaluate_plan derives from
-    the plan, so the score is bit-identical to the plan's utility. The
-    matrix is one row gather: each user's label (group k's members k,
-    everyone else the group count) indexes the masks stacked over one
-    all-false row. The active columns of inst.moi are taken once for every
-    joint greedy. Only the winner's plan is built and evaluated, by
-    _result, with the winner's meta. evals counts the gain evaluations
-    spent before; every joint greedy adds its own. None when there is no
-    candidate.
+    _coverage_value, bit-identical to its plan's utility. The active
+    columns of inst.moi are taken once for every joint greedy. evals
+    counts the gain evaluations spent before; every candidate adds its
+    joint greedy's. None when there is no candidate.
+
+    Two shortcuts keep every output bit. A candidate whose groups, each
+    with its members in the same order, repeat an earlier candidate's in
+    another order is not run again when the earlier joint greedy met no
+    tie between groups at one grid: it would send the same items to the
+    same users, so it adds the earlier evaluations and cannot beat the
+    earlier value, which came first. And a candidate is scored only when
+    the value its joint greedy summed may beat the best so far
+    (_estimate_may_win); both sum the same non-negative weights. Only the
+    winner's plan is built, by _result.
     """
     moi = inst.moi.take(inst.active, axis=1)
-    unsent = np.zeros((1, inst.n_grids), dtype=bool)
+    # the evaluations of each tie-free candidate, by its set of groups
+    seen: dict[frozenset, int] = {}
     best = None
     for groups, meta in candidates:
+        key = frozenset(tuple(g.tolist()) for g in groups)
+        if key in seen:
+            evals += seen[key]
+            continue
         rate_idx = [int(inst.top_rate[g].min()) for g in groups]
-        masks, pass_evals = _joint_greedy(inst, groups, rate_idx, moi)
+        masks, pass_evals, sent_weight, tied = _joint_greedy(
+            inst, groups, rate_idx, moi)
         evals += pass_evals
-        label = np.full(inst.n_users, len(groups))
-        for k, members in enumerate(groups):
-            label[members] = k
-        value = coverage_utility(inst, np.concatenate((masks, unsent))[label])
+        if not tied:
+            seen[key] = pass_evals
+        if best is not None and not _estimate_may_win(inst, sent_weight,
+                                                      best[0]):
+            continue
+        value = _coverage_value(inst, groups, masks)
         if best is None or value > best[0]:
             best = (value, groups, masks, rate_idx, meta)
-    return None if best is None else _result(inst, *best[1:], evals)
+    return None if best is None else _result(inst, *best, evals)
 
 
 def _kmeanspp_1d(values: np.ndarray, k: int,
@@ -278,7 +333,17 @@ def _kmeanspp_1d(values: np.ndarray, k: int,
         total = float(d2.sum())
         if total <= 0.0:
             break  # fewer distinct values than requested clusters
-        centers.append(float(values[rng.choice(n, p=d2 / total)]))
+        if total < math.inf:
+            # Generator.choice(n, p=d2 / total)'s own draw, one double of
+            # the stream, without its checks of p, which pass here
+            cdf = (d2 / total).cumsum()
+            cdf /= cdf[-1]
+            pick = cdf.searchsorted(rng.random(), side="right")
+        else:
+            # squared gaps that overflow: choice refuses their NaN or
+            # zero probabilities
+            pick = rng.choice(n, p=d2 / total)
+        centers.append(float(values[pick]))
     centers_arr = np.asarray(centers)
     for _ in range(_LLOYD_MAX_ITER):
         labels = np.argmin(np.abs(values[:, None] - centers_arr[None, :]), axis=1)

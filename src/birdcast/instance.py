@@ -93,7 +93,10 @@ class ProblemInstance:
             raise ValueError("moi must be an N x L matrix")
         if moi.shape[1] == 0:
             raise ValueError("an instance needs at least one grid")
-        if not np.all(np.isfinite(moi)) or np.any(moi < 0.0):
+        # two reductions, no N x L temporary: a NaN makes the least
+        # weight NaN, and the initial 0.0 lets N = 0 pass
+        if not (moi.min(initial=0.0) >= 0.0
+                and moi.max(initial=0.0) < math.inf):
             raise ValueError("moi weights must be finite and non-negative")
         snr = tuple(float(s) for s in self.snr_db)
         if len(snr) != moi.shape[0]:
@@ -478,6 +481,20 @@ def selection_from_plan(inst: ProblemInstance, plan: MulticastPlan) -> Selection
     return Selection(frozenset(items))
 
 
+def _latency(inst: ProblemInstance, n_sel: list[int],
+             rates_bps: Sequence[float]) -> float:
+    """Seconds for group k to send n_sel[k] grids at rates_bps[k], added
+    group by group in order; a group sent at a rate of 0 or below sends
+    nothing. evaluate_plan's latency, and the group baselines' (their
+    rates are all positive)."""
+    latency = 0.0
+    bits = 8.0 * inst.grid_bytes
+    for n, rate in zip(n_sel, rates_bps):
+        if n and rate > 0:
+            latency += bits * n / rate
+    return latency
+
+
 class PlanEvaluation(NamedTuple):
     utility: float
     latency_s: float
@@ -512,11 +529,7 @@ def evaluate_plan(inst: ProblemInstance, plan: MulticastPlan) -> PlanEvaluation:
                                   (np.cumsum(sizes) - sizes)[nonempty])
     rate_consistent = not dead.any() and bool(
         (rates[nonempty] == slowest).all())
-    latency = 0.0
-    bits = 8.0 * inst.grid_bytes
-    for n, rate in zip(n_sel.tolist(), plan.rates_bps):
-        if n and rate > 0:
-            latency += bits * n / rate
+    latency = _latency(inst, n_sel.tolist(), plan.rates_bps)
     # counts of delivering groups, exact in float64; a float product runs
     # in BLAS, where numpy's bool matmul has no fast kernel
     covered = members.T @ plan.masks > 0.0

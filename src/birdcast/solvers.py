@@ -219,24 +219,30 @@ def best_single_item(inst: ProblemInstance) -> tuple[Item | None, float]:
     return item, _rates_utility(inst, _single_item_rates(inst, item))
 
 
-def _single_item_may_win(inst: ProblemInstance, table_value: float,
-                         value: float) -> bool:
-    """Whether the best single item, whose value S holds as table_value,
-    may beat `value` through the canonical evaluator; when False it cannot.
+def _estimate_may_win(inst: ProblemInstance, estimate: float,
+                      value: float) -> bool:
+    """Whether a schedule whose value `estimate` sums in another order may
+    beat `value` through the canonical evaluator; when False it cannot.
 
-    Both numbers sum the same non-negative weights of the item's users,
-    exactly in real arithmetic: S in at most N + M - 2 float additions on
-    any leaf's path (the class sums, then the reverse cumulative sum), the
-    canonical evaluator in at most N * L - 1 (products by 0 and 1 are
-    exact). So each lies within k * 2^-53 of the exact sum, relatively and
-    to first order, k its count of additions. A margin of 2^-51, four
-    units in the last place, for each of the N * L + N + M terms covers
-    both errors and the rounding of the product below; the test passes
-    through an overflow to inf, which only opens it.
+    Two uses: the two-pass driver's best single item, whose estimate is
+    its entry of S, and baselines._best_of's candidates, whose estimate is
+    the joint greedy's sum of the uncovered weights it sent. Each estimate
+    sums the same non-negative weights as the canonical evaluator, exactly
+    in real arithmetic, with at most N + M - 2 float additions on any
+    leaf's path (S: the class sums, then the reverse cumulative sum) or
+    N + N * L - 2 (a group's column sums, then the items sent, at most one
+    per grid and group, and at most N disjoint groups); the canonical
+    evaluator uses at most N * L - 1 (products by 0 and 1 are exact). So
+    each lies within k * 2^-53 of the exact sum, relatively and to first
+    order, k its count of additions, and the two counts add up to less
+    than 2 (N * L + N + M). A margin of 2^-51, four units in the last
+    place, for each of the N * L + N + M terms covers both errors and the
+    rounding of the product below; the test passes through an overflow to
+    inf, which only opens it.
     """
     margin = (inst.n_users * inst.n_grids + inst.n_users + inst.n_rates) \
         * 2.0 ** -51
-    return table_value * (1.0 + margin) > value
+    return estimate * (1.0 + margin) > value
 
 
 def _single_item_rates(inst: ProblemInstance, item: Item) -> np.ndarray:
@@ -299,7 +305,7 @@ def _two_pass_greedy(inst: ProblemInstance,
     single, table_value = _best_item(inst)
     # the canonical evaluation of the single item runs only when S says it
     # may win; it wins when its canonical value beats the passes'
-    if single is not None and _single_item_may_win(inst, table_value, value):
+    if single is not None and _estimate_may_win(inst, table_value, value):
         single_value = _rates_utility(inst, _single_item_rates(inst, single))
         if single_value > value:
             # send the grid at the slowest top rate of the users it

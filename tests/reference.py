@@ -5,10 +5,11 @@ against: per-user coverage and marginal gains, duplicate-rate removal,
 unpruned enumerations of the optimum, the DP baselines' run valuations
 and per-count boundary recurrence, random round trips through both plan
 mappings, an exact occlusion test for one segment, the local correlation
-score one window offset at a time, and a plan's evaluation one group at a
-time. Decodability is derived here from snr_db and the MCS thresholds,
-never from ProblemInstance.top_rate or rate_class_table, so the checks
-compare the package with an independent model.
+score one window offset at a time, a plan's evaluation one group at a
+time, and k-means++ seeding drawn by Generator.choice. Decodability is
+derived here from snr_db and the MCS thresholds, never from
+ProblemInstance.top_rate or rate_class_table, so the checks compare the
+package with an independent model.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from birdcast import (
     selection_from_plan,
     utility,
 )
+from birdcast.baselines import _LLOYD_MAX_ITER, _LLOYD_TOL
 from birdcast.instance import Item, coverage_utility, is_budget_feasible
 
 # the largest assignment space (M+1)^L that brute_force_assignments sweeps,
@@ -419,3 +421,31 @@ def evaluate_plan_by_group(inst: ProblemInstance,
     return PlanEvaluation(
         utility=coverage_utility(inst, covered), latency_s=latency,
         feasible=rate_consistent and is_budget_feasible(inst, latency))
+
+
+def kmeanspp_1d_by_choice(values: np.ndarray, k: int,
+                          rng: np.random.Generator) -> np.ndarray:
+    """baselines._kmeanspp_1d with each centre drawn by
+    rng.choice(n, p=d2 / total), the labels and random stream its own draw
+    must reproduce bit for bit."""
+    n = values.size
+    centers = [float(values[rng.integers(n)])]
+    d2 = np.full(n, np.inf)
+    while len(centers) < k:
+        np.minimum(d2, (values - centers[-1]) ** 2, out=d2)
+        total = float(d2.sum())
+        if total <= 0.0:
+            break  # fewer distinct values than requested clusters
+        centers.append(float(values[rng.choice(n, p=d2 / total)]))
+    centers_arr = np.asarray(centers)
+    for _ in range(_LLOYD_MAX_ITER):
+        labels = np.argmin(np.abs(values[:, None] - centers_arr[None, :]), axis=1)
+        counts = np.bincount(labels, minlength=centers_arr.size)
+        sums = np.bincount(labels, weights=values, minlength=centers_arr.size)
+        new_centers = np.where(counts > 0, sums / np.maximum(counts, 1),
+                               centers_arr)
+        if np.max(np.abs(new_centers - centers_arr)) < _LLOYD_TOL:
+            centers_arr = new_centers
+            break
+        centers_arr = new_centers
+    return np.argmin(np.abs(values[:, None] - centers_arr[None, :]), axis=1)

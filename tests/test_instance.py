@@ -692,6 +692,24 @@ def test_instance_document_that_is_no_object_rejected(doc):
         ProblemInstance.from_json(doc)
 
 
+@pytest.mark.parametrize("weight", [0.0, -0.0, 5e-324, 0.25, 1e300, -5e-324,
+                                    -1.0, -math.inf, math.inf, math.nan],
+                         ids=repr)
+def test_moi_weight_check_is_the_elementwise_one(weight):
+    # the weight in each cell of a 2 x 3 matrix in turn: the instance takes
+    # exactly the matrices whose weights are all finite and non-negative
+    for cell in range(6):
+        moi = np.full(6, 0.5)
+        moi[cell] = weight
+        moi = moi.reshape(2, 3)
+        if np.isfinite(moi).all() and not (moi < 0.0).any():
+            assert instance_with_moi(moi).moi.tobytes() == moi.tobytes()
+        else:
+            with pytest.raises(ValueError, match="^moi weights must be "
+                               "finite and non-negative$"):
+                instance_with_moi(moi)
+
+
 def test_instance_with_a_1d_moi_rejected():
     with pytest.raises(ValueError, match="N x L matrix"):
         instance_with_moi(np.ones(3))

@@ -41,6 +41,7 @@ from birdcast import (  # noqa: E402
     selection_from_plan,
     utility,
 )
+from birdcast import baselines  # noqa: E402
 from birdcast.baselines import _best_of, _joint_greedy  # noqa: E402
 from birdcast.cli import (  # noqa: E402
     SOLVERS,
@@ -58,6 +59,8 @@ from birdcast.instance import (  # noqa: E402
 from birdcast.oracle import _bound_rtol  # noqa: E402
 from birdcast.solvers import _argmax_pass, _lazy_pass  # noqa: E402
 from birdcast import moi, scenario  # noqa: E402
+from conftest import (equal_weights_instance,  # noqa: E402
+                      unwanted_grids_instance)
 from reference import (  # noqa: E402
     CoverageState,
     decodable,
@@ -464,7 +467,7 @@ def build_every_plan_best_of(inst, candidates, evals):
     moi = inst.moi[:, inst.active]
     for groups, meta in candidates:
         rate_idx = [min(top[n] for n in g) for g in groups]
-        masks, pass_evals = _joint_greedy(inst, groups, rate_idx, moi)
+        masks, pass_evals, _, _ = _joint_greedy(inst, groups, rate_idx, moi)
         evals += pass_evals
         plan = member_scan_plan(inst, groups, masks, rate_idx)
         evaluation = evaluate_plan(inst, plan)
@@ -480,15 +483,39 @@ def build_every_plan_best_of(inst, candidates, evals):
 
 
 @st.composite
+def partition_instances(draw) -> ProblemInstance:
+    """A tiny instance, or a tie-heavy one: every user wanting the same
+    grids by 0.25, or all-zero grids and users with weights in quarters."""
+    kind = draw(st.sampled_from(("tiny", "equal_weights", "quarters")))
+    if kind == "tiny":
+        return draw(instances())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "equal_weights":
+        return equal_weights_instance(rng, int(rng.integers(1, 13)),
+                                      draw(st.sampled_from((0.3, 0.6, 1.0))))
+    inst = unwanted_grids_instance(rng)
+    return dataclasses.replace(inst, moi=np.round(inst.moi * 4.0) / 4.0)
+
+
+@st.composite
 def partition_candidates(draw) -> tuple[ProblemInstance, list]:
-    inst = draw(instances())
+    inst = draw(partition_instances())
     users = np.flatnonzero(inst.top_rate >= 0)
     candidates = []
-    for c in range(draw(st.integers(0, 4))):
-        # label -1 leaves a user out of every group
-        labels = np.array(draw(st.lists(st.integers(-1, 2), min_size=users.size,
-                                        max_size=users.size)), dtype=np.int64)
-        groups = [users[labels == g] for g in np.unique(labels[labels >= 0])]
+    for c in range(draw(st.integers(0, 6))):
+        if candidates and draw(st.booleans()):
+            # an earlier candidate's groups in another order
+            groups, _ = candidates[draw(st.integers(0, len(candidates) - 1))]
+            groups = [groups[k] for k in
+                      draw(st.permutations(range(len(groups))))]
+        else:
+            # label -1 leaves a user out of every group
+            labels = np.array(draw(st.lists(st.integers(-1, 3),
+                                            min_size=users.size,
+                                            max_size=users.size)),
+                              dtype=np.int64)
+            groups = [users[labels == g]
+                      for g in np.unique(labels[labels >= 0])]
         candidates.append((groups, {"candidate": c}))
     return inst, candidates
 
@@ -509,6 +536,89 @@ def test_best_of_matches_the_build_every_plan_reference(case, evals):
     ref = build_every_plan_best_of(inst, candidates, evals)
     new = _best_of(inst, candidates, evals)
     assert result_fields(new) == result_fields(ref)
+
+
+def tied_groups_instance() -> ProblemInstance:
+    """User 0 decodes only rate 0 and wants grid 0 by 1.0; user 1 decodes
+    rate 1, which costs exactly half as much, and wants grid 0 by 0.5 and
+    grid 1 by 0.45. As singleton groups they tie at grid 0 (ratio 125), and
+    the budget pays for one rate-0 item or two rate-1 items."""
+    table = McsTable(rates=(1.0, 2.0), thresholds_db=(0.0, 10.0))
+    return ProblemInstance(moi=np.array([[1.0, 0.0], [0.5, 0.45]]),
+                           snr_db=(0.0, 10.0), mcs=table, grid_bytes=1000.0,
+                           bandwidth_hz=1e6, budget_s=0.008)
+
+
+def counted_joint_greedy(monkeypatch) -> list:
+    """Record every joint greedy _best_of runs."""
+    calls = []
+
+    def joint_greedy(*args):
+        calls.append(_joint_greedy(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(baselines, "_joint_greedy", joint_greedy)
+    return calls
+
+
+def test_best_of_runs_a_repeat_whose_groups_tie_at_a_grid(monkeypatch):
+    inst = tied_groups_instance()
+    slow, fast = np.array([0]), np.array([1])
+    # the tie goes to the group listed first: listed first, the fast user
+    # is sent grids 0 and 1 (0.95); listed first, the slow user is sent
+    # grid 0, which spends the budget (1.0)
+    candidates = [([fast, slow], {"candidate": 0}),
+                  ([slow, fast], {"candidate": 1})]
+    calls = counted_joint_greedy(monkeypatch)
+    res = _best_of(inst, candidates, 0)
+    assert [tied for *_, tied in calls] == [True, True]
+    assert res.meta == {"candidate": 1} and res.utility == 1.0
+    ref = build_every_plan_best_of(inst, candidates, 0)
+    assert result_fields(res) == result_fields(ref)
+
+
+def test_best_of_skips_a_repeat_without_a_tie(monkeypatch):
+    # user 1 wants grid 0 by 0.4 only: ratio 100 against user 0's 125
+    inst = dataclasses.replace(tied_groups_instance(),
+                               moi=np.array([[1.0, 0.0], [0.4, 0.45]]))
+    both, slow, fast = np.array([0, 1]), np.array([0]), np.array([1])
+    candidates = [([fast, slow], {"candidate": 0}), ([both], {"candidate": 1}),
+                  ([slow, fast], {"candidate": 2}), ([both], {"candidate": 3})]
+    calls = counted_joint_greedy(monkeypatch)
+    res = _best_of(inst, candidates, 5)
+    assert [len(masks) for masks, *_ in calls] == [2, 1]
+    ref = build_every_plan_best_of(inst, candidates, 5)
+    assert result_fields(res) == result_fields(ref)
+
+
+# values with repeats, all equal (no second centre to draw), one value,
+# and magnitudes from 1e-300 to 1e300, whose squared gaps underflow to 0 or
+# overflow to inf
+MAGNITUDES = st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 9.99),
+                       st.integers(-300, 299))
+KMEANS_VALUES = st.one_of(
+    st.lists(st.sampled_from((3.1e7, 6.2e7, 6.2e7, 1.3e8, 5.33e8)),
+             min_size=1, max_size=40),
+    st.builds(lambda v, n: [v] * n, MAGNITUDES, st.integers(1, 20)),
+    st.lists(MAGNITUDES, min_size=1, max_size=1),
+    st.lists(MAGNITUDES, min_size=1, max_size=40),
+)
+
+
+@hypothesis.settings(PROPERTY_SETTINGS, max_examples=400)
+@hypothesis.given(KMEANS_VALUES, st.integers(1, 15), st.integers(0, 2 ** 32 - 1))
+@hypothesis.example([1e-300, 1e300], 2, 0)
+def test_kmeanspp_draws_match_generator_choice(values, k, seed):
+    outcomes = []
+    for kmeans in (baselines._kmeanspp_1d, reference.kmeanspp_1d_by_choice):
+        rng = np.random.default_rng(seed)
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                labels = kmeans(np.array(values), k, rng).tolist()
+            except ValueError as err:  # an overflowed gap: NaN or zero p
+                labels = str(err)
+        outcomes.append((labels, rng.bit_generator.state))
+    assert outcomes[0] == outcomes[1]
 
 
 NON_FINITE = st.sampled_from((math.nan, math.inf, -math.inf))

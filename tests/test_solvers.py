@@ -168,7 +168,7 @@ def test_single_item_fallback_sends_at_the_rate_its_plan_reads_back():
 def ungated(monkeypatch) -> None:
     """Make both paper solvers evaluate the best single item canonically
     on every solve, as they did before the rate-class table gated it."""
-    monkeypatch.setattr(solvers, "_single_item_may_win",
+    monkeypatch.setattr(solvers, "_estimate_may_win",
                         lambda inst, table_value, value: True)
 
 
@@ -189,13 +189,13 @@ def test_single_item_gate_changes_no_result(monkeypatch):
     insts += [equal_weights_instance(rng, int(rng.integers(1, 13)), 0.5)
               for _ in range(40)]
     opened = []
-    gate = solvers._single_item_may_win
+    gate = solvers._estimate_may_win
 
     def recorded_gate(*args) -> bool:
         opened.append(gate(*args))
         return opened[-1]
 
-    monkeypatch.setattr(solvers, "_single_item_may_win", recorded_gate)
+    monkeypatch.setattr(solvers, "_estimate_may_win", recorded_gate)
     gated = [both_greedy_docs(inst) for inst in insts]
     assert True in opened and False in opened
     ungated(monkeypatch)
@@ -211,7 +211,7 @@ def test_single_item_gate_opens_where_the_single_item_wins(monkeypatch):
                            snr_db=(10.0, 30.0, 10.0), mcs=table,
                            grid_bytes=1000.0, bandwidth_hz=1e6, budget_s=0.009)
     assert solvers._best_item(inst) == ((0, 0), 0.2 + 0.9)
-    assert solvers._single_item_may_win(inst, 0.2 + 0.9, 0.9)
+    assert solvers._estimate_may_win(inst, 0.2 + 0.9, 0.9)
     gated = both_greedy_docs(inst)
     assert gated[0]["selection"] == [[0, 1]]
     ungated(monkeypatch)
@@ -231,7 +231,7 @@ def test_single_item_worth_exactly_the_passes_value_loses(monkeypatch):
     gated = both_greedy_docs(inst)
     for doc in gated:
         assert doc["selection"] == [[0, 1], [1, 1]] and doc["utility"] == 1.0
-    assert solvers._single_item_may_win(inst, 1.0, 1.0)
+    assert solvers._estimate_may_win(inst, 1.0, 1.0)
     ungated(monkeypatch)
     assert both_greedy_docs(inst) == gated
 
@@ -240,12 +240,12 @@ def test_single_item_gate_margin():
     inst = random_instance(np.random.default_rng(64))
     margin = (inst.n_users * inst.n_grids + inst.n_users
               + inst.n_rates) * 2.0 ** -51
-    assert solvers._single_item_may_win(inst, 3.0, 3.0)
-    assert solvers._single_item_may_win(inst, 3.0, 3.0 * (1.0 + margin / 2))
-    assert not solvers._single_item_may_win(inst, 3.0,
-                                            3.0 * (1.0 + 2.0 * margin))
+    assert solvers._estimate_may_win(inst, 3.0, 3.0)
+    assert solvers._estimate_may_win(inst, 3.0, 3.0 * (1.0 + margin / 2))
+    assert not solvers._estimate_may_win(inst, 3.0,
+                                         3.0 * (1.0 + 2.0 * margin))
     # nothing of value: the single item cannot beat even an empty schedule
-    assert not solvers._single_item_may_win(inst, 0.0, 0.0)
+    assert not solvers._estimate_may_win(inst, 0.0, 0.0)
 
 
 def test_lazy_equals_standard_small_random():
